@@ -216,7 +216,7 @@ def _closed_coeff(quadrant):
 
 
 def _bessel_cached(kind, order, arg, bits, rel_target):
-    key = (kind, order._mpf_, arg._mpf_, bits)
+    key = (kind, order._mpf_, arg._mpf_, bits, float(rel_target))
     hit = _BESSEL_CACHE.get(key)
     if hit is None:
         with mp.workprec(bits):
@@ -283,7 +283,7 @@ def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
     """Contour form without the exp(mu*lambda) factor:
     exp(abar*beta)/(2*pi*i) times the tilted-path integral.  The path
     integral itself is beta-independent, so it is cached per
-    (quadrant, abar, x, bits)."""
+    (quadrant, abar, x, bits, theta, target)."""
     family = _CONTOUR_FAMILY[quadrant]
     phase = _PHASE_SIGN[quadrant]
     fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
@@ -291,7 +291,7 @@ def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
         if theta is None:
             theta = mp.pi / 4
         eps_abs = mp.mpf(rel_target) / 16 * mp.exp(-x)
-        key = (quadrant, abar._mpf_, x._mpf_, bits, theta._mpf_)
+        key = (quadrant, abar._mpf_, x._mpf_, bits, theta._mpf_, float(rel_target))
         hit = _J_CACHE.get(key)
         if hit is None:
             retried = False

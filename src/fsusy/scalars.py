@@ -12,24 +12,34 @@ Q(zeta) sit the constants everything downstream needs:
 Elements are stored as dicts mapping (c_power, sqrtpi_power) to coefficient
 vectors over the power basis 1, x, ..., x^(2(p-1)-1) of Q(zeta), with x
 standing for zeta and arithmetic done modulo the 4p-th cyclotomic
-polynomial.  Coefficients are fractions.Fraction throughout; nothing in
-this module ever rounds.
+polynomial.  Each vector is a pair (tuple of int numerators, int
+denominator) in lowest terms: the denominator is positive and shares no
+factor with all the numerators, so equal scalars have equal dicts.  The
+cyclotomic polynomial is monic and integral, so the reduction and
+automorphism tables are integer tables, and arithmetic works on integer
+numerators with one gcd per stored vector.  fractions.Fraction appears
+only at the boundaries: factories taking rationals, scaling by a
+rational, as_fraction, evaluate, and the canonical and pretty forms,
+which format each coefficient as Fraction(numerator, denominator).
+Nothing in this module ever rounds.
 
 Inversion is supported for any element that is a single power of sqrt(pi)
-times a unit of Q(zeta)[c]/(c^p - r).  When r is a p-th power in Q the c
-extension is not a domain and honest zero divisors exist; attempting to
-invert one raises ZeroDivisionError.
+times a unit of Q(zeta)[c]/(c^p - r).  Both steps are norm tricks: the
+c-automorphisms c -> q^k c carry the element down to Q(zeta), and the
+Galois automorphisms zeta -> zeta^k carry that down to Q.  When r is a
+p-th power in Q the c extension is not a domain and honest zero divisors
+exist; attempting to invert one raises ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath as mp
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -43,60 +53,54 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-# -- dense polynomial helpers over Q (low degree first) ----------------------
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for j, aj in enumerate(a):
-        if aj:
-            for k, bk in enumerate(b):
-                if bk:
-                    out[j + k] += aj * bk
-    return out
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder over Q."""
-    num = [Fraction(x) for x in num]
-    den = _poly_trim(Fraction(x) for x in den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    quot = [_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for j in range(len(num) - len(den), -1, -1):
-        c = num[j + len(den) - 1] / lead
-        if c:
-            quot[j] = c
-            for k, dk in enumerate(den):
-                num[j + k] -= c * dk
-    return _poly_trim(quot), _poly_trim(num)
-
+# -- cyclotomic polynomials --------------------------------------------------
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial.
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree
+    first.
 
     Built the slow honest way: divide x^n - 1 by every lower-order
-    cyclotomic whose order divides n.  Exact over Q, monic, integral.
+    cyclotomic whose order divides n.  Every divisor is monic and integral,
+    so the long division never leaves the integers.
     """
-    num = [_ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), _ONE
-    num = _poly_trim(num)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic(d))
-            if rem:
+            den = cyclotomic(d)
+            k = len(den) - 1
+            quot = [0] * (len(num) - k)
+            for j in range(len(quot) - 1, -1, -1):
+                c = quot[j] = num[j + k]
+                if c:
+                    for i, di in enumerate(den):
+                        num[j + i] -= c * di
+            if any(num):
                 raise ArithmeticError(f"cyclotomic tower broke at {n}/{d}")
+            num = quot
     return tuple(num)
+
+
+# -- integer vectors over a common denominator --------------------------------
+
+def _normal(vec, den):
+    """(vec, den) in lowest terms as a (tuple, positive int) pair, or None
+    for the zero vector.  den must already be positive."""
+    if not any(vec):
+        return None
+    g = gcd(den, *vec)
+    if g == 1:
+        return tuple(vec), den
+    return tuple(x // g for x in vec), den // g
+
+
+def _vsum(u, du, v, dv):
+    """u/du + v/dv over the least common denominator, not reduced."""
+    if du == dv:
+        return [a + b for a, b in zip(u, v)], du
+    g = gcd(du, dv)
+    mu, mv = dv // g, du // g
+    return [a * mu + b * mv for a, b in zip(u, v)], du * mu
 
 
 class FieldScalar:
@@ -107,60 +111,78 @@ class FieldScalar:
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.terms = terms  # {(c_pow, sqrtpi_pow): coeff tuple}, no zero vectors
+        # {(c_pow, sqrtpi_pow): (int numerator tuple, int denominator)},
+        # each pair in lowest terms with a positive denominator; no zero vectors
+        self.terms = terms
 
     # -- ring structure --
 
     def __add__(self, other):
         ctx = self.ctx
-        ctx._check(other)
+        if not isinstance(other, FieldScalar) or other.ctx is not ctx:
+            ctx._check(other)
         out = dict(self.terms)
-        for key, vec in other.terms.items():
+        for key, pair in other.terms.items():
             cur = out.get(key)
             if cur is None:
-                out[key] = vec
+                out[key] = pair
             else:
-                merged = tuple(a + b for a, b in zip(cur, vec))
-                if any(merged):
-                    out[key] = merged
-                else:
+                merged = _normal(*_vsum(*cur, *pair))
+                if merged is None:
                     del out[key]
+                else:
+                    out[key] = merged
         return FieldScalar(ctx, out)
 
     def __neg__(self):
-        return FieldScalar(self.ctx, {k: tuple(-c for c in v) for k, v in self.terms.items()})
+        return FieldScalar(
+            self.ctx, {k: (tuple(-x for x in v), d) for k, (v, d) in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         ctx = self.ctx
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+        if not isinstance(other, FieldScalar):
+            if not isinstance(other, (int, Fraction)):
+                ctx._check(other)  # raises TypeError
+            fn, fd = other.numerator, other.denominator
+            if not fn:
                 return ctx._zero
-            return FieldScalar(ctx, {k: tuple(c * f for c in v) for k, v in self.terms.items()})
-        ctx._check(other)
+            return FieldScalar(
+                ctx,
+                {k: _normal([x * fn for x in v], d * fd) for k, (v, d) in self.terms.items()},
+            )
+        if other.ctx is not ctx:
+            ctx._check(other)
         if other is ctx._one:
             return self
         if self is ctx._one:
             return other
         p = ctx.p
+        rn, rd = ctx._r_num, ctx._r_den
+        vmul = ctx._vmul
         out = {}
-        for (c1, s1), v1 in self.terms.items():
-            for (c2, s2), v2 in other.terms.items():
-                vec = ctx._vmul(v1, v2)
+        for (c1, s1), (u, du) in self.terms.items():
+            for (c2, s2), (v, dv) in other.terms.items():
+                vec = vmul(u, v)
+                den = du * dv
                 cpow = c1 + c2
                 if cpow >= p:  # fold c^p = r back into the rationals
                     cpow -= p
-                    vec = tuple(ctx.r * x for x in vec)
+                    if rn != 1:
+                        vec = [rn * x for x in vec]
+                    den *= rd
                 key = (cpow, s1 + s2)
                 cur = out.get(key)
-                if cur is None:
-                    out[key] = vec
-                else:
-                    out[key] = tuple(a + b for a, b in zip(cur, vec))
-        return FieldScalar(ctx, {k: v for k, v in out.items() if any(v)})
+                out[key] = (vec, den) if cur is None else _vsum(*cur, vec, den)
+        terms = {}
+        for key, (vec, den) in out.items():
+            got = _normal(vec, den)
+            if got is not None:
+                terms[key] = got
+        return FieldScalar(ctx, terms)
 
     __rmul__ = __mul__
 
@@ -178,7 +200,7 @@ class FieldScalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * self.ctx.from_fraction(Fraction(1, 1) / Fraction(other))
+            return self * (1 / Fraction(other))
         return self * other.invert()
 
     def __eq__(self, other):
@@ -202,7 +224,9 @@ class FieldScalar:
         """The * involution: zeta -> zeta^(-1) (so q -> 1/q, i -> -i),
         while c and sqrt(pi) are fixed."""
         ctx = self.ctx
-        return FieldScalar(ctx, {k: ctx._vconj(v) for k, v in self.terms.items()})
+        return FieldScalar(
+            ctx, {k: _normal(ctx._vauto(v, -1), d) for k, (v, d) in self.terms.items()}
+        )
 
     def invert(self):
         ctx = self.ctx
@@ -215,24 +239,24 @@ class FieldScalar:
         body = FieldScalar(ctx, {(c, 0): v for (c, _), v in self.terms.items()})
         cpows = {k[0] for k in body.terms}
         if cpows == {0}:
-            inv_vec = ctx._vinv(body.terms[(0, 0)])
-            return FieldScalar(ctx, {(0, -spow): inv_vec})
+            return FieldScalar(ctx, {(0, -spow): ctx._vinv(*body.terms[(0, 0)])})
         # norm trick over the automorphisms c -> q^k c, which fix Q(zeta)
         cof = ctx.one()
         for k in range(1, ctx.p):
             twisted = {}
-            for (c, _), v in body.terms.items():
+            for (c, _), (v, dv) in body.terms.items():
                 qe = ctx._zeta_pow[(4 * k * c) % (4 * ctx.p)]
-                twisted[(c, 0)] = ctx._vmul(v, qe)
-            cof = cof * FieldScalar(ctx, {k2: v for k2, v in twisted.items() if any(v)})
+                got = _normal(ctx._vmul(v, qe), dv)
+                if got is not None:
+                    twisted[(c, 0)] = got
+            cof = cof * FieldScalar(ctx, twisted)
         norm = body * cof
         bad = [k for k in norm.terms if k[0] != 0]
         if bad:
             raise ArithmeticError("norm failed to land in Q(zeta)")
         if not norm.terms:
             raise ZeroDivisionError("zero divisor in the c extension")
-        inv_vec = ctx._vinv(norm.terms[(0, 0)])
-        out = cof * FieldScalar(ctx, {(0, 0): inv_vec})
+        out = cof * FieldScalar(ctx, {(0, 0): ctx._vinv(*norm.terms[(0, 0)])})
         return FieldScalar(ctx, {(c, s - spow): v for (c, s), v in out.terms.items()})
 
     def is_rational(self) -> bool:
@@ -240,7 +264,7 @@ class FieldScalar:
             return True
         if set(self.terms) != {(0, 0)}:
             return False
-        vec = self.terms[(0, 0)]
+        vec, _ = self.terms[(0, 0)]
         return not any(vec[1:])
 
     def as_fraction(self) -> Fraction:
@@ -248,7 +272,8 @@ class FieldScalar:
             return _ZERO
         if not self.is_rational():
             raise ValueError("scalar is not rational")
-        return self.terms[(0, 0)][0]
+        vec, den = self.terms[(0, 0)]
+        return Fraction(vec[0], den)
 
     # -- numerical embedding --
 
@@ -262,12 +287,12 @@ class FieldScalar:
             croot = mp.sign(rnum) * mp.root(abs(rnum), ctx.p)
             spi = mp.sqrt(mp.pi)
             total = mp.mpc(0)
-            for (cpow, spow), vec in self.terms.items():
+            for (cpow, spow), (vec, den) in self.terms.items():
                 acc = mp.mpc(0)
                 for j in range(ctx.deg - 1, -1, -1):
                     acc = acc * zeta
-                    cj = vec[j]
-                    if cj:
+                    if vec[j]:
+                        cj = Fraction(vec[j], den)
                         acc += mp.mpf(cj.numerator) / cj.denominator
                 total += acc * croot ** cpow * spi ** spow
             result = +total
@@ -275,25 +300,28 @@ class FieldScalar:
 
     # -- canonical form --
 
+    def _rows(self):
+        """(c_pow, sqrtpi_pow, coefficient Fractions), sorted by key."""
+        for key in sorted(self.terms):
+            vec, den = self.terms[key]
+            yield key[0], key[1], [Fraction(x, den) for x in vec]
+
     def canonical(self):
         """JSON-ready deterministic form: sorted list of
         [c_pow, sqrtpi_pow, ["num/den", ...]] rows."""
-        rows = []
-        for (cpow, spow) in sorted(self.terms):
-            vec = self.terms[(cpow, spow)]
-            rows.append([cpow, spow, [f"{c.numerator}/{c.denominator}" for c in vec]])
-        return rows
+        return [
+            [cpow, spow, [f"{c.numerator}/{c.denominator}" for c in vec]]
+            for cpow, spow, vec in self._rows()
+        ]
 
     def canonical_string(self) -> str:
         """Deterministic compact text form, stable across dict orderings."""
         if self.is_zero():
             return "0"
-        rows = []
-        for (cpow, spow) in sorted(self.terms):
-            vec = self.terms[(cpow, spow)]
-            body = ",".join(str(c) for c in vec)
-            rows.append(f"c{cpow}s{spow}:{body}")
-        return ";".join(rows)
+        return ";".join(
+            f"c{cpow}s{spow}:" + ",".join(str(c) for c in vec)
+            for cpow, spow, vec in self._rows()
+        )
 
     def pretty(self) -> str:
         """Readable form.  Every unit in the cyclotomic root group is a power
@@ -348,39 +376,31 @@ class FieldContext:
         self.r = Fraction(r)
         if self.r == 0:
             raise ValueError("r must be nonzero")
+        self._r_num, self._r_den = self.r.numerator, self.r.denominator
         self.key = (p, self.r)
         phi = cyclotomic(4 * p)
         self.deg = len(phi) - 1
         assert self.deg == 2 * (p - 1)
         self.phi = phi
         d = self.deg
-        # x^j mod phi for j in [d, 2d-2], used to fold products back down
-        base = tuple(-c for c in phi[:d])
-        rows = [base]
-        cur = list(base)
-        for _ in range(d + 1, 2 * d - 1):
-            top = cur[-1]
-            cur = [_ZERO] + cur[:-1]
-            if top:
-                cur = [a + top * b for a, b in zip(cur, base)]
-            rows.append(tuple(cur))
-        self._red = rows
-        # zeta^j for j in [0, 4p)
+        # x^j mod phi for j in [0, 4p); phi is monic, so these are integral
+        base = [-c for c in phi[:d]]
         zp = []
-        vec = [_ZERO] * d
-        vec[0] = _ONE
+        vec = [0] * d
+        vec[0] = 1
         for _ in range(4 * p):
             zp.append(tuple(vec))
             top = vec[-1]
-            vec = [_ZERO] + vec[:-1]
+            vec = [0] + vec[:-1]
             if top:
                 vec = [a + top * b for a, b in zip(vec, base)]
-        self._zeta_pow = zp
-        # conjugation matrix: x^t -> x^(-t mod 4p)
-        self._conj_rows = [zp[(4 * p - t) % (4 * p)] for t in range(d)]
+        self._zeta_pow = zp  # zeta^j as dense integer vectors
+        # zeta^j again as sparse (t, c) rows: rows d..2d-2 fold products back
+        # down, and row k*t mod 4p is the image of x^t under zeta -> zeta^k
+        self._zeta_sparse = [tuple((t, c) for t, c in enumerate(v) if c) for v in zp]
         self._zero = FieldScalar(self, {})
         self._zeta_scalar = tuple(
-            FieldScalar(self, {(0, 0): self._zeta_pow[j]}) for j in range(4 * p)
+            FieldScalar(self, {(0, 0): (self._zeta_pow[j], 1)}) for j in range(4 * p)
         )
         self._one = self.zeta(0)
         self._qint_cache = {}
@@ -390,59 +410,57 @@ class FieldContext:
         if not isinstance(other, FieldScalar) or other.ctx.key != self.key:
             raise TypeError("scalar from a different field context")
 
-    # -- base-field vector ops --
+    # -- base-field vector ops, on integer numerator vectors --
 
     def _vmul(self, u, v):
+        """u*v mod phi as an integer list."""
         d = self.deg
-        acc = [_ZERO] * (2 * d - 1)
+        acc = [0] * (2 * d - 1)
+        vnz = [(b, vb) for b, vb in enumerate(v) if vb]
         for a, ua in enumerate(u):
             if ua:
-                for b, vb in enumerate(v):
-                    if vb:
-                        acc[a + b] += ua * vb
-        for j in range(2 * d - 2, d - 1, -1):
+                for b, vb in vnz:
+                    acc[a + b] += ua * vb
+        rows = self._zeta_sparse
+        for j in range(d, 2 * d - 1):
             cj = acc[j]
             if cj:
-                row = self._red[j - d]
-                for t in range(d):
-                    if row[t]:
-                        acc[t] += cj * row[t]
-        return tuple(acc[:d])
+                for t, c in rows[j]:
+                    acc[t] += cj * c
+        del acc[d:]
+        return acc
 
-    def _vconj(self, u):
-        d = self.deg
-        acc = [_ZERO] * d
+    def _vauto(self, u, k):
+        """The automorphism zeta -> zeta^k of Q(zeta) applied to u."""
+        acc = [0] * self.deg
+        rows, n = self._zeta_sparse, 4 * self.p
         for t, ut in enumerate(u):
             if ut:
-                row = self._conj_rows[t]
-                for j in range(d):
-                    if row[j]:
-                        acc[j] += ut * row[j]
-        return tuple(acc)
+                for j, c in rows[k * t % n]:
+                    acc[j] += ut * c
+        return acc
 
-    def _vinv(self, u):
-        """Inverse of u in Q[x]/phi by the extended Euclid algorithm."""
-        r0, r1 = list(self.phi), _poly_trim(u)
-        if not r1:
+    def _vinv(self, u, du):
+        """Inverse of u/du in Q(zeta), reduced: du times the product of the
+        other Galois conjugates of u, over the norm of u, which is rational."""
+        cof = None
+        for k in range(3, 4 * self.p, 2):  # the units of Z/4p other than 1
+            if k % self.p:
+                conj = self._vauto(u, k)
+                cof = conj if cof is None else self._vmul(cof, conj)
+        norm = self._vmul(u, cof)
+        if not any(norm):
             raise ZeroDivisionError("inverting zero in Q(zeta)")
-        t0, t1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r2 = _poly_divmod(r0, r1)
-            prod = _poly_mul(q, t1) if q and t1 else []
-            width = max(len(t0), len(prod))
-            t2 = _poly_trim(
-                [
-                    (t0[j] if j < len(t0) else _ZERO) - (prod[j] if j < len(prod) else _ZERO)
-                    for j in range(width)
-                ]
-            )
-            r0, r1, t0, t1 = r1, r2, t1, t2
-        if not r1:
-            raise ArithmeticError("phi is not coprime to the input")
-        c = r1[0]
-        out = [x / c for x in t1]
-        out += [_ZERO] * (self.deg - len(out))
-        return tuple(out[: self.deg])
+        if any(norm[1:]):
+            raise ArithmeticError("norm failed to land in Q")
+        n = norm[0]
+        if n < 0:
+            n, du = -n, -du
+        return _normal([x * du for x in cof], n)
+
+    def _rational_vec(self, a):
+        """The nonzero Fraction a as a stored coefficient vector."""
+        return (a.numerator,) + (0,) * (self.deg - 1), a.denominator
 
     # -- scalar factories --
 
@@ -456,8 +474,7 @@ class FieldContext:
         a = Fraction(a)
         if a == 0:
             return self._zero
-        vec = (a,) + (_ZERO,) * (self.deg - 1)
-        return FieldScalar(self, {(0, 0): vec})
+        return FieldScalar(self, {(0, 0): self._rational_vec(a)})
 
     def zeta(self, j: int = 1):
         return self._zeta_scalar[j % (4 * self.p)]
@@ -476,12 +493,10 @@ class FieldContext:
     def c_hat(self, n: int = 1):
         """c^n, with c^p = r folded down so the stored power sits in [0, p)."""
         fold, rem = divmod(n, self.p)
-        scale = self.r ** fold
-        vec = tuple(scale * c for c in self._zeta_pow[0])
-        return FieldScalar(self, {(rem, 0): vec})
+        return FieldScalar(self, {(rem, 0): self._rational_vec(self.r ** fold)})
 
     def sqrt_pi(self, n: int = 1):
-        return FieldScalar(self, {(0, n): self._zeta_pow[0]})
+        return FieldScalar(self, {(0, n): (self._zeta_pow[0], 1)})
 
     # -- q-combinatorics (all inside Q(zeta), cached) --
 

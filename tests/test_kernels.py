@@ -359,6 +359,22 @@ def test_kernel_verify_trimmed():
     assert len(report.measurements["rows"]) == 8
 
 
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+@pytest.mark.parametrize(
+    "targets, rho", [(("1e-10", "1e-45"), "1.37"), (("1e-45", "1e-10"), "1.41")]
+)
+def test_cached_value_honours_each_target(mode, targets, rho):
+    # the caches must not serve a value certified for a looser target;
+    # each order gets its own point so no earlier call has cached it
+    pt = QuadrantPoint.from_polar(2, rho, "0.3")
+    got = {}
+    for tgt in targets:
+        params = KernelParams(p=3, s=0, nu="0.3", mu=0, r=1, precision=tgt)
+        got[tgt] = _mpc(kernel_eval(params, pt, mode))
+    with mp.workprec(200):
+        assert abs(got["1e-10"] - got["1e-45"]) <= mp.mpf("1e-10") * abs(got["1e-45"])
+
+
 # -- generator ladder --
 
 

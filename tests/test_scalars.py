@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from fsusy.scalars import FieldContext, cyclotomic
 
@@ -243,3 +245,275 @@ def test_rational_detection(ctx):
     assert not ctx.i().is_rational()
     # the balanced sum [p] collapses to zero, which is rational
     assert ctx.qint(ctx.p).is_rational()
+
+
+# -- golden boundary forms --
+#
+# The CLI reports are built from these strings, so they must not change
+# with the internal representation.  Recorded from the Fraction-vector
+# implementation.
+
+_GOLDEN = [
+    (
+        "qint-p5",
+        lambda c5, c7, r23: c5.qint(3),
+        [[0, 0, ["0/1", "0/1", "0/1", "0/1", "-1/1", "0/1", "1/1", "0/1"]]],
+        "c0s0:0,0,0,0,-1,0,1,0",
+        "c0s0:0,0,0,0,-1,0,1,0",
+    ),
+    (
+        "qfact-p5",
+        lambda c5, c7, r23: c5.qfact(4),
+        [[0, 0, ["1/1", "0/1", "0/1", "0/1", "-1/1", "0/1", "1/1", "0/1"]]],
+        "c0s0:1,0,0,0,-1,0,1,0",
+        "c0s0:1,0,0,0,-1,0,1,0",
+    ),
+    (
+        "qbinom-p5",
+        lambda c5, c7, r23: c5.qbinom_qminus2(4, 2),
+        [[0, 0, ["0/1", "0/1", "0/1", "0/1", "1/1", "0/1", "0/1", "0/1"]]],
+        "c0s0:0,0,0,0,1,0,0,0",
+        "q",
+    ),
+    (
+        "qbinom-p7",
+        lambda c5, c7, r23: c7.qbinom_qminus2(5, 2),
+        [[0, 0, ["-1/1", "0/1", "1/1", "0/1", "0/1", "0/1", "1/1", "0/1", "-1/1", "0/1", "0/1", "0/1"]]],
+        "c0s0:-1,0,1,0,0,0,1,0,-1,0,0,0",
+        "c0s0:-1,0,1,0,0,0,1,0,-1,0,0,0",
+    ),
+    (
+        "c_hat-fold",
+        lambda c5, c7, r23: r23.c_hat(3),
+        [[0, 0, ["2/3", "0/1", "0/1", "0/1"]]],
+        "c0s0:2/3,0,0,0",
+        "2/3",
+    ),
+    (
+        "c_hat-negative",
+        lambda c5, c7, r23: r23.c_hat(-1),
+        [[2, 0, ["3/2", "0/1", "0/1", "0/1"]]],
+        "c2s0:3/2,0,0,0",
+        "3/2*c^2",
+    ),
+    (
+        "sqrt_pi-inverse",
+        lambda c5, c7, r23: c5.sqrt_pi(-1),
+        [[0, -1, ["1/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1"]]],
+        "c0s-1:1,0,0,0,0,0,0,0",
+        "sqrtpi^-1",
+    ),
+    (
+        "inverse-cyclotomic",
+        lambda c5, c7, r23: (c5.one() + c5.q(1)).invert(),
+        [[0, 0, ["0/1", "0/1", "1/1", "0/1", "-1/1", "0/1", "0/1", "0/1"]]],
+        "c0s0:0,0,1,0,-1,0,0,0",
+        "c0s0:0,0,1,0,-1,0,0,0",
+    ),
+    (
+        "inverse-norm-trick",
+        lambda c5, c7, r23: (r23.from_fraction(2) + r23.c_hat(1)).invert(),
+        [[0, 0, ["6/13", "0/1", "0/1", "0/1"]], [1, 0, ["-3/13", "0/1", "0/1", "0/1"]], [2, 0, ["3/26", "0/1", "0/1", "0/1"]]],
+        "c0s0:6/13,0,0,0;c1s0:-3/13,0,0,0;c2s0:3/26,0,0,0",
+        "c0s0:6/13,0,0,0;c1s0:-3/13,0,0,0;c2s0:3/26,0,0,0",
+    ),
+    (
+        "i-q2",
+        lambda c5, c7, r23: c5.i() * c5.q(2),
+        [[0, 0, ["0/1", "0/1", "0/1", "-1/1", "0/1", "0/1", "0/1", "0/1"]]],
+        "c0s0:0,0,0,-1,0,0,0,0",
+        "i*q^2",
+    ),
+    (
+        "monomial-all-markers",
+        lambda c5, c7, r23: r23.from_fraction(Fraction(-3, 4)) * r23.i() * r23.q(1) * r23.c_hat(2) * r23.sqrt_pi(1),
+        [[2, 1, ["0/1", "3/4", "0/1", "0/1"]]],
+        "c2s1:0,3/4,0,0",
+        "-3/4*i*q*c^2*sqrtpi",
+    ),
+    (
+        "mixed-denominators",
+        lambda c5, c7, r23: c5.from_fraction(Fraction(1, 2)) + c5.q(1) * Fraction(1, 3) - c5.c_hat(2) * c5.sqrt_pi(2) * Fraction(5, 6),
+        [[0, 0, ["1/2", "0/1", "0/1", "0/1", "1/3", "0/1", "0/1", "0/1"]], [2, 2, ["-5/6", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1", "0/1"]]],
+        "c0s0:1/2,0,0,0,1/3,0,0,0;c2s2:-5/6,0,0,0,0,0,0,0",
+        "c0s0:1/2,0,0,0,1/3,0,0,0;c2s2:-5/6,0,0,0,0,0,0,0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, canonical, text, pretty", [pytest.param(*g[1:], id=g[0]) for g in _GOLDEN]
+)
+def test_golden_boundary_forms(build, canonical, text, pretty):
+    x = build(FieldContext(5), FieldContext(7), FieldContext(3, Fraction(2, 3)))
+    assert x.canonical() == canonical
+    assert x.canonical_string() == text
+    assert x.pretty() == pretty
+
+
+# -- differential check against a Fraction-vector reference --
+#
+# _Ref is an independent small model of the same ring: coefficients are
+# Fraction vectors, reduction is long division by Phi_4p(x) = Phi_p(-x^2),
+# and inverses solve the linear system a * y = 1 over Q by elimination.
+# Scalars from fsusy.scalars are read in through their canonical() form.
+
+
+class _Ref:
+    def __init__(self, p, r):
+        self.p, self.r = p, Fraction(r)
+        self.d = 2 * (p - 1)
+        self.phi = [Fraction((-1) ** (j // 2)) if j % 2 == 0 else Fraction(0)
+                    for j in range(self.d + 1)]
+
+    def reduce(self, poly):
+        poly = list(poly) + [Fraction(0)] * max(0, self.d - len(poly))
+        for j in range(len(poly) - 1, self.d - 1, -1):
+            c = poly[j]
+            if c:
+                for k, fk in enumerate(self.phi):
+                    poly[j - self.d + k] -= c * fk
+        return tuple(poly[: self.d])
+
+    def xpow(self, n):
+        return self.reduce([Fraction(0)] * n + [Fraction(1)])
+
+    @staticmethod
+    def clean(terms):
+        return {k: v for k, v in terms.items() if any(v)}
+
+    def add(self, a, b):
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = tuple(x + y for x, y in zip(out[k], v)) if k in out else v
+        return self.clean(out)
+
+    def neg(self, a):
+        return {k: tuple(-x for x in v) for k, v in a.items()}
+
+    def mul(self, a, b):
+        out = {}
+        for (c1, s1), u in a.items():
+            for (c2, s2), v in b.items():
+                conv = [Fraction(0)] * (2 * self.d - 1)
+                for j, x in enumerate(u):
+                    for k, y in enumerate(v):
+                        conv[j + k] += x * y
+                vec, c = self.reduce(conv), c1 + c2
+                if c >= self.p:
+                    vec, c = tuple(self.r * x for x in vec), c - self.p
+                out = self.add(out, {(c, s1 + s2): vec})
+        return out
+
+    def conj(self, a):
+        out = {}
+        for key, v in a.items():
+            acc = [Fraction(0)] * self.d
+            for t, x in enumerate(v):
+                acc = [y + x * z for y, z in zip(acc, self.xpow(4 * self.p - t))]
+            out[key] = tuple(acc)
+        return out
+
+    def invert(self, a):
+        """a^-1 for a single sqrt(pi) power; ZeroDivisionError if a * y = 1
+        has no solution."""
+        (spow,) = {s for _, s in a}
+        body = {(c, 0): v for (c, _), v in a.items()}
+        basis = [(c, t) for c in range(self.p) for t in range(self.d)]
+        cols = []
+        for c, t in basis:
+            img = self.mul(body, {(c, 0): self.xpow(t)})
+            cols.append([img.get((cc, 0), (0,) * self.d)[tt] for cc, tt in basis])
+        n = len(basis)
+        rows = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if rows[i][col]), None)
+            if piv is None:
+                raise ZeroDivisionError("reference: singular")
+            rows[col], rows[piv] = rows[piv], rows[col]
+            lead = rows[col][col]
+            rows[col] = [x / lead for x in rows[col]]
+            for i in range(n):
+                f = rows[i][col]
+                if i != col and f:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+        sol = {}
+        for (c, t), row in zip(basis, rows):
+            sol.setdefault((c, -spow), [Fraction(0)] * self.d)[t] = row[-1]
+        return self.clean({k: tuple(v) for k, v in sol.items()})
+
+    @staticmethod
+    def string(a):
+        if not a:
+            return "0"
+        return ";".join(
+            f"c{c}s{s}:" + ",".join(str(x) for x in a[(c, s)]) for c, s in sorted(a)
+        )
+
+
+def _to_ref(scalar):
+    return {(c, s): tuple(Fraction(x) for x in vec) for c, s, vec in scalar.canonical()}
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-6, 6).filter(bool),  # numerator
+        st.integers(1, 6),  # denominator
+        st.integers(0, 10**3),  # zeta power, reduced mod 4p
+        st.integers(0, 10**3),  # c power, reduced mod p
+        st.integers(-1, 1),  # sqrt(pi) power
+    ),
+    min_size=1,
+    max_size=4,
+)
+_FIELDS = [
+    pytest.param(p, r, id=f"p{p}-r{r}".replace("/", "_"))
+    for p in PRIMES
+    for r in (1, Fraction(2, 3))
+]
+
+
+def _build(ctx, ref, terms, one_spow=False):
+    """The same random element in both models."""
+    acc, racc = ctx.zero(), {}
+    for num, den, j, cpow, spow in terms:
+        j, cpow, spow = j % (4 * ctx.p), cpow % ctx.p, 0 if one_spow else spow
+        f = Fraction(num, den)
+        acc = acc + ctx.from_fraction(f) * ctx.zeta(j) * ctx.c_hat(cpow) * ctx.sqrt_pi(spow)
+        racc = ref.add(racc, {(cpow, spow): tuple(f * x for x in ref.xpow(j))})
+    return acc, racc
+
+
+@pytest.mark.parametrize("p, r", _FIELDS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(ta=_TERMS, tb=_TERMS)
+def test_differential_ring_ops(p, r, ta, tb):
+    ctx, ref = FieldContext(p, r), _Ref(p, r)
+    a, ra = _build(ctx, ref, ta)
+    b, rb = _build(ctx, ref, tb)
+    assert _to_ref(a) == ra and _to_ref(b) == rb
+    assert _to_ref(a + b) == ref.add(ra, rb)
+    assert _to_ref(a - b) == ref.add(ra, ref.neg(rb))
+    prod = a * b
+    assert _to_ref(prod) == ref.mul(ra, rb)
+    assert _to_ref(a.conjugate()) == ref.conj(ra)
+    for x, rx in ((a, ra), (a + b, ref.add(ra, rb)), (prod, ref.mul(ra, rb))):
+        assert x.canonical_string() == _Ref.string(rx)
+
+
+@pytest.mark.parametrize("p, r", _FIELDS)
+# no shrink phase: each reference inverse at p = 7 solves an 84 x 84 system
+@settings(derandomize=True, deadline=None, max_examples=8, phases=[Phase.generate])
+@given(ta=_TERMS)
+def test_differential_invert(p, r, ta):
+    ctx, ref = FieldContext(p, r), _Ref(p, r)
+    a, ra = _build(ctx, ref, ta, one_spow=True)
+    if not ra:
+        return
+    try:
+        want = ref.invert(ra)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            a.invert()
+        return
+    assert _to_ref(a.invert()) == want
