@@ -33,11 +33,15 @@ generators, conjugates coefficients and reverses products.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 
-from .scalars import FieldContext, FieldScalar
+from .scalars import FieldContext
+from .sparse import Element, SparseAlgebra, Tensor
+
+# the element and tensor arithmetic lives in sparse; these names stay
+AElement = Element
+ATensor = Tensor
 
 A_UNIT = (0, 0, 0, 0, 0, 0, Fraction(0))
 
@@ -48,314 +52,11 @@ def _check_mu(mu: Fraction, p: int):
     return mu
 
 
-class AElement:
-    """Linear combination of ordered monomials with field coefficients."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    def __add__(self, other):
-        self.alg._check(other)
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            cur = out.get(mon)
-            s = c if cur is None else cur + c
-            if s:
-                out[mon] = s
-            elif cur is not None:
-                del out[mon]
-        return AElement(self.alg, out)
-
-    def __neg__(self):
-        return AElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        alg = self.alg
-        if isinstance(other, (int, Fraction)):
-            other = alg.ctx.from_fraction(other)
-        if isinstance(other, FieldScalar):
-            return AElement(alg, {m: c * other for m, c in self.terms.items() if c * other})
-        alg._check(other)
-        q = alg.ctx.q
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = alg._mono_mul(ma, mb)
-                if hit is None:
-                    continue
-                mon, e = hit
-                v = ca * cb
-                if e:
-                    v = v * q(e)
-                cur = out.get(mon)
-                s = v if cur is None else cur + v
-                if s:
-                    out[mon] = s
-                elif cur is not None:
-                    del out[mon]
-        return AElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, FieldScalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = self.alg.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, AElement):
-            return NotImplemented
-        return self.alg.key == other.alg.key and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        """Total exponent weight of the non-group-like slots."""
-        return max((m[0] + m[1] + m[3] + m[4] + m[5] for m in self.terms), default=0)
-
-    # -- Hopf maps --
-
-    def coproduct(self):
-        alg = self.alg
-        one = alg.ctx._one
-        if len(self.terms) == 1:
-            ((mon, c),) = self.terms.items()
-            cop = alg._coproduct_mono(mon)
-            return cop if c is one else cop * c
-        out = {}
-        for mon, c in self.terms.items():
-            scale = c is not one
-            for key, f in alg._coproduct_mono(mon).terms.items():
-                v = f * c if scale else f
-                cur = out.get(key)
-                s = v if cur is None else cur + v
-                if s:
-                    out[key] = s
-                elif cur is not None:
-                    del out[key]
-        return ATensor(alg, 2, out)
-
-    def counit(self) -> FieldScalar:
-        acc = self.alg.ctx.zero()
-        for (n, m, _k, t, s, l, _mu), c in self.terms.items():
-            if n == m == t == s == l == 0:
-                acc = acc + c
-        return acc
-
-    def antipode(self):
-        alg = self.alg
-        if len(self.terms) == 1:
-            ((mon, c),) = self.terms.items()
-            img = alg._antipode_mono(mon)
-            return img if c is alg.ctx._one else img * c
-        out = alg.zero()
-        for mon, c in self.terms.items():
-            out = out + alg._antipode_mono(mon) * c
-        return out
-
-    def star(self):
-        alg = self.alg
-        out = alg.zero()
-        for mon, c in self.terms.items():
-            out = out + alg._star_mono(mon) * c.conjugate()
-        return out
-
-    # -- presentation --
-
-    def canonical(self):
-        rows = []
-        for mon in sorted(self.terms):
-            n, m, k, t, s, l, mu = mon
-            rows.append(
-                {
-                    "monomial": [n, m, k, t, s, l, f"{mu.numerator}/{mu.denominator}"],
-                    "coeff": self.terms[mon].canonical_string(),
-                }
-            )
-        return rows
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mon in sorted(self.terms):
-            c = self.terms[mon]
-            word = format_a_monomial(mon)
-            cs = c.pretty()
-            if word == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(word)
-            else:
-                parts.append(f"{cs} * {word}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class ATensor:
-    __slots__ = ("alg", "nlegs", "terms")
-
-    def __init__(self, alg, nlegs, terms):
-        self.alg = alg
-        self.nlegs = nlegs
-        self.terms = terms
-
-    def __add__(self, other):
-        assert self.nlegs == other.nlegs
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
-        return ATensor(self.alg, self.nlegs, out)
-
-    def __sub__(self, other):
-        return self + other * self.alg.ctx.from_fraction(-1)
-
-    def __mul__(self, other):
-        alg = self.alg
-        if isinstance(other, (int, Fraction)):
-            other = alg.ctx.from_fraction(other)
-        if isinstance(other, FieldScalar):
-            return ATensor(
-                alg, self.nlegs, {k: c * other for k, c in self.terms.items() if c * other}
-            )
-        assert isinstance(other, ATensor) and other.nlegs == self.nlegs
-        q = alg.ctx.q
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                legs = []
-                e = 0
-                dead = False
-                for i in range(self.nlegs):
-                    hit = alg._mono_mul(ka[i], kb[i])
-                    if hit is None:
-                        dead = True
-                        break
-                    legs.append(hit[0])
-                    e += hit[1]
-                if dead:
-                    continue
-                sc = ca * cb
-                if e:
-                    sc = sc * q(e)
-                if not sc:
-                    continue
-                key = tuple(legs)
-                cur = out.get(key)
-                s = sc if cur is None else cur + sc
-                if s:
-                    out[key] = s
-                elif cur is not None:
-                    del out[key]
-        return ATensor(alg, self.nlegs, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        acc = self.alg.tensor_one(self.nlegs)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, ATensor):
-            return NotImplemented
-        return (
-            self.alg.key == other.alg.key
-            and self.nlegs == other.nlegs
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
-    def apply_coproduct(self, leg: int):
-        alg = self.alg
-        out = {}
-        for key, c in self.terms.items():
-            for (a, b), f in alg._coproduct_mono(key[leg]).terms.items():
-                sc = c * f
-                if not sc:
-                    continue
-                nk = key[:leg] + (a, b) + key[leg + 1 :]
-                cur = out.get(nk)
-                s = sc if cur is None else cur + sc
-                if s:
-                    out[nk] = s
-                elif cur is not None:
-                    del out[nk]
-        return ATensor(alg, self.nlegs + 1, out)
-
-    def apply_counit(self, leg: int):
-        alg = self.alg
-        out = {}
-        for key, c in self.terms.items():
-            n, m, _k, t, s, l, _mu = key[leg]
-            if n or m or t or s or l:
-                continue
-            nk = key[:leg] + key[leg + 1 :]
-            cur = out.get(nk)
-            v = c if cur is None else cur + c
-            if v:
-                out[nk] = v
-            elif cur is not None:
-                del out[nk]
-        if self.nlegs == 2:
-            return AElement(alg, {k[0]: v for k, v in out.items()})
-        return ATensor(alg, self.nlegs - 1, out)
-
-    def map_leg(self, leg: int, fn):
-        alg = self.alg
-        out = alg.tensor_zero(self.nlegs)
-        for key, c in self.terms.items():
-            img = fn(AElement(alg, {key[leg]: alg.ctx.one()}))
-            piece = {}
-            for mon, f in img.terms.items():
-                sc = f * c
-                if sc:
-                    piece[key[:leg] + (mon,) + key[leg + 1 :]] = sc
-            out = out + ATensor(alg, self.nlegs, piece)
-        return out
-
-    def multiply_legs(self) -> AElement:
-        alg = self.alg
-        out = alg.zero()
-        for key, c in self.terms.items():
-            acc = AElement(alg, {key[0]: c})
-            for mon in key[1:]:
-                acc = acc * AElement(alg, {mon: alg.ctx.one()})
-            out = out + acc
-        return out
-
-
-class AAlgebra:
+class AAlgebra(SparseAlgebra):
     """Factory and rewrite engine for the function algebra at one (p, r)."""
+
+    UNIT = A_UNIT
+    SHORT_MINUS = False
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
@@ -368,17 +69,7 @@ class AAlgebra:
         self._gen_cop_pows = {}
         self._gen_anti_pows = {}
 
-    def _check(self, other):
-        if not isinstance(other, (AElement, ATensor)) or other.alg.key != self.key:
-            raise TypeError("element from a different algebra")
-
     # -- factories --
-
-    def zero(self):
-        return AElement(self, {})
-
-    def one(self):
-        return AElement(self, {A_UNIT: self.ctx.one()})
 
     def monomial(self, n=0, m=0, k=0, t=0, s=0, l=0, mu=0, coeff=1):
         if min(n, m, t, s, l) < 0:
@@ -425,27 +116,9 @@ class AAlgebra:
             out = out + self.monomial(k=nn, coeff=self.ctx.q(-nn * j) * inv_p)
         return out
 
-    def tensor_zero(self, nlegs: int):
-        return ATensor(self, nlegs, {})
-
-    def tensor_one(self, nlegs: int):
-        return ATensor(self, nlegs, {(A_UNIT,) * nlegs: self.ctx.one()})
-
-    def tensor(self, *elements):
-        terms = {(): self.ctx.one()}
-        for el in elements:
-            nxt = {}
-            for key, c in terms.items():
-                for mon, f in el.terms.items():
-                    v = c * f
-                    if v:
-                        nxt[key + (mon,)] = v
-            terms = nxt
-        return ATensor(self, len(elements), terms)
-
     # -- rewrite core: single-term structure constants --
 
-    def _mono_mul(self, a, b):
+    def _reorder(self, a, b):
         """Reordered product of two basis monomials: the target monomial and
         the integer exponent of the q-power it picks up, or None if an
         eta-power overflows into zero."""
@@ -460,6 +133,28 @@ class AAlgebra:
         exp = 2 * m1 * n2 - 2 * k1 * (n2 + m2)
         mon = (n, m, (k1 + k2) % p, t1 + t2, s1 + s2, l1 + l2, u1 + u2)
         return mon, exp
+
+    def _mono_mul(self, a, b):
+        hit = self._reorder(a, b)
+        if hit is None:
+            return {}
+        return {hit[0]: self.ctx.q(hit[1])}
+
+    def _legs_mul(self, ka, kb):
+        # one q-power for all legs: the exponents add before the scalar
+        # is looked up
+        legs = []
+        e = 0
+        for a, b in zip(ka, kb):
+            hit = self._reorder(a, b)
+            if hit is None:
+                return ()
+            legs.append(hit[0])
+            e += hit[1]
+        return ((tuple(legs), self.ctx.q(e)),)
+
+    def _format_mono(self, mon) -> str:
+        return format_a_monomial(mon)
 
     # -- Hopf structure --
 

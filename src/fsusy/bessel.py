@@ -281,24 +281,19 @@ def _is_integer(nu) -> bool:
     return nu == mp.floor(nu)
 
 
-def _k_series(order, x):
-    """K_nu via reflection (non-integer) or the digamma series (integer)."""
-    nu = abs(mp.mpf(order))
-    x = mp.mpf(x)
-    if not _is_integer(nu):
-        return (mp.pi / 2) * (_i_series(-nu, x) - _i_series(nu, x)) / mp.sinpi(nu)
-    n = int(nu)
+def _integer_order_sums(n, x, step):
+    """The two sums of the integer-order K and Y series, with step = x^2/4
+    for K and -x^2/4 for Y:
+
+        finite = sum_{k<n} (n-k-1)!/k! (-step)^k
+        acc    = sum_k (x/2)^n step^k/(k! (k+n)!) (psi(k+1) + psi(k+n+1))
+
+    The digamma terms recurse like the I series, with the psi weights
+    updated by harmonic increments."""
     half = x / 2
-    quarter = half * half
     finite = mp.mpf(0)
     for k in range(n):
-        finite += (
-            mp.factorial(n - k - 1) / mp.factorial(k) * mp.power(-quarter, k)
-        )
-    finite = finite / 2 * mp.power(half, -n)
-    logpart = mp.power(-1, n + 1) * mp.log(half) * _i_series(n, x)
-    # digamma series: terms recurse like the I series with the psi weight
-    # updated by harmonic increments
+        finite += mp.factorial(n - k - 1) / mp.factorial(k) * mp.power(-step, k)
     psi_a = mp.digamma(1)
     psi_b = mp.digamma(n + 1)
     term = mp.power(half, n) / mp.factorial(n)
@@ -307,7 +302,7 @@ def _k_series(order, x):
     tiny = mp.mpf(2) ** (-(mp.mp.prec + 8))
     while k < _MAX_TERMS:
         k += 1
-        term = term * quarter / (k * (k + n))
+        term = term * step / (k * (k + n))
         psi_a += mp.mpf(1) / k
         psi_b += mp.mpf(1) / (k + n)
         inc = term * (psi_a + psi_b)
@@ -316,6 +311,20 @@ def _k_series(order, x):
             break
     else:
         raise ArithmeticError("series failed to converge")
+    return finite, acc
+
+
+def _k_series(order, x):
+    """K_nu via reflection (non-integer) or the digamma series (integer)."""
+    nu = abs(mp.mpf(order))
+    x = mp.mpf(x)
+    if not _is_integer(nu):
+        return (mp.pi / 2) * (_i_series(-nu, x) - _i_series(nu, x)) / mp.sinpi(nu)
+    n = int(nu)
+    half = x / 2
+    finite, acc = _integer_order_sums(n, x, half * half)
+    finite = finite / 2 * mp.power(half, -n)
+    logpart = mp.power(-1, n + 1) * mp.log(half) * _i_series(n, x)
     return finite + logpart + mp.power(-1, n) * acc / 2
 
 
@@ -332,29 +341,9 @@ def _y_series(order, x):
         n = -n
         sign = mp.power(-1, n)
     half = x / 2
-    quarter = half * half
-    finite = mp.mpf(0)
-    for k in range(n):
-        finite += mp.factorial(n - k - 1) / mp.factorial(k) * mp.power(quarter, k)
+    finite, acc = _integer_order_sums(n, x, -(half * half))
     finite = -finite / mp.pi * mp.power(half, -n)
     logpart = (2 / mp.pi) * mp.log(half) * _j_series(n, x)
-    psi_a = mp.digamma(1)
-    psi_b = mp.digamma(n + 1)
-    term = mp.power(half, n) / mp.factorial(n)
-    acc = term * (psi_a + psi_b)
-    k = 0
-    tiny = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    while k < _MAX_TERMS:
-        k += 1
-        term = term * (-quarter) / (k * (k + n))
-        psi_a += mp.mpf(1) / k
-        psi_b += mp.mpf(1) / (k + n)
-        inc = term * (psi_a + psi_b)
-        acc += inc
-        if abs(inc) < tiny * abs(acc) and k > int(abs(x)) + 4:
-            break
-    else:
-        raise ArithmeticError("series failed to converge")
     return sign * (finite + logpart - acc / mp.pi)
 
 
@@ -370,10 +359,24 @@ def _h_series(kind, order, x):
 
 
 def _working_bits(precision, arg) -> int:
-    # guard digits: series cancellation grows like exp(arg) for J/Y, and
-    # the near-integer reflection formulas lose log10|sin(pi nu)| digits
+    # guard digits: series cancellation grows like exp(arg) for J/Y
     bits = int(mp.ceil(-mp.log(precision, 2))) if precision < 1 else 53
     return max(96, bits + 48 + int(2 * arg))
+
+
+def _reflection_guard_bits(order, bits) -> int:
+    """Extra bits for the reflection formulas near an integer order, which
+    lose -log2|sin(pi nu)| bits to cancellation; the base guard already
+    covers 40 of them.  The order is read at the working precision, so an
+    offset like 1 + 1e-20 is not rounded away."""
+    with mp.workprec(bits):
+        nu = mp.mpmathify(order)
+        if not isinstance(nu, mp.mpf):
+            return 0  # rejected with a ValueError once evaluation starts
+        s = abs(mp.sinpi(nu))
+    if s == 0:
+        return 0  # integer orders take the digamma series, no reflection
+    return max(0, int(mp.floor(-mp.log(s, 2))) - 40)
 
 
 def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
@@ -395,6 +398,7 @@ def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
     # strings and Fractions keep their full value
     arg_rough = abs(float(mp.mpmathify(arg)))
     bits = _working_bits(precision, arg_rough)
+    bits += _reflection_guard_bits(order, bits)
     with mp.workprec(bits):
         order_f = mp.mpmathify(order)
         arg_f = mp.mpmathify(arg)

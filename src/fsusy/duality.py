@@ -36,6 +36,7 @@ from fractions import Fraction
 from .afalg import AAlgebra, AElement, random_a_element
 from .report import NumericReport
 from .scalars import FieldContext, FieldScalar
+from .sparse import Element, check_operand
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -67,8 +68,12 @@ class DualityContext:
     The convention is determined once per construction (or injected, for
     tests that want to watch the wrong ones fail)."""
 
+    # the algebra of the Gaussian half-weight sector (see below)
+    _check = check_operand
+
     def __init__(self, ctx: FieldContext, convention: PairingConvention | None = None):
         self.ctx = ctx
+        self.key = ("gaussian", ctx.key)
         if convention is None:
             convention = determine_convention(ctx)
         self.convention = convention
@@ -669,59 +674,19 @@ def fractional_root_suite(
 
 
 # -- Gaussian half-weight sector -----------------------------------------------
+#
+# Nilpotent coordinates times z-polynomials, each term silently carrying one
+# factor of exp(-(z+^2 + z-^2)/2).  Products of two such carry the full
+# Gaussian, which is what the classical integral is defined on; keeping a
+# half weight per element is what makes all moments land in Q(zeta) sqrt(pi)
+# powers instead of needing sqrt(2).  The elements are sparse Elements whose
+# algebra is the DualityContext, keyed (n, m, a, b) for e+^n e-^m z+^a z-^b.
 
-class GaussianElement:
-    """Nilpotent coordinates times z-polynomials, each term silently carrying
-    one factor of exp(-(z+^2 + z-^2)/2).  Products of two such carry the full
-    Gaussian, which is what the classical integral is defined on; keeping a
-    half weight per element is what makes all moments land in Q(zeta) sqrt(pi)
-    powers instead of needing sqrt(2)."""
-
-    __slots__ = ("dual", "terms")
-
-    def __init__(self, dual: DualityContext, terms):
-        self.dual = dual
-        self.terms = terms  # {(n, m, a, b): FieldScalar}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
-        return GaussianElement(self.dual, out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.dual.ctx.from_fraction(other)
-        if isinstance(other, FieldScalar):
-            return GaussianElement(
-                self.dual, {k: c * other for k, c in self.terms.items() if c * other}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianElement) and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
-
-def gaussian_monomial(dual: DualityContext, n=0, m=0, a=0, b=0, coeff=1) -> GaussianElement:
+def gaussian_monomial(dual: DualityContext, n=0, m=0, a=0, b=0, coeff=1) -> Element:
     if n >= dual.ctx.p or m >= dual.ctx.p:
-        return GaussianElement(dual, {})
+        return Element(dual, {})
     c = dual.ctx.from_fraction(coeff) if isinstance(coeff, (int, Fraction)) else coeff
-    return GaussianElement(dual, {(n, m, a, b): c} if c else {})
+    return Element(dual, {(n, m, a, b): c} if c else {})
 
 
 def gaussian_moment(ctx: FieldContext, k: int) -> FieldScalar:
@@ -745,11 +710,10 @@ def classical_integral(ctx: FieldContext, zpoly: dict) -> FieldScalar:
     return acc
 
 
-def hermitian_form(x: GaussianElement, y: GaussianElement) -> FieldScalar:
+def hermitian_form(x: Element, y: Element) -> FieldScalar:
     """(X, Y) = I_E(X Y*): nilpotent integral times Gaussian moments.  The
     half weights of the two factors combine into the full Gaussian."""
-    dual = x.dual
-    ctx = dual.ctx
+    ctx = x.alg.ctx
     p = ctx.p
     acc = ctx.zero()
     for (n1, m1, a1, b1), c1 in x.terms.items():
@@ -766,13 +730,13 @@ def hermitian_form(x: GaussianElement, y: GaussianElement) -> FieldScalar:
     return acc
 
 
-def gaussian_right_act(dual: DualityContext, gen: str, x: GaussianElement) -> GaussianElement:
+def gaussian_right_act(dual: DualityContext, gen: str, x: Element) -> Element:
     """The right action transported to the half-weight sector.  Derivatives
     see the carried weight: d/dz (z^a w) = (a z^{a-1} - z^{a+1}) w."""
     ctx = dual.ctx
     p = ctx.p
     qs = dual._sqrt_q
-    out = GaussianElement(dual, {})
+    out = Element(dual, {})
     for (n, m, a, b), c in x.terms.items():
         if gen == "k":
             out = out + gaussian_monomial(dual, n, m, a, b, coeff=c * ctx.q(n - m))

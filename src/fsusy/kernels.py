@@ -493,6 +493,30 @@ class QKernel:
         return out
 
 
+def _grassmann_factors(e, ctx, aal, qs, literal=False):
+    """The Grassmann factors of the shifts e and e - p,
+
+        (qs^-1 eta_plus)^e * omega_e(xi)
+        omega_{p-e}(xi) * (qs eta_minus)^{p-e}     (only for e > 0),
+
+    as a list of (factor, shift) with zero factors left out.  Both the
+    matrix entries and the ladder's diagonal entries are built from them."""
+    p = ctx.p
+    out = []
+    g1 = (aal.eta_plus() ** e) * qs.invert() ** e * omega_poly(
+        e, ctx, literal
+    ).as_aelement(aal)
+    if not g1.is_zero():
+        out.append((g1, e))
+    if e > 0:
+        g2 = omega_poly(p - e, ctx, literal).as_aelement(aal) * (
+            aal.eta_minus() ** (p - e)
+        ) * qs ** (p - e)
+        if not g2.is_zero():
+            out.append((g2, e - p))
+    return out
+
+
 def q_kernel(
     k: int,
     l: int,
@@ -540,33 +564,15 @@ def q_kernel(
         tgt = mp.mpf(params.precision)
     bits = _target_bits(tgt)
 
-    e = (l - k) % p
     terms = []
-
-    def kernel_term(grassmann, shift):
+    for factor, shift in _grassmann_factors((l - k) % p, ctx, aal, qs, literal):
         value, err = _kernel_value_continued(
             p, shift, nuF, muF, ctx.r, point, bits, tgt
         )
         cv = ComplexValue(value.real, value.imag, err)
         terms.append(
-            QKernelTerm(grassmann, shift, f"K[shift {shift:+d}]", cv)
+            QKernelTerm(factor * aal.delta(k), shift, f"K[shift {shift:+d}]", cv)
         )
-
-    g1 = (
-        (aal.eta_plus() ** e) * qs.invert() ** e
-        * omega_poly(e, ctx, literal).as_aelement(aal)
-        * aal.delta(k)
-    )
-    if not g1.is_zero():
-        kernel_term(g1, e)
-    if e > 0:
-        g2 = (
-            omega_poly(p - e, ctx, literal).as_aelement(aal)
-            * (aal.eta_minus() ** (p - e)) * qs ** (p - e)
-            * aal.delta(k)
-        )
-        if not g2.is_zero():
-            kernel_term(g2, e - p)
     return QKernel(k, l, tuple(terms), params, point)
 
 
@@ -760,28 +766,12 @@ def _d_terms(n, nuF, ctx, aal, dual, literal=False):
     """Symbolic form of the diagonal corepresentation entry D_n at weight
     nuF: a list of (monomial, exact scalar, kernel expression) with
     monomial = (eta_plus power, eta_minus power, delta power)."""
-    p = ctx.p
-    e = n % p
-    qs = dual._sqrt_q
     out = []
-
-    def push(ael, shift):
-        for mon, c in ael.terms.items():
+    for factor, shift in _grassmann_factors(n % ctx.p, ctx, aal, dual._sqrt_q, literal):
+        for mon, c in factor.terms.items():
             if any(mon[i] for i in (3, 4, 5)) or mon[6] != 0:
                 raise AssertionError("assembly left the Grassmann sector")
             out.append(((mon[0], mon[1], mon[2]), c, ("base", shift, nuF)))
-
-    g1 = (aal.eta_plus() ** e) * qs.invert() ** e * omega_poly(
-        e, ctx, literal
-    ).as_aelement(aal)
-    if not g1.is_zero():
-        push(g1, e)
-    if e > 0:
-        g2 = omega_poly(p - e, ctx, literal).as_aelement(aal) * (
-            aal.eta_minus() ** (p - e)
-        ) * qs ** (p - e)
-        if not g2.is_zero():
-            push(g2, e - p)
     return out
 
 

@@ -1,0 +1,342 @@
+"""Sparse linear combinations of ordered monomials: the element and tensor
+arithmetic shared by both sides of the dual pair and the Gaussian sector.
+
+An element stores {monomial: FieldScalar}, a tensor {(monomial, ...):
+FieldScalar} with one monomial per leg; zero coefficients are never
+stored.  The arithmetic here knows nothing about any one algebra.  Every
+such fact comes from the algebra object an element carries:
+
+    ctx, key, _check(other)        scalar context, identity, operand check
+    UNIT                           the unit monomial
+    _mono_mul(a, b)                {monomial: factor}, product of two monomials
+    _legs_mul(ka, kb)              [(key, factor)], product of two tensor keys
+    _coproduct_mono, _antipode_mono, _star_mono
+                                   the Hopf maps on one monomial
+    _format_mono(mon), SHORT_MINUS presentation: a leading -1 prints as
+                                   "- word" when SHORT_MINUS is true
+
+Only the operations an element actually uses need to exist: the Gaussian
+sector is added and scaled, never multiplied, so it supplies ctx, key and
+_check alone.  In every monomial, slots 0, 1, 3, 4 and 5 carry the
+exponents the counit and the degree see; the rest are group-like.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .scalars import FieldScalar
+
+
+def check_operand(alg, other):
+    """Raise TypeError unless other is an element or tensor of alg."""
+    if not isinstance(other, (Element, Tensor)) or other.alg.key != alg.key:
+        raise TypeError("element from a different algebra")
+
+
+def _accumulate(out, key, v):
+    """out[key] += v, keeping zero coefficients out of the dict."""
+    cur = out.get(key)
+    s = v if cur is None else cur + v
+    if s:
+        out[key] = s
+    elif cur is not None:
+        del out[key]
+
+
+def _counit_kills(mon) -> bool:
+    return bool(mon[0] or mon[1] or mon[3] or mon[4] or mon[5])
+
+
+class SparseAlgebra:
+    """Factories shared by both algebras; subclasses set UNIT and ctx."""
+
+    _check = check_operand
+
+    def zero(self):
+        return Element(self, {})
+
+    def one(self):
+        return Element(self, {self.UNIT: self.ctx.one()})
+
+    def tensor_zero(self, nlegs: int):
+        return Tensor(self, nlegs, {})
+
+    def tensor_one(self, nlegs: int):
+        return Tensor(self, nlegs, {(self.UNIT,) * nlegs: self.ctx.one()})
+
+    def tensor(self, *elements):
+        """Outer product of elements into one tensor."""
+        terms = {(): self.ctx.one()}
+        for el in elements:
+            nxt = {}
+            for key, c in terms.items():
+                for mon, f in el.terms.items():
+                    v = c * f
+                    if v:
+                        nxt[key + (mon,)] = v
+            terms = nxt
+        return Tensor(self, len(elements), terms)
+
+
+class Element:
+    """Linear combination of ordered monomials with field coefficients."""
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg, terms):
+        self.alg = alg
+        self.terms = terms
+
+    def __add__(self, other):
+        self.alg._check(other)
+        out = dict(self.terms)
+        for mon, c in other.terms.items():
+            _accumulate(out, mon, c)
+        return Element(self.alg, out)
+
+    def __neg__(self):
+        return Element(self.alg, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        alg = self.alg
+        if isinstance(other, (int, Fraction)):
+            other = alg.ctx.from_fraction(other)
+        if isinstance(other, FieldScalar):
+            return Element(alg, {m: c * other for m, c in self.terms.items() if c * other})
+        alg._check(other)
+        mono_mul = alg._mono_mul
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                prod = mono_mul(ma, mb)
+                if not prod:
+                    continue
+                base = ca * cb
+                for mon, f in prod.items():
+                    _accumulate(out, mon, base * f)
+        return Element(alg, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, FieldScalar)):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
+        acc = self.alg.one()
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.alg.key == other.alg.key and self.terms == other.terms
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def degree(self):
+        """Total exponent weight of the non-group-like slots."""
+        return max((m[0] + m[1] + m[3] + m[4] + m[5] for m in self.terms), default=0)
+
+    # -- Hopf maps --
+
+    def coproduct(self):
+        alg = self.alg
+        one = alg.ctx._one
+        if len(self.terms) == 1:
+            ((mon, c),) = self.terms.items()
+            cop = alg._coproduct_mono(mon)
+            return cop if c is one else cop * c
+        out = {}
+        for mon, c in self.terms.items():
+            scale = c is not one
+            for key, f in alg._coproduct_mono(mon).terms.items():
+                _accumulate(out, key, f * c if scale else f)
+        return Tensor(alg, 2, out)
+
+    def counit(self) -> FieldScalar:
+        acc = self.alg.ctx.zero()
+        for mon, c in self.terms.items():
+            if not _counit_kills(mon):
+                acc = acc + c
+        return acc
+
+    def antipode(self):
+        alg = self.alg
+        if len(self.terms) == 1:
+            ((mon, c),) = self.terms.items()
+            img = alg._antipode_mono(mon)
+            return img if c is alg.ctx._one else img * c
+        out = alg.zero()
+        for mon, c in self.terms.items():
+            out = out + alg._antipode_mono(mon) * c
+        return out
+
+    def star(self):
+        alg = self.alg
+        out = alg.zero()
+        for mon, c in self.terms.items():
+            out = out + alg._star_mono(mon) * c.conjugate()
+        return out
+
+    # -- presentation --
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        alg = self.alg
+        parts = []
+        for mon in sorted(self.terms):
+            word = alg._format_mono(mon)
+            cs = self.terms[mon].pretty()
+            if word == "1":
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(word)
+            elif cs == "-1" and not parts and alg.SHORT_MINUS:
+                parts.append(f"- {word}")
+            else:
+                parts.append(f"{cs} * {word}")
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+class Tensor:
+    """Element of a tensor power of an algebra; keys are monomial tuples."""
+
+    __slots__ = ("alg", "nlegs", "terms")
+
+    def __init__(self, alg, nlegs, terms):
+        self.alg = alg
+        self.nlegs = nlegs
+        self.terms = terms
+
+    def _check(self, other):
+        self.alg._check(other)
+        if not isinstance(other, Tensor) or other.nlegs != self.nlegs:
+            raise ValueError("tensors with different numbers of legs")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return Tensor(self.alg, self.nlegs, out)
+
+    def __sub__(self, other):
+        return self + other * self.alg.ctx.from_fraction(-1)
+
+    def __mul__(self, other):
+        alg = self.alg
+        if isinstance(other, (int, Fraction)):
+            other = alg.ctx.from_fraction(other)
+        if isinstance(other, FieldScalar):
+            return Tensor(
+                alg, self.nlegs, {k: c * other for k, c in self.terms.items() if c * other}
+            )
+        self._check(other)
+        legs_mul = alg._legs_mul
+        one = alg.ctx._one
+        out = {}
+        # the hottest loop of the exact suites: the accumulation is inlined
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                prod = legs_mul(ka, kb)
+                if not prod:
+                    continue
+                base = ca * cb
+                for key, f in prod:
+                    sc = base if f is one else base * f
+                    if not sc:
+                        continue
+                    cur = out.get(key)
+                    s = sc if cur is None else cur + sc
+                    if s:
+                        out[key] = s
+                    elif cur is not None:
+                        del out[key]
+        return Tensor(alg, self.nlegs, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        acc = self.alg.tensor_one(self.nlegs)
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (
+            self.alg.key == other.alg.key
+            and self.nlegs == other.nlegs
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    def is_zero(self):
+        return not self.terms
+
+    def apply_coproduct(self, leg: int):
+        """Replace one leg by its coproduct, growing the tensor by a leg."""
+        alg = self.alg
+        out = {}
+        for key, c in self.terms.items():
+            for (a, b), f in alg._coproduct_mono(key[leg]).terms.items():
+                sc = c * f
+                if sc:
+                    _accumulate(out, key[:leg] + (a, b) + key[leg + 1 :], sc)
+        return Tensor(alg, self.nlegs + 1, out)
+
+    def apply_counit(self, leg: int):
+        """Contract one leg with the counit."""
+        alg = self.alg
+        out = {}
+        for key, c in self.terms.items():
+            if not _counit_kills(key[leg]):
+                _accumulate(out, key[:leg] + key[leg + 1 :], c)
+        if self.nlegs == 2:
+            return Element(alg, {k[0]: v for k, v in out.items()})
+        return Tensor(alg, self.nlegs - 1, out)
+
+    def map_leg(self, leg: int, fn):
+        """Apply an element-valued map (like the antipode) to one leg."""
+        alg = self.alg
+        one = alg.ctx.one()
+        out = alg.tensor_zero(self.nlegs)
+        for key, c in self.terms.items():
+            img = fn(Element(alg, {key[leg]: one}))
+            piece = {}
+            for mon, f in img.terms.items():
+                sc = f * c
+                if sc:
+                    piece[key[:leg] + (mon,) + key[leg + 1 :]] = sc
+            out = out + Tensor(alg, self.nlegs, piece)
+        return out
+
+    def multiply_legs(self) -> Element:
+        """The multiplication map: collapse all legs left to right."""
+        alg = self.alg
+        one = alg.ctx.one()
+        out = alg.zero()
+        for key, c in self.terms.items():
+            acc = Element(alg, {key[0]: c})
+            for mon in key[1:]:
+                acc = acc * Element(alg, {mon: one})
+            out = out + acc
+        return out

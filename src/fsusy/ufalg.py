@@ -29,6 +29,11 @@ import math
 from fractions import Fraction
 
 from .scalars import FieldContext, FieldScalar
+from .sparse import Element, SparseAlgebra, Tensor
+
+# the element and tensor arithmetic lives in sparse; these names stay
+UElement = Element
+UTensor = Tensor
 
 UNIT_MONO = (0, 0, 0, 0, 0, 0)
 
@@ -37,290 +42,11 @@ GEN_SLOTS = {"p+": 0, "p-": 1, "k": 2, "P+": 3, "P-": 4, "H": 5}
 GEN_NAMES = ("p+", "p-", "k", "P+", "P-", "H")
 
 
-class UElement:
-    """Linear combination of ordered monomials with field coefficients."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    def __add__(self, other):
-        self.alg._check(other)
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            cur = out.get(mon)
-            s = c if cur is None else cur + c
-            if s:
-                out[mon] = s
-            elif cur is not None:
-                del out[mon]
-        return UElement(self.alg, out)
-
-    def __neg__(self):
-        return UElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        alg = self.alg
-        if isinstance(other, (int, Fraction)):
-            other = alg.ctx.from_fraction(other)
-        if isinstance(other, FieldScalar):
-            return UElement(alg, {m: c * other for m, c in self.terms.items() if c * other})
-        alg._check(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                base = ca * cb
-                for mon, f in alg._mono_mul(ma, mb).items():
-                    v = base * f
-                    cur = out.get(mon)
-                    s = v if cur is None else cur + v
-                    if s:
-                        out[mon] = s
-                    elif cur is not None:
-                        del out[mon]
-        return UElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, FieldScalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = self.alg.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        return self.alg.key == other.alg.key and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        """Total exponent weight, grading unit excluded."""
-        return max((m[0] + m[1] + m[3] + m[4] + m[5] for m in self.terms), default=0)
-
-    # -- Hopf maps --
-
-    def coproduct(self):
-        alg = self.alg
-        if len(self.terms) == 1:
-            ((mon, c),) = self.terms.items()
-            cop = alg._coproduct_mono(mon)
-            return cop if c is alg.ctx._one else cop * c
-        out = alg.tensor_zero(2)
-        for mon, c in self.terms.items():
-            out = out + alg._coproduct_mono(mon) * c
-        return out
-
-    def counit(self) -> FieldScalar:
-        acc = self.alg.ctx.zero()
-        for (n, m, _k, t, s, l), c in self.terms.items():
-            if n == m == t == s == l == 0:
-                acc = acc + c
-        return acc
-
-    def antipode(self):
-        alg = self.alg
-        if len(self.terms) == 1:
-            ((mon, c),) = self.terms.items()
-            img = alg._antipode_mono(mon)
-            return img if c is alg.ctx._one else img * c
-        out = alg.zero()
-        for mon, c in self.terms.items():
-            out = out + alg._antipode_mono(mon) * c
-        return out
-
-    def star(self):
-        alg = self.alg
-        out = alg.zero()
-        for mon, c in self.terms.items():
-            out = out + alg._star_mono(mon) * c.conjugate()
-        return out
-
-    # -- presentation --
-
-    def canonical(self):
-        rows = []
-        for mon in sorted(self.terms):
-            rows.append({"monomial": list(mon), "coeff": self.terms[mon].canonical_string()})
-        return rows
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mon in sorted(self.terms):
-            c = self.terms[mon]
-            word = format_u_monomial(mon)
-            cs = c.pretty()
-            if word == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(word)
-            elif cs == "-1":
-                parts.append(f"- {word}" if not parts else f"-1 * {word}")
-            else:
-                parts.append(f"{cs} * {word}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class UTensor:
-    """Element of a tensor power of the algebra; keys are monomial tuples."""
-
-    __slots__ = ("alg", "nlegs", "terms")
-
-    def __init__(self, alg, nlegs, terms):
-        self.alg = alg
-        self.nlegs = nlegs
-        self.terms = terms
-
-    def __add__(self, other):
-        assert self.nlegs == other.nlegs
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
-        return UTensor(self.alg, self.nlegs, out)
-
-    def __sub__(self, other):
-        return self + other * self.alg.ctx.from_fraction(-1)
-
-    def __mul__(self, other):
-        alg = self.alg
-        if isinstance(other, (int, Fraction)):
-            other = alg.ctx.from_fraction(other)
-        if isinstance(other, FieldScalar):
-            return UTensor(
-                alg, self.nlegs, {k: c * other for k, c in self.terms.items() if c * other}
-            )
-        assert isinstance(other, UTensor) and other.nlegs == self.nlegs
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                base = ca * cb
-                legs = [alg._mono_mul(ka[i], kb[i]) for i in range(self.nlegs)]
-                for combo in itertools.product(*(d.items() for d in legs)):
-                    sc = base
-                    for _, f in combo:
-                        sc = sc * f
-                    if not sc:
-                        continue
-                    key = tuple(mon for mon, _ in combo)
-                    cur = out.get(key)
-                    s = sc if cur is None else cur + sc
-                    if s:
-                        out[key] = s
-                    elif cur is not None:
-                        del out[key]
-        return UTensor(alg, self.nlegs, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        acc = self.alg.tensor_one(self.nlegs)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UTensor):
-            return NotImplemented
-        return (
-            self.alg.key == other.alg.key
-            and self.nlegs == other.nlegs
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
-    def apply_coproduct(self, leg: int):
-        """Replace one leg by its coproduct, growing the tensor by a leg."""
-        alg = self.alg
-        out = {}
-        for key, c in self.terms.items():
-            for (a, b), f in alg._coproduct_mono(key[leg]).terms.items():
-                sc = c * f
-                if not sc:
-                    continue
-                nk = key[:leg] + (a, b) + key[leg + 1 :]
-                cur = out.get(nk)
-                s = sc if cur is None else cur + sc
-                if s:
-                    out[nk] = s
-                elif cur is not None:
-                    del out[nk]
-        return UTensor(alg, self.nlegs + 1, out)
-
-    def apply_counit(self, leg: int):
-        """Contract one leg with the counit."""
-        alg = self.alg
-        out = {}
-        for key, c in self.terms.items():
-            n, m, _k, t, s, l = key[leg]
-            if n or m or t or s or l:
-                continue
-            nk = key[:leg] + key[leg + 1 :]
-            cur = out.get(nk)
-            v = c if cur is None else cur + c
-            if v:
-                out[nk] = v
-            elif cur is not None:
-                del out[nk]
-        if self.nlegs == 2:
-            return UElement(alg, {k[0]: v for k, v in out.items()})
-        return UTensor(alg, self.nlegs - 1, out)
-
-    def map_leg(self, leg: int, fn):
-        """Apply an element-valued map (like the antipode) to one leg."""
-        alg = self.alg
-        out = alg.tensor_zero(self.nlegs)
-        for key, c in self.terms.items():
-            img = fn(UElement(alg, {key[leg]: alg.ctx.one()}))
-            piece = {}
-            for mon, f in img.terms.items():
-                piece[key[:leg] + (mon,) + key[leg + 1 :]] = f * c
-            out = out + UTensor(alg, self.nlegs, {k: v for k, v in piece.items() if v})
-        return out
-
-    def multiply_legs(self) -> UElement:
-        """The multiplication map: collapse all legs left to right."""
-        alg = self.alg
-        out = alg.zero()
-        for key, c in self.terms.items():
-            acc = UElement(alg, {key[0]: c})
-            for mon in key[1:]:
-                acc = acc * UElement(alg, {mon: alg.ctx.one()})
-            out = out + acc
-        return out
-
-
-class UAlgebra:
+class UAlgebra(SparseAlgebra):
     """Factory and rewrite engine for one (p, r, h) choice."""
+
+    UNIT = UNIT_MONO
+    SHORT_MINUS = True
 
     def __init__(self, ctx: FieldContext, h: int = 1):
         if h not in (1, -1):
@@ -334,17 +60,7 @@ class UAlgebra:
         self._star_cache = {}
         self._gen_cop_pows = {}
 
-    def _check(self, other):
-        if not isinstance(other, (UElement, UTensor)) or other.alg.key != self.key:
-            raise TypeError("element from a different algebra")
-
     # -- element factories --
-
-    def zero(self):
-        return UElement(self, {})
-
-    def one(self):
-        return UElement(self, {UNIT_MONO: self.ctx.one()})
 
     def monomial(self, n=0, m=0, k=0, t=0, s=0, l=0, coeff=1):
         if n < 0 or m < 0 or t < 0 or s < 0 or l < 0:
@@ -385,23 +101,6 @@ class UAlgebra:
     def casimir(self):
         return self.monomial(n=1, m=1)
 
-    def tensor_zero(self, nlegs: int):
-        return UTensor(self, nlegs, {})
-
-    def tensor_one(self, nlegs: int):
-        return UTensor(self, nlegs, {(UNIT_MONO,) * nlegs: self.ctx.one()})
-
-    def tensor(self, *elements):
-        """Outer product of elements into one tensor."""
-        terms = {(): self.ctx.one()}
-        for el in elements:
-            nxt = {}
-            for key, c in terms.items():
-                for mon, f in el.terms.items():
-                    nxt[key + (mon,)] = c * f
-            terms = nxt
-        return UTensor(self, len(elements), {k: v for k, v in terms.items() if v})
-
     # -- the rewrite core --
 
     def _theta(self, mon) -> Fraction:
@@ -435,6 +134,19 @@ class UAlgebra:
                     out[(n, m, k, t, s, j + l2)] = c
         self._mono_cache[(a, b)] = out
         return out
+
+    def _legs_mul(self, ka, kb):
+        legs = [self._mono_mul(a, b).items() for a, b in zip(ka, kb)]
+        out = []
+        for combo in itertools.product(*legs):
+            f = combo[0][1]
+            for _, g in combo[1:]:
+                f = f * g
+            out.append((tuple(mon for mon, _ in combo), f))
+        return out
+
+    def _format_mono(self, mon) -> str:
+        return format_u_monomial(mon)
 
     def _word_product(self, monos, coeff: FieldScalar) -> UElement:
         out = UElement(self, {monos[0]: coeff})

@@ -5,6 +5,7 @@ import pytest
 
 from fsusy.afalg import AAlgebra, AElement, a_axiom_suite, parse_a, random_a_element
 from fsusy.scalars import FieldContext
+from fsusy.ufalg import UAlgebra
 
 
 @pytest.fixture(scope="session", params=(3, 5, 7))
@@ -194,3 +195,14 @@ def test_zeta_coproduct_convolution(aal):
 def test_axiom_suite_smoke(aal3):
     rep = a_axiom_suite(aal3, degree_bound=2, samples=20, seed=1)
     assert rep.passed, rep.summary()
+
+
+def test_tensors_from_another_algebra_are_rejected():
+    ctx = FieldContext(3)
+    tu = UAlgebra(ctx).p_plus().coproduct()
+    ta = AAlgebra(ctx).eta_plus().coproduct()
+    for x, y in ((tu, ta), (ta, tu)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x * y

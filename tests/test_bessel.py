@@ -154,3 +154,21 @@ def test_trapezoid_engine_on_gaussian():
         )
         assert abs(val - mp.sqrt(mp.pi)) < mp.mpf(2) ** -120
         assert change < mp.mpf(2) ** -120
+
+
+@pytest.mark.parametrize("kind", ["K", "H1", "H2"])
+@pytest.mark.parametrize(
+    "order", ["1e-20", Fraction(10**20 + 1, 10**20), "-1e-30"], ids=["1e-20", "1+1e-20", "-1e-30"]
+)
+def test_near_integer_orders_meet_the_default_target(kind, order):
+    # the reflection formulas cancel -log2|sin(pi nu)| bits here
+    got = bessel_eval(kind, order, 1)
+    assert got.err_estimate <= mp.mpf("3e-28")
+    with mp.workdps(60):
+        nu = mp.mpmathify(order)
+        if kind == "K":
+            want = mp.besselk(nu, 1)
+        else:
+            sign = 1 if kind == "H1" else -1
+            want = mp.besselj(nu, 1) + sign * 1j * mp.bessely(nu, 1)
+        assert abs(got.to_mpc() - want) <= mp.mpf("1e-25") * abs(want)

@@ -249,3 +249,27 @@ def test_reports_deterministic_modulo_timestamp(capsys, tmp_path):
         code, _, _ = run(capsys, "kernel-verify", "--quad", "4", "--out", str(path))
         assert code == 0
     assert _strip_timestamp(c.read_text()) == _strip_timestamp(d.read_text())
+
+
+# -- presentation golden values --
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("mul", "--alg", "u", "--p", "3", "H^2", "P+"), "- P+ + 2*i * P+ H + P+ H^2"),
+        (
+            ("mul", "--alg", "u", "--p", "3", "H^2", "p-^2"),
+            "-4/9 * p-^2 + -4/3*i * p-^2 H + p-^2 H^2",
+        ),
+        (("right-act", "--p", "3", "H H", "z+"), "-1 * z+"),
+        (
+            ("normalize-a", "--p", "7", "z+ e- e+ L^2 exp(-2/7L)"),
+            "q^2 * e+ e- z+ L^2 exp(-2/7L)",
+        ),
+    ],
+)
+def test_presentation_golden(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == want + "\n"
