@@ -21,7 +21,8 @@ u(t) = t + i theta tanh(t):
 over the rising contour (theta > 0), and H2 mirrors it on the falling
 contour with the opposite phase.  On those contours the oscillatory
 factor turns into double-exponential decay and the same trapezoid engine
-applies.
+applies.  The kernel quadrature also uses the sinh companion on a constant
+tilt; both tilted contours share one truncation and tail-bound scaffold.
 
 Route two is the power series: I_nu and J_nu from their ascending series,
 K and Y by the reflection formulas at non-integer order and by the
@@ -182,6 +183,24 @@ def _k_quadrature(order, arg, eps_abs):
     return half, change + tail
 
 
+def _tilted_quadrature(f, decay_scale, drift, spread, eps_abs):
+    """integral of f over the real line for an integrand on a tilted
+    contour whose tails are bounded by spread*exp(-decay_scale*cosh t +
+    |drift|*t): truncated at the tail cutoff, summed by the doubling
+    trapezoid, plus the tangent-line bound on both tails.  Returns
+    (value, error_bound, cutoff).  Raises ArithmeticError if f fails to
+    decay at the cutoff (wrong tilt for the data)."""
+    log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
+    cutoff = _tail_cutoff(decay_scale, abs(drift), log_target) + 1
+    anchor = abs(f(mp.mpf(0)))
+    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
+    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
+        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
+    value, change = doubling_trapezoid(f, -cutoff, cutoff, eps_abs / 4)
+    tail = 2 * spread * _tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
+    return value, change + tail, cutoff
+
+
 def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
     """integral exp(i*phase_sign*arg*cosh u + drift*u) du on the tilted
     contour u(t) = t + i*tilt_sign*theta*tanh(t).
@@ -189,18 +208,12 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     The matching tilt (tilt_sign = phase_sign, the default) turns the
     oscillation into exp(-arg*sin(theta tanh t)*|sinh t|) decay; the
     opposite tilt grows and trips the decay guard.  Returns
-    (value, error_bound).  Raises ArithmeticError if the integrand fails
-    to decay at the cutoff (wrong tilt for the data).
+    (value, error_bound, cutoff); see _tilted_quadrature.
     """
     x = mp.mpf(arg)
     a = mp.mpf(drift)
     if theta is None:
         theta = mp.pi / 4
-    log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
-    # past |t| = 2 the tilt is within 4% of theta; use that slack in the bound
-    sin_eff = mp.sin(theta * mp.tanh(mp.mpf(2)))
-    cutoff = _tail_cutoff(x * sin_eff, abs(a), log_target) + 1
-
     sgn = 1 if phase_sign >= 0 else -1
     tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
 
@@ -209,13 +222,32 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
         du = 1 + 1j * tilt * theta / mp.cosh(t) ** 2
         return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
 
-    anchor = abs(f(mp.mpf(0)))
-    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
-    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
-        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-    value, change = doubling_trapezoid(f, -cutoff, cutoff, eps_abs / 4)
-    tail = 2 * (1 + theta) * _tangent_tail_bound(x * sin_eff, abs(a), cutoff - 1)
-    return value, change + tail
+    # past |t| = 2 the tilt is within 4% of theta; use that slack in the
+    # bound, and |du| <= 1 + theta
+    return _tilted_quadrature(f, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
+
+
+def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
+    """integral exp(i*phase_sign*arg*sinh u + drift*u) du on the constant
+    tilt u = t + i*tilt_sign*theta.
+
+    With the matching tilt (tilt_sign = phase_sign, the default) the
+    integrand decays like exp(-arg*sin(theta)*cosh t); the opposite tilt
+    grows and trips the decay guard.  Returns (value, error_bound,
+    cutoff); see _tilted_quadrature."""
+    x = mp.mpf(arg)
+    a = mp.mpf(drift)
+    if theta is None:
+        theta = mp.pi / 4
+    sgn = 1 if phase_sign >= 0 else -1
+    tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
+    shift = 1j * tilt * theta
+
+    def f(t):
+        u = t + shift
+        return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
+
+    return _tilted_quadrature(f, x * mp.sin(theta), a, 1, eps_abs)
 
 
 def _h_quadrature(kind, order, arg, eps_abs):
@@ -223,10 +255,10 @@ def _h_quadrature(kind, order, arg, eps_abs):
     nu = mp.mpf(order)
     x = mp.mpf(arg)
     if kind == "H1":
-        raw, err = _contour_cosh_integral(x, nu, +1, eps_abs)
+        raw, err, _ = _contour_cosh_integral(x, nu, +1, eps_abs)
         value = mp.expjpi(-nu / 2) / (mp.pi * 1j) * raw
     else:
-        raw, err = _contour_cosh_integral(x, nu, -1, eps_abs)
+        raw, err, _ = _contour_cosh_integral(x, nu, -1, eps_abs)
         value = -mp.expjpi(nu / 2) / (mp.pi * 1j) * raw
     return value, err / mp.pi
 

@@ -27,6 +27,7 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random as _random
@@ -36,7 +37,7 @@ from fractions import Fraction
 from .afalg import AAlgebra, AElement, random_a_element
 from .report import NumericReport
 from .scalars import FieldContext, FieldScalar
-from .sparse import Element, check_operand
+from .sparse import Element, _accumulate, check_operand
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -60,6 +61,22 @@ class PairingConvention:
 
 class ConventionError(RuntimeError):
     pass
+
+
+def _classical_terms(op, t: int, s: int, weighted: bool = False):
+    """op of a right-action step (see DualityContext.right_steps) applied
+    to z+^t z-^s, as [(integer factor, t', s')] without zero factors.
+    weighted: the monomial silently carries the half-weight Gaussian w,
+    so each derivative also sees d/dz w = -z w."""
+    if op is None:
+        return [(1, t, s)]
+    if op == "dplus":
+        terms = [(t, t - 1, s)] + ([(-1, t + 1, s)] if weighted else [])
+    elif op == "dminus":
+        terms = [(s, t, s - 1)] + ([(-1, t, s + 1)] if weighted else [])
+    else:  # "euler"
+        terms = [(t - s, t, s)] + ([(-1, t + 2, s), (1, t, s + 2)] if weighted else [])
+    return [term for term in terms if term[0]]
 
 
 class DualityContext:
@@ -180,63 +197,63 @@ class DualityContext:
 
     # -- closed-form right action (the conformance target) --
 
+    def right_steps(self, gen: str, n: int, m: int, k: int, qs=None):
+        """The printed closed form of R(gen) on e+^n e-^m d^k times a
+        classical factor, as [((n', m'), coefficient, op)]: each step moves
+        the nilpotent part to e+^n' e-^m' d^k with the coefficient and acts
+        on the classical factor by op, one of None (leave it), "dplus" /
+        "dminus" (d/dz+ / d/dz-) or "euler" (z+ d+ - z- d-).  qs is the
+        square root of q, by default the empirically signed one.  The
+        polynomial, Gaussian and kernel-ladder consumers differ only in how
+        they apply op."""
+        ctx = self.ctx
+        p = ctx.p
+        if gen == "k":
+            return [((n, m), ctx.q(n - m + k), None)]
+        if gen == "k^-1":
+            return [((n, m), ctx.q(m - n - k), None)]
+        i = ctx.i()
+        if gen == "H":
+            grade = Fraction(n - m, p)
+            return ([((n, m), i * grade, None)] if grade else []) + [((n, m), i, "euler")]
+        if gen == "P+":
+            return [((n, m), i, "dplus")]
+        if gen == "P-":
+            return [((n, m), i, "dminus")]
+        if qs is None:
+            qs = self._sqrt_q
+        if gen == "p+":
+            if n:
+                return [((n - 1, m), i * qs * ctx.qint(n) * ctx.q(k - m), None)]
+            return [((p - 1, m), i * qs * self._top * ctx.q(k - m), "dplus")]
+        if gen == "p-":
+            qsm = qs.invert()
+            if m:
+                return [((n, m - 1), i * qsm * ctx.qint(m) * ctx.q(k - n), None)]
+            return [((n, p - 1), i * qsm * self._top * ctx.q(k - n), "dminus")]
+        raise ValueError(f"unknown generator {gen!r}")
+
+    @functools.cached_property
+    def _top(self) -> FieldScalar:
+        # kappa0/[p-1]!: the fractional step that wraps e+^0 (e-^0) to e+^(p-1) (e-^(p-1))
+        return self.aalg.kappa0 / self.ctx.qfact(self.ctx.p - 1)
+
     def closed_right_act(self, gen: str, x: AElement, canonical_sqrt: bool = False) -> AElement:
         """The printed closed forms for R on the lambda-free symbolic sector,
         applied factor by factor through the twisted Leibniz rule.  With
         canonical_sqrt the textbook square root q^((p+1)/2) is used instead
         of the empirically signed one, so the conformance ratio becomes
         visible instead of being absorbed."""
-        qs = self.ctx.sqrt_q(1) if canonical_sqrt else self._sqrt_q
-        out = self.aalg.zero()
-        for mon, c in x.terms.items():
-            if mon[5] != 0 or mon[6] != 0:
+        qs = self.ctx.sqrt_q(1) if canonical_sqrt else None
+        out = {}
+        for (n, m, k, t, s, l, mu), c in x.terms.items():
+            if l != 0 or mu != 0:
                 raise ValueError("closed forms cover the lambda-free sector only")
-            out = out + self._closed_mono(gen, mon, qs) * c
-        return out
-
-    def _closed_mono(self, gen: str, mon, qs) -> AElement:
-        ctx = self.ctx
-        p = ctx.p
-        aal = self.aalg
-        n, m, k, t, s, _l, _mu = mon
-        base = AElement(aal, {mon: ctx.one()})
-        if gen == "k":
-            return base * ctx.q(n - m + k)
-        if gen == "k^-1":
-            return base * ctx.q(m - n - k)
-        if gen == "H":
-            grade = Fraction(n - m, p) + (t - s)
-            return base * (ctx.i() * grade)
-        if gen == "P+":
-            if t == 0:
-                return aal.zero()
-            return aal.monomial(n, m, k, t - 1, s, coeff=ctx.i() * t)
-        if gen == "P-":
-            if s == 0:
-                return aal.zero()
-            return aal.monomial(n, m, k, t, s - 1, coeff=ctx.i() * s)
-        if gen == "p+":
-            out = aal.zero()
-            if n:
-                out = out + aal.monomial(
-                    n - 1, m, k, t, s, coeff=ctx.i() * qs * ctx.qfact(n) / ctx.qfact(n - 1) * ctx.q(k - m)
-                )
-            elif t:
-                top = ctx.i() * qs * aal.kappa0 / ctx.qfact(p - 1) * ctx.q(k - m) * t
-                out = out + aal.monomial(p - 1, m, k, t - 1, s, coeff=top)
-            return out
-        if gen == "p-":
-            out = aal.zero()
-            qsm = qs.invert()
-            if m:
-                out = out + aal.monomial(
-                    n, m - 1, k, t, s, coeff=ctx.i() * qsm * ctx.qfact(m) / ctx.qfact(m - 1) * ctx.q(k - n)
-                )
-            elif s:
-                top = ctx.i() * qsm * aal.kappa0 / ctx.qfact(p - 1) * ctx.q(k - n) * s
-                out = out + aal.monomial(n, p - 1, k, t, s - 1, coeff=top)
-            return out
-        raise ValueError(f"no closed form for generator {gen!r}")
+            for (n2, m2), coeff, op in self.right_steps(gen, n, m, k, qs):
+                cc = c * coeff
+                for f, t2, s2 in _classical_terms(op, t, s):
+                    _accumulate(out, (n2, m2, k, t2, s2, l, mu), cc if f == 1 else cc * f)
+        return AElement(self.aalg, out)
 
     # -- invariant integral on the nilpotent sector --
 
@@ -733,53 +750,13 @@ def hermitian_form(x: Element, y: Element) -> FieldScalar:
 def gaussian_right_act(dual: DualityContext, gen: str, x: Element) -> Element:
     """The right action transported to the half-weight sector.  Derivatives
     see the carried weight: d/dz (z^a w) = (a z^{a-1} - z^{a+1}) w."""
-    ctx = dual.ctx
-    p = ctx.p
-    qs = dual._sqrt_q
-    out = Element(dual, {})
+    out = {}
     for (n, m, a, b), c in x.terms.items():
-        if gen == "k":
-            out = out + gaussian_monomial(dual, n, m, a, b, coeff=c * ctx.q(n - m))
-        elif gen == "k^-1":
-            out = out + gaussian_monomial(dual, n, m, a, b, coeff=c * ctx.q(m - n))
-        elif gen == "P+":
-            i = ctx.i()
-            if a:
-                out = out + gaussian_monomial(dual, n, m, a - 1, b, coeff=c * i * a)
-            out = out + gaussian_monomial(dual, n, m, a + 1, b, coeff=-c * i)
-        elif gen == "P-":
-            i = ctx.i()
-            if b:
-                out = out + gaussian_monomial(dual, n, m, a, b - 1, coeff=c * i * b)
-            out = out + gaussian_monomial(dual, n, m, a, b + 1, coeff=-c * i)
-        elif gen == "H":
-            i = ctx.i()
-            grade = Fraction(n - m, p) + (a - b)
-            out = out + gaussian_monomial(dual, n, m, a, b, coeff=c * i * grade)
-            out = out + gaussian_monomial(dual, n, m, a + 2, b, coeff=-c * i)
-            out = out + gaussian_monomial(dual, n, m, a, b + 2, coeff=c * i)
-        elif gen == "p+":
-            if n:
-                cc = c * ctx.i() * qs * ctx.qfact(n) / ctx.qfact(n - 1) * ctx.q(-m)
-                out = out + gaussian_monomial(dual, n - 1, m, a, b, coeff=cc)
-            else:
-                top = c * ctx.i() * qs * dual.aalg.kappa0 / ctx.qfact(p - 1) * ctx.q(-m)
-                if a:
-                    out = out + gaussian_monomial(dual, p - 1, m, a - 1, b, coeff=top * a)
-                out = out + gaussian_monomial(dual, p - 1, m, a + 1, b, coeff=-top)
-        elif gen == "p-":
-            qsm = qs.invert()
-            if m:
-                cc = c * ctx.i() * qsm * ctx.qfact(m) / ctx.qfact(m - 1) * ctx.q(-n)
-                out = out + gaussian_monomial(dual, n, m - 1, a, b, coeff=cc)
-            else:
-                top = c * ctx.i() * qsm * dual.aalg.kappa0 / ctx.qfact(p - 1) * ctx.q(-n)
-                if b:
-                    out = out + gaussian_monomial(dual, n, p - 1, a, b - 1, coeff=top * b)
-                out = out + gaussian_monomial(dual, n, p - 1, a, b + 1, coeff=-top)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-    return out
+        for (n2, m2), coeff, op in dual.right_steps(gen, n, m, 0):
+            cc = c * coeff
+            for f, a2, b2 in _classical_terms(op, a, b, weighted=True):
+                _accumulate(out, (n2, m2, a2, b2), cc if f == 1 else cc * f)
+    return Element(dual, out)
 
 
 def star_representation_suite(

@@ -38,10 +38,8 @@ from .bessel import (
     ComplexValue,
     PrecisionError,
     bessel_eval,
-    doubling_trapezoid,
-    _tail_cutoff,
-    _tangent_tail_bound,
     _contour_cosh_integral,
+    _contour_sinh_integral,
 )
 from .duality import DualityContext
 from .report import NumericReport
@@ -242,38 +240,6 @@ def _closed_core(quadrant, abar, x, beta, bits, rel_target):
 # -- integral route --
 
 
-def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
-    """integral exp(i*phase_sign*arg*sinh u + drift*u) du on the constant
-    tilt u = t + i*tilt_sign*theta.
-
-    With the matching tilt (tilt_sign = phase_sign, the default) the
-    integrand decays like exp(-arg*sin(theta)*cosh t); the opposite tilt
-    grows and trips the decay guard.  Returns (value, error_bound)."""
-    x = mp.mpf(arg)
-    a = mp.mpf(drift)
-    if theta is None:
-        theta = mp.pi / 4
-    log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
-    decay_scale = x * mp.sin(theta)
-    cutoff = _tail_cutoff(decay_scale, abs(a), log_target) + 1
-
-    sgn = 1 if phase_sign >= 0 else -1
-    tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
-    shift = 1j * tilt * theta
-
-    def f(t):
-        u = t + shift
-        return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
-
-    anchor = abs(f(mp.mpf(0)))
-    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
-    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
-        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-    value, change = doubling_trapezoid(f, -cutoff, cutoff, eps_abs / 4)
-    tail = 2 * _tangent_tail_bound(decay_scale, abs(a), cutoff - 1)
-    return value, change + tail
-
-
 # per quadrant: contour family and phase sign of the rotated integral
 _CONTOUR_FAMILY = {1: "cosh", 2: "sinh", 3: "cosh", 4: "sinh"}
 _PHASE_SIGN = {1: 1, 2: -1, 3: -1, 4: 1}
@@ -296,7 +262,7 @@ def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
         if hit is None:
             retried = False
             try:
-                raw, jerr = fn(x, abar, phase, eps_abs, theta)
+                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, theta)
             except ArithmeticError:
                 logger.warning(
                     "quadrant %d: tilt sign %+d grew past the decay guard; "
@@ -304,12 +270,8 @@ def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
                     quadrant,
                     phase,
                 )
-                raw, jerr = fn(x, abar, phase, eps_abs, theta, tilt_sign=-phase)
+                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, theta, tilt_sign=-phase)
                 retried = True
-            sin_eff = (
-                mp.sin(theta * mp.tanh(mp.mpf(2))) if family == "cosh" else mp.sin(theta)
-            )
-            cutoff = _tail_cutoff(x * sin_eff, abs(abar), -mp.log(eps_abs)) + 1
             hit = (raw, jerr, retried, float(cutoff))
             _J_CACHE[key] = hit
         raw, jerr, retried, cutoff = hit
@@ -762,12 +724,13 @@ def _eval_zfunc(zf, zp, zm, env: _LadderEnv):
     raise ValueError(f"unknown kernel-expression tag {tag!r}")
 
 
-def _d_terms(n, nuF, ctx, aal, dual, literal=False):
+def _d_terms(n, nuF, dual, literal=False):
     """Symbolic form of the diagonal corepresentation entry D_n at weight
     nuF: a list of (monomial, exact scalar, kernel expression) with
     monomial = (eta_plus power, eta_minus power, delta power)."""
+    ctx = dual.ctx
     out = []
-    for factor, shift in _grassmann_factors(n % ctx.p, ctx, aal, dual._sqrt_q, literal):
+    for factor, shift in _grassmann_factors(n % ctx.p, ctx, dual.aalg, dual._sqrt_q, literal):
         for mon, c in factor.terms.items():
             if any(mon[i] for i in (3, 4, 5)) or mon[6] != 0:
                 raise AssertionError("assembly left the Grassmann sector")
@@ -775,44 +738,14 @@ def _d_terms(n, nuF, ctx, aal, dual, literal=False):
     return out
 
 
-def _act(gen, terms, ctx, dual, aal):
-    """Right action of one generator on a symbolic term list, mirroring
-    the closed-form action on the function algebra. Derivative parts are
-    deferred into the kernel expression."""
-    p = ctx.p
-    qs = dual._sqrt_q
-    i = ctx.i()
-    kappa0 = aal.kappa0
-    fact_top = ctx.qfact(p - 1)
+def _act(gen, terms, dual):
+    """Right action of one generator on a symbolic term list, by the
+    closed-form table of the function algebra.  The action on the
+    classical factor is deferred into the kernel expression as (op, zf)."""
     out = []
     for (a, b, k), c, zf in terms:
-        if gen == "k":
-            out.append(((a, b, k), c * ctx.q(a - b + k), zf))
-        elif gen == "H":
-            grade = c * i * ctx.from_fraction(Fraction(a - b, p))
-            if grade:
-                out.append(((a, b, k), grade, zf))
-            out.append(((a, b, k), c * i, ("euler", zf)))
-        elif gen == "P+":
-            out.append(((a, b, k), c * i, ("dplus", zf)))
-        elif gen == "P-":
-            out.append(((a, b, k), c * i, ("dminus", zf)))
-        elif gen == "p+":
-            if a >= 1:
-                out.append(((a - 1, b, k), c * i * qs * ctx.qint(a) * ctx.q(k - b), zf))
-            else:
-                coeff = c * i * qs * (kappa0 / fact_top) * ctx.q(k - b)
-                out.append(((p - 1, b, k), coeff, ("dplus", zf)))
-        elif gen == "p-":
-            if b >= 1:
-                out.append(
-                    ((a, b - 1, k), c * i * qs.invert() * ctx.qint(b) * ctx.q(k - a), zf)
-                )
-            else:
-                coeff = c * i * qs.invert() * (kappa0 / fact_top) * ctx.q(k - a)
-                out.append(((a, p - 1, k), coeff, ("dminus", zf)))
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
+        for (a2, b2), coeff, op in dual.right_steps(gen, a, b, k):
+            out.append(((a2, b2, k), c * coeff, zf if op is None else (op, zf)))
     return out
 
 
@@ -897,7 +830,6 @@ def d_ladder_suite(
             raise ValueError("ladder grid points must sit in quadrant 3")
 
     dual = DualityContext(ctx)
-    aal = AAlgebra(ctx)
     env = _LadderEnv(p, ctx.r, bits, h_val, mp.mpf("1e-18"), {})
     report = NumericReport("d-ladder")
     report.measure("p", p)
@@ -905,10 +837,10 @@ def d_ladder_suite(
     report.measure("nu", str(nuF))
     report.measure("h", str(h_val))
 
-    base = _d_terms(n, nuF, ctx, aal, dual)
+    base = _d_terms(n, nuF, dual)
 
     # kappa action is exact scalar rescaling; check symbolically
-    kap = _act("k", base, ctx, dual, aal)
+    kap = _act("k", base, dual)
     qn = ctx.q(n)
     kappa_exact = len(kap) == len(base) and all(
         ko == bo and zo == zb and co == cb * qn
@@ -924,13 +856,13 @@ def d_ladder_suite(
         tol_mixed = mp.mpf("1e-3")
 
         targets = {
-            "P+": _d_terms(n, nuF + 1, ctx, aal, dual),
-            "P-": _d_terms(n, nuF - 1, ctx, aal, dual),
-            "p+": _d_terms((n - 1) % p, nuF + Fraction(1, p), ctx, aal, dual),
-            "p-": _d_terms((n + 1) % p, nuF - Fraction(1, p), ctx, aal, dual),
+            "P+": _d_terms(n, nuF + 1, dual),
+            "P-": _d_terms(n, nuF - 1, dual),
+            "p+": _d_terms((n - 1) % p, nuF + Fraction(1, p), dual),
+            "p-": _d_terms((n + 1) % p, nuF - Fraction(1, p), dual),
         }
-        acted = {gen: _act(gen, base, ctx, dual, aal) for gen in ("H", "P+", "P-", "p+", "p-")}
-        composed = _act("p-", acted["p+"], ctx, dual, aal)
+        acted = {gen: _act(gen, base, dual) for gen in ("H", "P+", "P-", "p+", "p-")}
+        composed = _act("p-", acted["p+"], dual)
 
         worst = {label: mp.mpf(0) for label in ("H", "H-alt", "P+", "P-", "p+", "p-", "C")}
         ratio_samples = []
@@ -1002,11 +934,9 @@ def d_ladder_suite(
             # n = 0 (the rescaling factors cancel between the source and
             # target polynomials there), so discriminate at n >= 1
             n_lit = n if n != 0 else 1
-            base_lit = _d_terms(n_lit, nuF, ctx, aal, dual, literal=True)
-            target_lit = _d_terms(
-                (n_lit - 1) % p, nuF + Fraction(1, p), ctx, aal, dual, literal=True
-            )
-            acted_lit = _act("p+", base_lit, ctx, dual, aal)
+            base_lit = _d_terms(n_lit, nuF, dual, literal=True)
+            target_lit = _d_terms((n_lit - 1) % p, nuF + Fraction(1, p), dual, literal=True)
+            acted_lit = _act("p+", base_lit, dual)
             worst_lit = mp.mpf(0)
             for point in grid:
                 zp, zm = point.z_plus, point.z_minus

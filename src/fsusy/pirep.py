@@ -346,6 +346,7 @@ class PiRepresentation:
         return op
 
     def operator(self, x: UElement) -> PiOperator:
+        self.ualg._check(x)
         ctx = self.ctx
         p = ctx.p
         acc = PiOperator.zero(ctx)

@@ -4,6 +4,7 @@ dressing polynomials, the Grassmann assembly, and the generator ladder.
 Oracle values are frozen decimal strings computed once from the closed
 cylinder forms; mpmath's own Bessel functions appear only as referee."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -406,3 +407,64 @@ def test_ladder_guards(ctx3):
         d_ladder_suite(0, Fraction(1, 5), h="0.5", ctx=ctx3)
     with pytest.raises(ValueError, match="underflow"):
         d_ladder_suite(0, Fraction(1, 5), h="1e-30", ctx=ctx3, precision_bits=66)
+
+
+# -- exact check of the deferred ladder action --
+
+
+def _resolve_poly(zf):
+    """Exact derivative of a test-only polynomial tag ("poly", t, s),
+    standing for z_plus^t z_minus^s, under nested dplus / dminus / euler
+    tags.  Returns [(integer factor, t, s)] with zero terms left out."""
+    if zf[0] == "poly":
+        return [(1, zf[1], zf[2])]
+    inner = _resolve_poly(zf[1])
+    if zf[0] == "dplus":
+        return [(c * t, t - 1, s) for c, t, s in inner if t]
+    if zf[0] == "dminus":
+        return [(c * s, t, s - 1) for c, t, s in inner if s]
+    if zf[0] == "euler":
+        return [(c * (t - s), t, s) for c, t, s in inner if t != s]
+    raise AssertionError(f"unexpected tag {zf[0]!r}")
+
+
+def _resolve_terms(terms, aal):
+    out = aal.zero()
+    for (a, b, k), c, zf in terms:
+        for f, t, s in _resolve_poly(zf):
+            out = out + aal.monomial(a, b, k, t, s, coeff=c * f)
+    return out
+
+
+def test_deferred_action_matches_the_duality_route(ctx3):
+    # _act on one-term lists with polynomial kernel expressions, resolved
+    # by exact differentiation, is the right action on e+^a e-^b d^k z+^t z-^s
+    dual = DualityContext(ctx3)
+    aal, ual = dual.aalg, dual.ualg
+    p = ctx3.p
+    composite = ual.p_plus() * ual.p_minus()
+    bad = []
+    for a, b, k, t, s in itertools.product(range(p), range(p), range(2), range(3), range(3)):
+        terms = [((a, b, k), ctx3.one(), ("poly", t, s))]
+        x = aal.monomial(a, b, k, t, s)
+        for gen in ("k", "H", "P+", "P-", "p+", "p-"):
+            got = _resolve_terms(kernels._act(gen, terms, dual), aal)
+            if got != dual.right_act(ual.generator(gen), x):
+                bad.append((gen, a, b, k, t, s))
+        twice = kernels._act("p-", kernels._act("p+", terms, dual), dual)
+        if _resolve_terms(twice, aal) != dual.right_act(composite, x):
+            bad.append(("p+ p-", a, b, k, t, s))
+    assert not bad, bad[:5]
+
+
+# -- contour cutoff golden --
+
+
+@pytest.mark.parametrize(
+    "quadrant, cutoff", [(1, 6.166107662402496), (2, 6.136961111737485)]
+)
+def test_integral_cutoff_golden(quadrant, cutoff):
+    params = KernelParams(p=3, s=0, nu="0.21", mu=0, r=1, precision="1e-30")
+    pt = QuadrantPoint.from_polar(quadrant, "1.3", "0.2")
+    _, diag = kernel_eval_detailed(params, pt, "integral")
+    assert diag["cutoff"] == cutoff

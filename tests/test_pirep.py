@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsusy.afalg import AAlgebra
 from fsusy.pirep import (
     BasisVector,
     OperatorMatrix,
@@ -280,3 +281,11 @@ def test_representation_suite(ctx3):
 def test_representation_suite_nonunit_r(ctx3):
     rep = representation_suite(FieldContext(3, r=Fraction(2)))
     assert rep.passed, rep.summary()
+
+
+def test_operator_rejects_function_side_elements(rep3, ctx3):
+    x = AAlgebra(ctx3).eta_plus()
+    with pytest.raises(TypeError):
+        rep3.operator(x)
+    with pytest.raises(TypeError):
+        rep3.matrix(x, rep3.weight_window())
