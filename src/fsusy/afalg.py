@@ -7,7 +7,9 @@ central coordinate L, and group-like exponential weights exp(u L) with u in
 
     e+^n  e-^m  d^k  z+^t  z-^s  L^l  exp(u L)
 
-with n, m, k in [0, p) and t, s, l >= 0.  The only non-commutativity sits in
+with n, m, k in [0, p) and t, s, l >= 0, and stored as the key
+(n, m, k, t, s, l, p u): slot 6 holds the integer p u, so the weight never
+needs a Fraction inside the algebra.  The only non-commutativity sits in
 the first three slots:
 
     e- e+ = q^2 e+ e-        e+- d = q^2 d e+-        e+-^p = 0,  d^p = 1
@@ -43,13 +45,15 @@ from .sparse import Element, SparseAlgebra, Tensor
 AElement = Element
 ATensor = Tensor
 
-A_UNIT = (0, 0, 0, 0, 0, 0, Fraction(0))
+A_UNIT = (0, 0, 0, 0, 0, 0, 0)
 
 
-def _check_mu(mu: Fraction, p: int):
+def _check_mu(mu, p: int) -> int:
+    """The key slot p*mu of an exponential weight mu in (1/p)Z."""
+    mu = Fraction(mu)
     if mu.denominator not in (1, p):
         raise ValueError(f"exponential weight {mu} not in (1/{p})Z")
-    return mu
+    return mu.numerator * (p // mu.denominator)
 
 
 class AAlgebra(SparseAlgebra):
@@ -74,13 +78,13 @@ class AAlgebra(SparseAlgebra):
     def monomial(self, n=0, m=0, k=0, t=0, s=0, l=0, mu=0, coeff=1):
         if min(n, m, t, s, l) < 0:
             raise ValueError("negative exponent")
+        pmu = _check_mu(mu, self.ctx.p)
         if n >= self.ctx.p or m >= self.ctx.p:
             return self.zero()
-        mu = _check_mu(Fraction(mu), self.ctx.p)
         c = self.ctx.from_fraction(coeff) if isinstance(coeff, (int, Fraction)) else coeff
         if not c:
             return self.zero()
-        return AElement(self, {(n, m, k % self.ctx.p, t, s, l, mu): c})
+        return AElement(self, {(n, m, k % self.ctx.p, t, s, l, pmu): c})
 
     def eta_plus(self):
         return self.monomial(n=1)
@@ -101,7 +105,7 @@ class AAlgebra(SparseAlgebra):
         return self.monomial(l=1)
 
     def exp_lambda(self, mu):
-        return self.monomial(mu=Fraction(mu))
+        return self.monomial(mu=mu)
 
     def xi(self):
         """The invariant quadratic combination q e+ e-."""
@@ -154,32 +158,32 @@ class AAlgebra(SparseAlgebra):
         return ((tuple(legs), self.ctx.q(e)),)
 
     def _format_mono(self, mon) -> str:
-        return format_a_monomial(mon)
+        return format_a_monomial(mon, self.ctx.p)
 
     # -- Hopf structure --
 
     def _g_plus(self):
-        return (0, 0, 1, 0, 0, 0, Fraction(1, self.ctx.p))
+        return (0, 0, 1, 0, 0, 0, 1)
 
     def _g_minus(self):
-        return (0, 0, self.ctx.p - 1, 0, 0, 0, Fraction(-1, self.ctx.p))
+        return (0, 0, self.ctx.p - 1, 0, 0, 0, -1)
 
     def _gen_coproduct(self, slot: int) -> ATensor:
         one = self.ctx.one()
         p = self.ctx.p
         if slot == 0:
-            mon = (1, 0, 0, 0, 0, 0, Fraction(0))
+            mon = (1, 0, 0, 0, 0, 0, 0)
             return ATensor(self, 2, {(mon, A_UNIT): one, (self._g_plus(), mon): one})
         if slot == 1:
-            mon = (0, 1, 0, 0, 0, 0, Fraction(0))
+            mon = (0, 1, 0, 0, 0, 0, 0)
             return ATensor(self, 2, {(mon, A_UNIT): one, (self._g_minus(), mon): one})
         if slot == 2:
-            mon = (0, 0, 1, 0, 0, 0, Fraction(0))
+            mon = (0, 0, 1, 0, 0, 0, 0)
             return ATensor(self, 2, {(mon, mon): one})
         if slot in (3, 4):
             sign = 1 if slot == 3 else -1
-            zmon = (0, 0, 0, 1, 0, 0, Fraction(0)) if slot == 3 else (0, 0, 0, 0, 1, 0, Fraction(0))
-            emon = (0, 0, 0, 0, 0, 0, Fraction(sign))
+            zmon = (0, 0, 0, 1, 0, 0, 0) if slot == 3 else (0, 0, 0, 0, 1, 0, 0)
+            emon = (0, 0, 0, 0, 0, 0, sign * p)
             terms = {(zmon, A_UNIT): one, (emon, zmon): one}
             for nn in range(1, p):
                 coeff = (
@@ -188,15 +192,15 @@ class AAlgebra(SparseAlgebra):
                     / (self.ctx.qfact(p - nn) * self.ctx.qfact(nn))
                 )
                 if slot == 3:
-                    left = (p - nn, 0, nn % p, 0, 0, 0, Fraction(nn, p))
-                    right = (nn, 0, 0, 0, 0, 0, Fraction(0))
+                    left = (p - nn, 0, nn % p, 0, 0, 0, nn)
+                    right = (nn, 0, 0, 0, 0, 0, 0)
                 else:
-                    left = (0, p - nn, (-nn) % p, 0, 0, 0, Fraction(-nn, p))
-                    right = (0, nn, 0, 0, 0, 0, Fraction(0))
+                    left = (0, p - nn, (-nn) % p, 0, 0, 0, -nn)
+                    right = (0, nn, 0, 0, 0, 0, 0)
                 terms[(left, right)] = coeff
             return ATensor(self, 2, terms)
         # slot 5: the central coordinate is primitive
-        mon = (0, 0, 0, 0, 0, 1, Fraction(0))
+        mon = (0, 0, 0, 0, 0, 1, 0)
         return ATensor(self, 2, {(mon, A_UNIT): one, (A_UNIT, mon): one})
 
     def _gen_cop_power(self, slot: int, n: int) -> ATensor:
@@ -206,12 +210,25 @@ class AAlgebra(SparseAlgebra):
         return pows[n]
 
     def _coproduct_mono(self, mon) -> ATensor:
+        n, m, k, t, s, l, pmu = mon
+        if k or pmu:
+            # g = d^k exp(u L) is group-like and sits rightmost, where it
+            # picks up no reordering phase: Delta(x g) = Delta(x) (g (x) g)
+            # only relabels both legs of the cached (k, u)-free coproduct
+            p = self.ctx.p
+            base = self._coproduct_mono((n, m, 0, t, s, l, 0))
+            return ATensor(self, 2, {
+                (
+                    (a[0], a[1], (a[2] + k) % p, a[3], a[4], a[5], a[6] + pmu),
+                    (b[0], b[1], (b[2] + k) % p, b[3], b[4], b[5], b[6] + pmu),
+                ): c
+                for (a, b), c in base.terms.items()
+            })
         got = self._cop_cache.get(mon)
         if got is not None:
             return got
-        n, m, k, t, s, l, mu = mon
         out = None
-        for slot, e in ((0, n), (1, m), (2, k)):
+        for slot, e in ((0, n), (1, m)):
             if e:
                 f = self._gen_cop_power(slot, e)
                 out = f if out is None else out * f
@@ -225,10 +242,6 @@ class AAlgebra(SparseAlgebra):
             out = zz if out is None else out * zz
         if l:
             f = self._gen_cop_power(5, l)
-            out = f if out is None else out * f
-        if mu:
-            emon = (0, 0, 0, 0, 0, 0, mu)
-            f = ATensor(self, 2, {(emon, emon): self.ctx.one()})
             out = f if out is None else out * f
         if out is None:
             out = self.tensor_one(2)
@@ -265,7 +278,7 @@ class AAlgebra(SparseAlgebra):
             return got
         # S reverses the word, so the generator images multiply in the
         # opposite slot order
-        out = self.exp_lambda(-mon[6]) if mon[6] else self.one()
+        out = AElement(self, {(0, 0, 0, 0, 0, 0, -mon[6]): self.ctx.one()})
         for slot in range(5, -1, -1):
             e = mon[slot]
             if e:
@@ -319,16 +332,16 @@ def parse_a(alg: AAlgebra, text: str) -> AElement:
     return out
 
 
-def format_a_monomial(mon) -> str:
-    n, m, k, t, s, l, mu = mon
+def format_a_monomial(mon, p: int) -> str:
+    n, m, k, t, s, l, pmu = mon
     parts = []
     for name, e in zip(A_GEN_NAMES, (n, m, k, t, s, l)):
         if e == 1:
             parts.append(name)
         elif e:
             parts.append(f"{name}^{e}")
-    if mu:
-        parts.append(f"exp({mu}L)")
+    if pmu:
+        parts.append(f"exp({Fraction(pmu, p)}L)")
     return " ".join(parts) if parts else "1"
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,19 @@ def _classical_terms(op, t: int, s: int, weighted: bool = False):
     return [term for term in terms if term[0]]
 
 
+# the multidegree (n, m, t, s) of a monomial of either side, in slots 0, 1,
+# 3 and 4: the pairing of two monomials vanishes unless they agree there
+_degree = operator.itemgetter(0, 1, 3, 4)
+
+
+def _by_degree(x) -> dict:
+    """The terms of an element grouped by multidegree."""
+    out = {}
+    for mon, c in x.terms.items():
+        out.setdefault(_degree(mon), []).append((mon, c))
+    return out
+
+
 class DualityContext:
     """Pairing, actions and integrals for one scalar context.
 
@@ -103,12 +117,12 @@ class DualityContext:
     # -- the pairing --
 
     def _pair_mono(self, u, a) -> FieldScalar:
+        """<u, a> for basis monomials of the same multidegree (n, m, t, s),
+        which the callers guarantee by pairing through _by_degree."""
         ctx = self.ctx
         n, m, k, t, s, l = u
-        n2, m2, k2, t2, s2, l2, mu = a
-        if n != n2 or m != m2 or t != t2 or s != s2 or l2 > l:
-            return ctx._zero
-        if l > l2 and mu == 0:
+        k2, l2, pmu = a[2], a[5], a[6]
+        if l2 > l or (l > l2 and pmu == 0):
             return ctx._zero
         key = (u, a)
         got = self._pair_cache.get(key)
@@ -121,7 +135,7 @@ class DualityContext:
         frac = Fraction(
             math.factorial(t) * math.factorial(s) * math.factorial(l),
             math.factorial(l - l2),
-        ) * mu ** (l - l2)
+        ) * Fraction(pmu, p) ** (l - l2)
         if self.convention.sqrt_q_sign < 0 and (n - m) % 2:
             frac = -frac
         val = ctx.zeta(w) * frac
@@ -134,14 +148,26 @@ class DualityContext:
         self._pair_cache[key] = val
         return val
 
+    def _pair_terms(self, uterms, amono) -> FieldScalar:
+        """<sum of uterms, amono> for enveloping-side (monomial,
+        coefficient) pairs of amono's multidegree, one group of _by_degree."""
+        acc = self.ctx._zero
+        for um, uc in uterms:
+            v = self._pair_mono(um, amono)
+            if v:
+                acc = acc + uc * v
+        return acc
+
     def pair(self, x: UElement, a: AElement) -> FieldScalar:
         """Bilinear extension of the basis pairing."""
+        by_degree = _by_degree(x)
         acc = self.ctx.zero()
-        for um, uc in x.terms.items():
-            for am, ac in a.terms.items():
-                v = self._pair_mono(um, am)
+        for am, ac in a.terms.items():
+            uterms = by_degree.get(_degree(am))
+            if uterms is not None:
+                v = self._pair_terms(uterms, am)
                 if v:
-                    acc = acc + uc * ac * v
+                    acc = acc + ac * v
         return acc
 
     def pair_tensor(self, x: UElement, y: UElement, ta) -> FieldScalar:
@@ -149,14 +175,20 @@ class DualityContext:
         leg order given by the convention."""
         acc = self.ctx.zero()
         first, second = (x, y) if self.convention.left_first else (y, x)
+        first, second = _by_degree(first), _by_degree(second)
         for (a1, a2), c in ta.terms.items():
-            v1 = self._pair_mono_phi(first, a1)
+            u1 = first.get(_degree(a1))
+            if u1 is None:
+                continue
+            u2 = second.get(_degree(a2))
+            if u2 is None:
+                continue
+            v1 = self._pair_terms(u1, a1)
             if not v1:
                 continue
-            v2 = self._pair_mono_phi(second, a2)
-            if not v2:
-                continue
-            acc = acc + c * v1 * v2
+            v2 = self._pair_terms(u2, a2)
+            if v2:
+                acc = acc + c * v1 * v2
         return acc
 
     # -- actions --
@@ -172,9 +204,14 @@ class DualityContext:
     def _act(self, phi: UElement, x: AElement, leg: int) -> AElement:
         out = {}
         keep = 1 - leg
+        by_degree = _by_degree(phi)
         for mon, c in x.terms.items():
             for key, f in self.aalg._coproduct_mono(mon).terms.items():
-                v = self._pair_mono_phi(phi, key[leg])
+                am = key[leg]
+                uterms = by_degree.get(_degree(am))
+                if uterms is None:
+                    continue
+                v = self._pair_terms(uterms, am)
                 if not v:
                     continue
                 v = c * f * v
@@ -186,14 +223,6 @@ class DualityContext:
                 elif cur is not None:
                     del out[tgt]
         return AElement(self.aalg, out)
-
-    def _pair_mono_phi(self, phi: UElement, amono) -> FieldScalar:
-        acc = self.ctx.zero()
-        for um, uc in phi.terms.items():
-            v = self._pair_mono(um, amono)
-            if v:
-                acc = acc + uc * v
-        return acc
 
     # -- closed-form right action (the conformance target) --
 
@@ -364,15 +393,16 @@ def _u_window(ual: UAlgebra, bound: int):
         yield (n, m, k, t, s, l)
 
 
-def _matched_a_monos(dual: DualityContext, umono, mu_set, extra_l: int = 1):
+def _matched_a_monos(dual: DualityContext, umono, pmu_set, extra_l: int = 1):
     """Function-side basis monomials whose multidegree can pair with umono,
-    with every grading index and a margin of lambda degrees."""
+    with every grading index and a margin of lambda degrees; pmu_set holds
+    the weights as key slots p*mu."""
     n, m, _k, t, s, l = umono
     p = dual.ctx.p
     for k2 in range(p):
         for l2 in range(l + extra_l + 1):
-            for mu in mu_set:
-                yield (n, m, k2, t, s, l2, Fraction(mu))
+            for pmu in pmu_set:
+                yield (n, m, k2, t, s, l2, pmu)
 
 
 def duality_suite(
@@ -396,18 +426,19 @@ def duality_suite(
     rep = NumericReport(f"duality_suite p={ctx.p} bound={exponent_bound}")
     rep.measure("convention", dual.convention.describe())
     p = ctx.p
-    mu_set = (0, Fraction(1, p), Fraction(-1, p), 1)
+    # the weights 0, 1/p, -1/p, 1 as key slots p*mu
+    pmu_set = (0, 1, -1, p)
 
     u_monos = list(_u_window(ual, exponent_bound))
     a_monos = [
-        (n, m, k, t, s, l, Fraction(mu))
+        (n, m, k, t, s, l, pmu)
         for n, m, k in itertools.product(
             range(min(exponent_bound, p - 1) + 1),
             range(min(exponent_bound, p - 1) + 1),
             range(min(exponent_bound, p - 1) + 1),
         )
         for t, s, l in itertools.product(*(range(exponent_bound + 1),) * 3)
-        for mu in mu_set
+        for pmu in pmu_set
     ]
 
     # counit compatibilities, exhaustive
@@ -429,7 +460,7 @@ def duality_suite(
     for um in u_monos:
         x = UElement(ual, {um: ctx.one()})
         sx = x.antipode()
-        for am in _matched_a_monos(dual, um, mu_set):
+        for am in _matched_a_monos(dual, um, pmu_set):
             a = AElement(aal, {am: ctx.one()})
             if dual.pair(sx, a) != dual.pair(x, a.antipode()):
                 bad += 1
@@ -437,20 +468,27 @@ def duality_suite(
 
     # product rule <xy, a> = <x (x) y, Delta a> with generator second factors
     gens = [ual.generator(g) for g in GEN_NAMES]
-    mu_small = (0, Fraction(1, p))
-    bad = 0
+    pmu_small = (0, 1)
+    # each a is checked against every (x, y) it matches, so Delta a is
+    # built once per a instead of once per check
+    checks = {}
     for um in u_monos:
         x = UElement(ual, {um: ctx.one()})
         for y in gens:
             xy = x * y
             seen = set()
             for xym in xy.terms:
-                for am in _matched_a_monos(dual, xym, mu_small):
+                for am in _matched_a_monos(dual, xym, pmu_small):
                     seen.add(am)
             for am in seen:
-                a = AElement(aal, {am: ctx.one()})
-                if dual.pair(xy, a) != dual.pair_tensor(x, y, a.coproduct()):
-                    bad += 1
+                checks.setdefault(am, []).append((x, y, xy))
+    bad = 0
+    for am, pairs in checks.items():
+        a = AElement(aal, {am: ctx.one()})
+        cop = a.coproduct()
+        for x, y, xy in pairs:
+            if dual.pair(xy, a) != dual.pair_tensor(x, y, cop):
+                bad += 1
     rep.check("product_rule_gen", bad == 0, f"{bad} mismatches")
 
     # coproduct rule <x, ab> = sum <x_(1), a> <x_(2), b> with generator b
@@ -502,7 +540,7 @@ def duality_suite(
     for um in u_monos[:: max(1, len(u_monos) // 60)]:
         x = UElement(ual, {um: ctx.one()})
         xs = x.star()
-        for am in _matched_a_monos(dual, um, (0, Fraction(1, p))):
+        for am in _matched_a_monos(dual, um, pmu_small):
             a = AElement(aal, {am: ctx.one()})
             lhs = dual.pair(xs, a)
             variants["total"] += 1
@@ -527,14 +565,26 @@ def _matched_u_monos(dual: DualityContext, amono, bound: int):
 
 
 def _pair_cop_x(dual: DualityContext, x: UElement, a: AElement, b: AElement) -> FieldScalar:
+    """sum <x_(1), a> <x_(2), b>, with the leg order of the convention."""
     ctx = dual.ctx
+    pair_mono = dual._pair_mono
+
+    def pair_leg(um, by_degree):
+        acc = ctx._zero
+        for am, ac in by_degree.get(_degree(um), ()):
+            v = pair_mono(um, am)
+            if v:
+                acc = acc + ac * v
+        return acc
+
     acc = ctx.zero()
     legs = (0, 1) if dual.convention.left_first else (1, 0)
+    a_deg, b_deg = _by_degree(a), _by_degree(b)
     for key, c in x.coproduct().terms.items():
-        v1 = dual.pair(UElement(dual.ualg, {key[legs[0]]: ctx.one()}), a)
+        v1 = pair_leg(key[legs[0]], a_deg)
         if not v1:
             continue
-        v2 = dual.pair(UElement(dual.ualg, {key[legs[1]]: ctx.one()}), b)
+        v2 = pair_leg(key[legs[1]], b_deg)
         if v2:
             acc = acc + c * v1 * v2
     return acc
@@ -550,7 +600,7 @@ def default_conformance_monomials(dual: DualityContext, zbound: int = 2):
             for t, s in itertools.product(range(zbound + 1), range(zbound + 1)):
                 if n + m + t + s == 0 and k == 0:
                     continue
-                out.append((n, m, k, t, s, 0, Fraction(0)))
+                out.append((n, m, k, t, s, 0, 0))
     return out
 
 
@@ -626,8 +676,8 @@ def fractional_root_suite(
         for k in range(2):
             for t, s, l in itertools.product(range(degree_bound + 1), repeat=3):
                 if n + m + t + s + l <= degree_bound:
-                    for mu in (0, Fraction(1, p)):
-                        monos.append((n, m, k, t, s, l, Fraction(mu)))
+                    for pmu in (0, 1):
+                        monos.append((n, m, k, t, s, l, pmu))
 
     for gen, target in (("p+", "P+"), ("p-", "P-")):
         g = ual.generator(gen)

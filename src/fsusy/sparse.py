@@ -106,7 +106,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             other = alg.ctx.from_fraction(other)
         if isinstance(other, FieldScalar):
-            return Element(alg, {m: c * other for m, c in self.terms.items() if c * other})
+            return Element(alg, {m: v for m, c in self.terms.items() if (v := c * other)})
         alg._check(other)
         mono_mul = alg._mono_mul
         out = {}
@@ -245,7 +245,7 @@ class Tensor:
             other = alg.ctx.from_fraction(other)
         if isinstance(other, FieldScalar):
             return Tensor(
-                alg, self.nlegs, {k: c * other for k, c in self.terms.items() if c * other}
+                alg, self.nlegs, {k: v for k, c in self.terms.items() if (v := c * other)}
             )
         self._check(other)
         legs_mul = alg._legs_mul

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -80,6 +81,79 @@ def test_parse_and_format(aal3):
         parse_a(aal3, "z+^-1")
 
 
+# strings recorded when the weight was still stored as a Fraction
+EXP_GOLDEN = {
+    3: [
+        ("exp(1/3L)", "exp(1/3L)"),
+        ("exp(-1/3L)", "exp(-1/3L)"),
+        ("exp(2/3L)^2", "exp(4/3L)"),
+        ("exp(1L)", "exp(1L)"),
+        ("exp(-1L)", "exp(-1L)"),
+        ("e+ exp(2/3L)^2 exp(-1L) d", "e+ d exp(1/3L)"),
+        ("z- exp(1/3L)^-1", "z- exp(-1/3L)"),
+    ],
+    7: [
+        ("exp(1/7L)", "exp(1/7L)"),
+        ("exp(-1/7L)", "exp(-1/7L)"),
+        ("exp(2/7L)^2", "exp(4/7L)"),
+        ("exp(1L)", "exp(1L)"),
+        ("exp(-1L)", "exp(-1L)"),
+        ("e+ exp(2/7L)^2 exp(-1L) d", "e+ d exp(-3/7L)"),
+        ("z- exp(1/7L)^-1", "z- exp(-1/7L)"),
+    ],
+}
+SUM_GOLDEN = {
+    3: "exp(-2/3L) + 2 * exp(-1/3L) + 1 + exp(1/3L) + exp(1L) + z+ exp(-1L)",
+    7: "exp(-2/7L) + 2 * exp(-1/7L) + 1 + exp(1/7L) + exp(1L) + z+ exp(-1L)",
+}
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_exp_weight_golden_round_trips(p):
+    aal = AAlgebra(FieldContext(p))
+    for text, want in EXP_GOLDEN[p]:
+        x = parse_a(aal, text)
+        assert str(x) == want
+        assert parse_a(aal, want) == x
+    # terms print in weight order, negative weights first
+    x = (
+        aal.exp_lambda(Fraction(1, p))
+        + aal.exp_lambda(Fraction(-1, p)) * 2
+        + aal.exp_lambda(1)
+        + aal.one()
+        + aal.exp_lambda(-1) * aal.z_plus()
+        + aal.exp_lambda(Fraction(-2, p))
+    )
+    assert str(x) == SUM_GOLDEN[p]
+
+
+def test_exp_lambda_accepts_int_and_fraction(aal):
+    p = aal.ctx.p
+    assert aal.exp_lambda(1) == aal.exp_lambda(Fraction(p, p)) == parse_a(aal, "exp(1L)")
+    assert aal.exp_lambda(-2) == aal.exp_lambda(Fraction(-2)) == aal.exp_lambda(-1) ** 2
+    assert aal.exp_lambda(0) == aal.exp_lambda(Fraction(0)) == aal.one()
+    assert str(aal.exp_lambda(Fraction(-2, p))) == f"exp(-2/{p}L)"
+    assert str(aal.exp_lambda(3)) == "exp(3L)"
+
+
+def test_weight_slot_holds_the_integer_p_mu(aal):
+    p = aal.ctx.p
+    x = parse_a(aal, f"e+ z- exp(2/{p}L) d") + parse_a(aal, "e- z+ L exp(-1L)")
+    assert sorted(mon[6] for mon in x.terms) == [-p, 2]
+    images = [x * x, x.antipode(), x.star()]
+    keys = [mon for y in images for mon in y.terms]
+    keys += [mon for key in x.coproduct().terms for mon in key]
+    assert keys and all(type(mon[6]) is int for mon in keys)
+
+
+def test_monomial_validates_weight_before_nilpotency(aal):
+    p = aal.ctx.p
+    assert aal.monomial(n=p, mu=Fraction(1, p)).is_zero()
+    for kwargs in ({"n": p}, {"m": p}, {}):
+        with pytest.raises(ValueError, match="exponential weight"):
+            aal.monomial(mu=Fraction(1, 2 * p), **kwargs)
+
+
 def test_associativity_random(aal):
     rng = random.Random(17)
     for _ in range(8):
@@ -98,6 +172,36 @@ def test_coproduct_grouplikes(aal):
     assert e.coproduct() == aal.tensor(e, e)
     lam = aal.lam()
     assert lam.coproduct() == aal.tensor(lam, aal.one()) + aal.tensor(aal.one(), lam)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_relabelled_coproduct_matches_generator_products(p):
+    # _coproduct_mono builds only the (k, u)-free coproduct and relabels
+    # both legs for d^k exp(u L); the reference multiplies the generator
+    # coproducts Delta(e+)^n Delta(e-)^m Delta(d)^k Delta(z+)^t Delta(z-)^s
+    # Delta(L)^l Delta(exp(u L)) out with Tensor.__mul__
+    aal = AAlgebra(FieldContext(p))
+    d = aal.delta()
+    gen = {slot: aal._gen_coproduct(slot) for slot in (0, 1, 3, 4, 5)}
+    gen[2] = aal.tensor(d, d)
+    weights = [Fraction(w, p) for w in (0, 1, -1, 2, p)]
+    grouplike = {}
+    for mu in weights:
+        e = aal.exp_lambda(mu)
+        grouplike[mu] = aal.tensor(e, e)
+    zbound = 2 if p == 3 else 1
+    checked = 0
+    for n, m, k in itertools.product(range(p), repeat=3):
+        for t, s, l in itertools.product(range(zbound + 1), range(zbound + 1), range(2)):
+            ref = aal.tensor_one(2)
+            for slot, e in zip((0, 1, 2, 3, 4, 5), (n, m, k, t, s, l)):
+                for _ in range(e):
+                    ref = ref * gen[slot]
+            for mu in weights:
+                (mon,) = aal.monomial(n, m, k, t, s, l, mu).terms
+                assert aal._coproduct_mono(mon) == ref * grouplike[mu], mon
+                checked += 1
+    assert checked == p**3 * (zbound + 1) ** 2 * 2 * len(weights)
 
 
 def test_coproduct_eta_nilpotent(aal):

@@ -267,6 +267,14 @@ def test_reports_deterministic_modulo_timestamp(capsys, tmp_path):
             ("normalize-a", "--p", "7", "z+ e- e+ L^2 exp(-2/7L)"),
             "q^2 * e+ e- z+ L^2 exp(-2/7L)",
         ),
+        (
+            ("mul", "--alg", "a", "--p", "5", "e- exp(1/5L) z+", "e+ d exp(-2/5L)"),
+            "q^2 * e+ e- d z+ exp(-1/5L)",
+        ),
+        (
+            ("pair", "--p", "3", "H^2 p+", "e+ L exp(2/3L)"),
+            "2*i*q^2  =  (1.7320508075688772935274463415058723669 - 1.0j)",
+        ),
     ],
 )
 def test_presentation_golden(capsys, argv, want):

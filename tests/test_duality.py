@@ -145,6 +145,75 @@ def test_pair_degree_mismatch_zero(dual3):
     assert dual3.pair(ual.kappa(), aal.eta_plus()).is_zero()
 
 
+# -- the indexed pairing against a brute-force double loop ---------------------
+
+
+def _brute_pair(dual, x, a):
+    acc = dual.ctx.zero()
+    for um, uc in x.terms.items():
+        for am, ac in a.terms.items():
+            if (um[0], um[1], um[3], um[4]) == (am[0], am[1], am[3], am[4]):
+                acc = acc + uc * ac * dual._pair_mono(um, am)
+    return acc
+
+
+def _brute_mono(dual, x, amono):
+    return _brute_pair(dual, x, AElement(dual.aalg, {amono: dual.ctx.one()}))
+
+
+def _brute_act(dual, phi, a, leg):
+    out = dual.aalg.zero()
+    for key, c in a.coproduct().terms.items():
+        v = _brute_mono(dual, phi, key[leg])
+        if v:
+            out = out + AElement(dual.aalg, {key[1 - leg]: c * v})
+    return out
+
+
+def _near_pair(dual, rng, x):
+    """A function-side element whose terms sit on or next to the multidegrees
+    of x, so that many term pairs match and many miss by one slot."""
+    aal, p = dual.aalg, dual.ctx.p
+    out = random_a_element(aal, rng, degree=2, nterms=2)
+    for n, m, _k, t, s, l in x.terms:
+        shift = [0] * 4
+        shift[rng.randrange(4)] = rng.choice((0, 0, 1, -1))
+        n, m, t, s = (max(0, v + dv) for v, dv in zip((n, m, t, s), shift))
+        mu = Fraction(rng.randint(-p, p), p)
+        out = out + aal.monomial(n, m, rng.randrange(p), t, s, rng.randint(0, l), mu)
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("left_first", (True, False))
+def test_indexed_pairing_matches_brute_force(p, left_first):
+    # the determined convention pairs the left factor with the first leg;
+    # the other leg order runs through the same code during the probe scan
+    dual = DualityContext(FieldContext(p), PairingConvention(left_first, -1, 1))
+    ual = dual.ualg
+    rng = random.Random(41 + p)
+    left, right = (0, 1) if dual.convention.left_first else (1, 0)
+    nonzero = 0
+    for _ in range(12):
+        x = random_u_element(ual, rng, degree=3, nterms=4)
+        y = random_u_element(ual, rng, degree=2, nterms=3)
+        a = _near_pair(dual, rng, x)
+        got = dual.pair(x, a)
+        assert got == _brute_pair(dual, x, a)
+        nonzero += bool(got)
+        ta = _near_pair(dual, rng, x * y).coproduct()
+        first, second = (x, y) if left == 0 else (y, x)
+        want = dual.ctx.zero()
+        for (a1, a2), c in ta.terms.items():
+            want = want + c * _brute_mono(dual, first, a1) * _brute_mono(dual, second, a2)
+        assert dual.pair_tensor(x, y, ta) == want
+        nonzero += bool(want)
+        assert dual.right_act(x, a) == _brute_act(dual, x, a, left)
+        assert dual.left_act(x, a) == _brute_act(dual, x, a, right)
+        nonzero += not dual.right_act(x, a).is_zero()
+    assert nonzero >= 18
+
+
 def test_pair_normal_ordering_composition(dual3):
     # k p+ reorders to q p+ k, so <k p+, e+ d^j> = i qs q^(2j + 1)
     ual, aal, ctx = dual3.ualg, dual3.aalg, dual3.ctx
