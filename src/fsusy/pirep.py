@@ -11,19 +11,23 @@ with t^p = 1.  Every generator acts monomially,
 
 where h is the boost sign shared with the enveloping algebra (taken from the
 empirically determined pairing convention unless overridden).  A general
-element therefore acts by a finite sum of terms
+element therefore acts by a finite sum of field multiples of the monomials
 
-    (sigma, tau, e, poly):  (mu, j) -> poly(mu) q^(e j) (mu + sigma, j + tau)
+    (sigma, tau, e, d):  (mu, j) -> mu^d q^(e j) (mu + sigma, j + tau)
 
 and this calculus is closed under composition and the formal adjoint, which
 makes operator identities decidable exactly and globally, with no window.
+PiAlgebra makes it a sparse algebra (fsusy.sparse) on these flat keys: the
+product is composition, the star is the adjoint.
 
 The adjoint combines the cyclic-part conjugation through the Gram matrix
 G_jk = [j + k = 0 mod p] of the pseudo-Euclidean form on t-polynomials with
 the formal rules on the weight part (multiplication by a real exponential is
 self-adjoint, differentiation is skew).  On a single term it reads
 
-    (sigma, tau, e, c mu^d)^adj = (sigma, tau, e, conj(c) (-1)^d (mu+sigma)^d q^(e tau)).
+    (c (sigma, tau, e, d))^adj = conj(c) (-1)^d q^(e tau) (mu + sigma)^d (sigma, tau, e, 0)
+
+with (mu + sigma)^d expanded back into the monomials (sigma, tau, e, a).
 
 Matrices on finite windows are provided for display and spot checks; windows
 are never closed under the weight shifts, so escaping actions raise with the
@@ -39,10 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .afalg import AAlgebra, AElement
+from .afalg import AAlgebra, AElement, _check_mu
 from .duality import DualityContext, determine_convention
 from .report import NumericReport
 from .scalars import FieldContext, FieldScalar
+from .sparse import Element, SparseAlgebra, _accumulate
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -63,168 +68,89 @@ class WindowEscape(ValueError):
         super().__init__(f"action leaves the window; missing {names}")
 
 
-def _check_mu(mu: Fraction, p: int) -> Fraction:
-    mu = Fraction(mu)
-    if mu.denominator not in (1, p):
-        raise ValueError(f"weight denominator must divide {p}: {mu}")
-    return mu
+class PiOperator(Element):
+    """Finite sum of monomial terms (sigma, tau, e, d) acting by
+    mu^d q^(e j) (mu + sigma, j + tau).  Sums, scaling, composition, powers
+    and equality are the sparse core's; equality is decidable because
+    distinct keys act through linearly independent functions of (mu, j)."""
 
-
-class PiOperator:
-    """Finite sum of monomial terms, keyed (sigma, tau, e) with a polynomial
-    coefficient in the source weight.  Closed under sum, composition and
-    adjoint; equality is decidable because distinct keys act through
-    linearly independent functions of (mu, j)."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: FieldContext, terms):
-        self.ctx = ctx
-        self.terms = {key: poly for key, poly in terms.items() if poly}
-
-    @classmethod
-    def zero(cls, ctx: FieldContext):
-        return cls(ctx, {})
+    __slots__ = ()
 
     @classmethod
     def identity(cls, ctx: FieldContext):
-        return cls(ctx, {(Fraction(0), 0, 0): {0: ctx.one()}})
+        return PiAlgebra(ctx).one()
 
-    def _clean(self, terms):
-        out = {}
-        for key, poly in terms.items():
-            poly = {d: c for d, c in poly.items() if c}
-            if poly:
-                out[key] = poly
-        return PiOperator(self.ctx, out)
-
-    def __add__(self, other):
-        if not isinstance(other, PiOperator):
-            return NotImplemented
-        out = {k: dict(p) for k, p in self.terms.items()}
-        for key, poly in other.terms.items():
-            tgt = out.setdefault(key, {})
-            for d, c in poly.items():
-                acc = tgt.get(d)
-                tgt[d] = c if acc is None else acc + c
-        return self._clean(out)
-
-    def __neg__(self):
-        return PiOperator(
-            self.ctx, {k: {d: -c for d, c in p.items()} for k, p in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Operator composition self after other, or scaling by a scalar."""
-        if isinstance(other, PiOperator):
-            return self.compose(other)
-        return PiOperator(
-            self.ctx,
-            {k: {d: c * other for d, c in p.items() if c * other} for k, p in self.terms.items()},
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, PiOperator):
-            return NotImplemented
-        return self * other
-
-    def compose(self, other: PiOperator) -> PiOperator:
-        ctx = self.ctx
-        p = ctx.p
-        out = {}
-        for (s1, t1, e1), p1 in self.terms.items():
-            for (s2, t2, e2), p2 in other.terms.items():
-                key = (s1 + s2, (t1 + t2) % p, (e1 + e2) % p)
-                tgt = out.setdefault(key, {})
-                phase = ctx.q(e1 * t2)
-                for d1, c1 in p1.items():
-                    for d2, c2 in p2.items():
-                        base = c1 * c2 * phase
-                        # source-weight shift: mu^d2 (mu + s2)^d1
-                        for a in range(d1 + 1):
-                            coeff = base * (Fraction(math.comb(d1, a)) * s2 ** (d1 - a))
-                            if not coeff:
-                                continue
-                            d = d2 + a
-                            acc = tgt.get(d)
-                            tgt[d] = coeff if acc is None else acc + coeff
-        return self._clean(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative operator power")
-        acc = PiOperator.identity(self.ctx)
-        for _ in range(n):
-            acc = acc.compose(self)
-        return acc
-
-    def adjoint(self) -> PiOperator:
-        ctx = self.ctx
-        out = {}
-        for (sig, tau, e), poly in self.terms.items():
-            phase = ctx.q(e * tau)
-            tgt = out.setdefault((sig, tau, e), {})
-            for d, c in poly.items():
-                base = c.conjugate() * phase
-                if d % 2:
-                    base = -base
-                for a in range(d + 1):
-                    coeff = base * (Fraction(math.comb(d, a)) * sig ** (d - a))
-                    if not coeff:
-                        continue
-                    acc = tgt.get(a)
-                    tgt[a] = coeff if acc is None else acc + coeff
-        return self._clean(out)
+    compose = Element.__mul__
+    adjoint = Element.star
 
     def apply(self, v: BasisVector) -> dict:
         """Image of a basis vector as {BasisVector: FieldScalar}."""
-        ctx = self.ctx
+        ctx = self.alg.ctx
         p = ctx.p
         out = {}
-        for (sig, tau, e), poly in self.terms.items():
-            val = ctx.zero()
-            for d, c in poly.items():
-                val = val + c * (v.mu ** d)
+        for (sig, tau, e, d), c in self.terms.items():
+            val = c * (v.mu ** d) if d else c
             if e:
                 val = val * ctx.q(e * v.j)
-            if not val:
-                continue
-            w = BasisVector(v.mu + sig, (v.j + tau) % p)
-            acc = out.get(w)
-            total = val if acc is None else acc + val
-            if total:
-                out[w] = total
-            elif acc is not None:
-                del out[w]
+            if val:
+                _accumulate(out, BasisVector(v.mu + sig, (v.j + tau) % p), val)
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, PiOperator):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
+class PiAlgebra(SparseAlgebra):
+    """The operator calculus on the weight basis as a sparse algebra: the
+    product is composition (left after right), the star the formal adjoint."""
 
-    def __hash__(self):
-        raise TypeError("unhashable")
+    UNIT = (Fraction(0), 0, 0, 0)
+    SHORT_MINUS = False
 
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        rows = []
-        for (sig, tau, e), poly in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        ):
-            parts = " + ".join(
-                f"({poly[d].pretty()})mu^{d}" if d else f"({poly[d].pretty()})"
-                for d in sorted(poly)
-            )
-            rows.append(f"shift(mu+{sig}, j+{tau}) q^({e}j) [{parts}]")
-        return "\n".join(rows)
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
+        self.key = ("pi", ctx.key)
+        self._mono_cache = {}
+        self._star_cache = {}
+
+    def zero(self):
+        return PiOperator(self, {})
+
+    def one(self):
+        return PiOperator(self, {self.UNIT: self.ctx.one()})
+
+    def _mono_mul(self, a, b):
+        got = self._mono_cache.get((a, b))
+        if got is not None:
+            return got
+        ctx = self.ctx
+        s1, t1, e1, d1 = a
+        s2, t2, e2, d2 = b
+        sig, tau, e = s1 + s2, (t1 + t2) % ctx.p, (e1 + e2) % ctx.p
+        phase = ctx.q(e1 * t2)
+        # a acts on the shifted source weight: mu^d2 (mu + s2)^d1
+        out = {
+            (sig, tau, e, d2 + k): phase * (math.comb(d1, k) * s2 ** (d1 - k))
+            for k in range(d1 + 1)
+            if s2 or k == d1
+        }
+        self._mono_cache[(a, b)] = out
+        return out
+
+    def _star_mono(self, mon) -> PiOperator:
+        got = self._star_cache.get(mon)
+        if got is not None:
+            return got
+        sig, tau, e, d = mon
+        base = self.ctx.q(e * tau) * (-1) ** d
+        out = PiOperator(self, {
+            (sig, tau, e, k): base * (math.comb(d, k) * sig ** (d - k))
+            for k in range(d + 1)
+            if sig or k == d
+        })
+        self._star_cache[mon] = out
+        return out
+
+    def _format_mono(self, mon) -> str:
+        sig, tau, e, d = mon
+        return f"shift(mu+{sig}, j+{tau}) q^({e}j) mu^{d}"
 
 
 class OperatorMatrix:
@@ -316,6 +242,7 @@ class PiRepresentation:
         self.ctx = ctx
         self.h = h
         self.ualg = UAlgebra(ctx, h=h)
+        self.pialg = PiAlgebra(ctx)
         self._minus_c = -ctx.c_hat(1)
         self._minus_r = -ctx.c_hat(ctx.p)
         self._dual = None
@@ -324,12 +251,13 @@ class PiRepresentation:
     # -- vectors and windows --
 
     def vector(self, mu=0, j: int = 0) -> BasisVector:
-        return BasisVector(_check_mu(Fraction(mu), self.ctx.p), j % self.ctx.p)
+        p = self.ctx.p
+        return BasisVector(Fraction(_check_mu(mu, p), p), j % p)
 
     def chain_window(self, length: int, mu0=0, j0: int = 0):
         """Vectors along the raising chain from (mu0, j0)."""
         p = self.ctx.p
-        base = _check_mu(Fraction(mu0), p)
+        base = Fraction(_check_mu(mu0, p), p)
         return [self.vector(base + Fraction(b, p), j0 + b) for b in range(length)]
 
     def weight_window(self, mu=0):
@@ -349,7 +277,7 @@ class PiRepresentation:
         self.ualg._check(x)
         ctx = self.ctx
         p = ctx.p
-        acc = PiOperator.zero(ctx)
+        terms = {}
         for (n, m, k, t, s, l), c in x.terms.items():
             sig = Fraction(n - m, p) + t - s
             coeff = c * ctx.c_hat(n + m) * (ctx.i() ** l)
@@ -358,10 +286,8 @@ class PiRepresentation:
                 scale = -scale
             if self.h < 0 and l % 2:
                 scale = -scale
-            coeff = coeff * scale
-            term = PiOperator(ctx, {(sig, (n - m) % p, k % p): {l: coeff}})
-            acc = acc + term
-        return acc
+            _accumulate(terms, (sig, (n - m) % p, k % p, l), coeff * scale)
+        return PiOperator(self.pialg, terms)
 
     def apply_generator(self, name: str, v: BasisVector):
         """(scalar, vector) image of a basis vector under one generator."""
@@ -568,13 +494,7 @@ def _apply_t_matrix(ctx, M, state):
         for i in range(p):
             v = M[i][j]
             if v:
-                key = (mu, i)
-                acc = out.get(key)
-                total = c * v if acc is None else acc + c * v
-                if total:
-                    out[key] = total
-                elif acc is not None:
-                    del out[key]
+                _accumulate(out, (mu, i), c * v)
     return out
 
 

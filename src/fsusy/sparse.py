@@ -1,5 +1,6 @@
 """Sparse linear combinations of ordered monomials: the element and tensor
-arithmetic shared by both sides of the dual pair and the Gaussian sector.
+arithmetic shared by both sides of the dual pair, the Gaussian sector and
+the weight-basis operator calculus of pirep.
 
 An element stores {monomial: FieldScalar}, a tensor {(monomial, ...):
 FieldScalar} with one monomial per leg; zero coefficients are never
@@ -12,13 +13,18 @@ such fact comes from the algebra object an element carries:
     _legs_mul(ka, kb)              [(key, factor)], product of two tensor keys
     _coproduct_mono, _antipode_mono, _star_mono
                                    the Hopf maps on one monomial
+    _gen_coproduct(slot)           Delta of one generator, whose powers
+                                   _gen_cop_power caches in _gen_cop_pows
     _format_mono(mon), SHORT_MINUS presentation: a leading -1 prints as
                                    "- word" when SHORT_MINUS is true
 
 Only the operations an element actually uses need to exist: the Gaussian
 sector is added and scaled, never multiplied, so it supplies ctx, key and
-_check alone.  In every monomial, slots 0, 1, 3, 4 and 5 carry the
-exponents the counit and the degree see; the rest are group-like.
+_check alone; the operator calculus is multiplied and starred but has no
+coproduct.  Sums, negation and products keep the class of their left
+operand, so an Element subclass survives its own arithmetic.  In every
+Hopf-algebra monomial, slots 0, 1, 3, 4 and 5 carry the exponents the
+counit and the degree see; the rest are group-like.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def _counit_kills(mon) -> bool:
 
 
 class SparseAlgebra:
-    """Factories shared by both algebras; subclasses set UNIT and ctx."""
+    """Factories shared by the algebras; subclasses set UNIT and ctx."""
 
     _check = check_operand
 
@@ -78,6 +84,13 @@ class SparseAlgebra:
             terms = nxt
         return Tensor(self, len(elements), terms)
 
+    def _gen_cop_power(self, slot: int, n: int):
+        """Delta(generator)^n, cached per slot in self._gen_cop_pows."""
+        pows = self._gen_cop_pows.setdefault(slot, [self.tensor_one(2)])
+        while len(pows) <= n:
+            pows.append(pows[-1] * self._gen_coproduct(slot))
+        return pows[n]
+
 
 class Element:
     """Linear combination of ordered monomials with field coefficients."""
@@ -93,10 +106,10 @@ class Element:
         out = dict(self.terms)
         for mon, c in other.terms.items():
             _accumulate(out, mon, c)
-        return Element(self.alg, out)
+        return type(self)(self.alg, out)
 
     def __neg__(self):
-        return Element(self.alg, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.alg, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -106,7 +119,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             other = alg.ctx.from_fraction(other)
         if isinstance(other, FieldScalar):
-            return Element(alg, {m: v for m, c in self.terms.items() if (v := c * other)})
+            return type(self)(alg, {m: v for m, c in self.terms.items() if (v := c * other)})
         alg._check(other)
         mono_mul = alg._mono_mul
         out = {}
@@ -118,7 +131,7 @@ class Element:
                 base = ca * cb
                 for mon, f in prod.items():
                     _accumulate(out, mon, base * f)
-        return Element(alg, out)
+        return type(self)(alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldScalar)):
@@ -340,3 +353,30 @@ class Tensor:
                 acc = acc * Element(alg, {mon: one})
             out = out + acc
         return out
+
+
+# -- the Hopf axioms shared by both suites ----------------------------------
+
+
+def hopf_element_checks(report, idx: int, x):
+    """Coassociativity, counit, antipode and star involution on one element."""
+    cop = x.coproduct()
+    report.check(f"coassoc[{idx}]", cop.apply_coproduct(0) == cop.apply_coproduct(1))
+    report.check(f"counit_left[{idx}]", cop.apply_counit(0) == x)
+    report.check(f"counit_right[{idx}]", cop.apply_counit(1) == x)
+    eps1 = x.alg.one() * x.counit()
+    report.check(
+        f"antipode_left[{idx}]", cop.map_leg(0, Element.antipode).multiply_legs() == eps1
+    )
+    report.check(
+        f"antipode_right[{idx}]", cop.map_leg(1, Element.antipode).multiply_legs() == eps1
+    )
+    report.check(f"star_involutive[{idx}]", x.star().star() == x)
+
+
+def hopf_pair_checks(report, idx: int, x, y):
+    """Delta and the counit multiplicative, S and star antimultiplicative."""
+    report.check(f"delta_mult[{idx}]", (x * y).coproduct() == x.coproduct() * y.coproduct())
+    report.check(f"eps_mult[{idx}]", (x * y).counit() == x.counit() * y.counit())
+    report.check(f"antipode_antimult[{idx}]", (x * y).antipode() == y.antipode() * x.antipode())
+    report.check(f"star_antimult[{idx}]", (x * y).star() == y.star() * x.star())

@@ -275,6 +275,20 @@ def test_reports_deterministic_modulo_timestamp(capsys, tmp_path):
             ("pair", "--p", "3", "H^2 p+", "e+ L exp(2/3L)"),
             "2*i*q^2  =  (1.7320508075688772935274463415058723669 - 1.0j)",
         ),
+        (
+            (
+                "trterm", "--p", "5", "--n", "2", "--m", "1", "--k", "3", "--t", "1",
+                "--l", "2", "--mu", "2/5", "--j", "2", "--format", "text",
+            ),
+            "function factor: c0s0:1/10,0,-1/10,0,0,0,-1/10,0 * e+^2 e- z+ L^2"
+            " + c0s0:-1/10,0,0,0,-1/10,0,0,0 * e+^2 e- d z+ L^2"
+            " + c0s0:-1/10,0,0,0,0,0,1/10,0 * e+^2 e- d^2 z+ L^2"
+            " + c0s0:0,0,1/10,0,0,0,1/10,0 * e+^2 e- d^3 z+ L^2"
+            " + c0s0:1/10,0,0,0,1/10,0,-1/10,0 * e+^2 e- d^4 z+ L^2\n"
+            "scalar: -4/25*q*c^3 = (-0.049442719099991587856366946749251049418"
+            " - 0.15216904260722457153863029334070114294j)\n"
+            "image: (mu=8/5, j=3)",
+        ),
     ],
 )
 def test_presentation_golden(capsys, argv, want):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -289,3 +290,155 @@ def test_operator_rejects_function_side_elements(rep3, ctx3):
         rep3.operator(x)
     with pytest.raises(TypeError):
         rep3.matrix(x, rep3.weight_window())
+
+
+def test_operator_context_checks():
+    a = PiRepresentation(FieldContext(3))
+    b = PiRepresentation(FieldContext(3))
+    other = PiRepresentation(FieldContext(5))
+    assert a.generator("k") == b.generator("k")
+    with pytest.raises(TypeError):
+        a.generator("p+") + other.generator("p+")
+    with pytest.raises(TypeError):
+        a.generator("p+").compose(other.generator("p+"))
+
+
+def test_operator_prints_its_terms(rep3):
+    assert str(rep3.generator("p+")) == "-c * shift(mu+1/3, j+1) q^(0j) mu^0"
+    assert repr(rep3.generator("H")) == "i * shift(mu+0, j+0) q^(0j) mu^1"
+    assert str(rep3.operator(rep3.ualg.zero())) == "0"
+
+
+# -- reference: the nested-dict calculus the sparse operator replaced ----------
+#
+# Terms are {(sigma, tau, e): {d: coeff}}, built, composed, adjoined and
+# applied exactly as the calculus did before it moved onto fsusy.sparse.
+
+
+def _ref_clean(terms):
+    out = {}
+    for key, poly in terms.items():
+        poly = {d: c for d, c in poly.items() if c}
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _ref_add(a, b):
+    out = {k: dict(poly) for k, poly in a.items()}
+    for key, poly in b.items():
+        tgt = out.setdefault(key, {})
+        for d, c in poly.items():
+            acc = tgt.get(d)
+            tgt[d] = c if acc is None else acc + c
+    return _ref_clean(out)
+
+
+def _ref_operator(rep, x):
+    ctx = rep.ctx
+    p = ctx.p
+    acc = {}
+    for (n, m, k, t, s, l), c in x.terms.items():
+        sig = Fraction(n - m, p) + t - s
+        coeff = c * ctx.c_hat(n + m) * (ctx.i() ** l)
+        scale = Fraction(ctx.r) ** (t + s)
+        if (n + m + t + s) % 2:
+            scale = -scale
+        if rep.h < 0 and l % 2:
+            scale = -scale
+        acc = _ref_add(acc, {(sig, (n - m) % p, k % p): {l: coeff * scale}})
+    return acc
+
+
+def _ref_compose(ctx, a, b):
+    p = ctx.p
+    out = {}
+    for (s1, t1, e1), p1 in a.items():
+        for (s2, t2, e2), p2 in b.items():
+            key = (s1 + s2, (t1 + t2) % p, (e1 + e2) % p)
+            tgt = out.setdefault(key, {})
+            phase = ctx.q(e1 * t2)
+            for d1, c1 in p1.items():
+                for d2, c2 in p2.items():
+                    base = c1 * c2 * phase
+                    for a_ in range(d1 + 1):
+                        coeff = base * (Fraction(math.comb(d1, a_)) * s2 ** (d1 - a_))
+                        if not coeff:
+                            continue
+                        d = d2 + a_
+                        acc = tgt.get(d)
+                        tgt[d] = coeff if acc is None else acc + coeff
+    return _ref_clean(out)
+
+
+def _ref_adjoint(ctx, a):
+    out = {}
+    for (sig, tau, e), poly in a.items():
+        phase = ctx.q(e * tau)
+        tgt = out.setdefault((sig, tau, e), {})
+        for d, c in poly.items():
+            base = c.conjugate() * phase
+            if d % 2:
+                base = -base
+            for a_ in range(d + 1):
+                coeff = base * (Fraction(math.comb(d, a_)) * sig ** (d - a_))
+                if not coeff:
+                    continue
+                acc = tgt.get(a_)
+                tgt[a_] = coeff if acc is None else acc + coeff
+    return _ref_clean(out)
+
+
+def _ref_apply(ctx, a, v):
+    p = ctx.p
+    out = {}
+    for (sig, tau, e), poly in a.items():
+        val = ctx.zero()
+        for d, c in poly.items():
+            val = val + c * (v.mu ** d)
+        if e:
+            val = val * ctx.q(e * v.j)
+        if not val:
+            continue
+        w = BasisVector(v.mu + sig, (v.j + tau) % p)
+        acc = out.get(w)
+        total = val if acc is None else acc + val
+        if total:
+            out[w] = total
+        elif acc is not None:
+            del out[w]
+    return out
+
+
+def _ref_flat(a):
+    return {(sig, tau, e, d): c for (sig, tau, e), poly in a.items() for d, c in poly.items()}
+
+
+@pytest.mark.parametrize("h", [1, -1])
+def test_calculus_matches_nested_dict_reference(ctx, h):
+    p = ctx.p
+    rep = PiRepresentation(ctx, h=h)
+    ual = rep.ualg
+    rng = random.Random(100 * p + h)
+
+    def sample():
+        # a random element plus one term with every classical slot in use
+        coeff = ctx.zeta(rng.randrange(4 * p)) * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        tail = ual.monomial(
+            n=rng.randrange(p), m=rng.randrange(p), k=rng.randrange(p),
+            t=rng.randint(1, 2), s=rng.randint(1, 2), l=rng.randint(1, 3), coeff=coeff,
+        )
+        return random_u_element(ual, rng, degree=4) + tail
+
+    vectors = [rep.vector(Fraction(b, p), j) for b in (-2, 0, 1, p + 1) for j in range(p)]
+    for _ in range(4):
+        x, y = sample(), sample()
+        ox, oy = rep.operator(x), rep.operator(y)
+        rx, ry = _ref_operator(rep, x), _ref_operator(rep, y)
+        assert ox.terms == _ref_flat(rx)
+        assert ox.compose(oy).terms == _ref_flat(_ref_compose(ctx, rx, ry))
+        assert (ox * oy).terms == _ref_flat(_ref_compose(ctx, rx, ry))
+        assert ox.adjoint().terms == _ref_flat(_ref_adjoint(ctx, rx))
+        for v in vectors:
+            assert ox.apply(v) == _ref_apply(ctx, rx, v)
+            assert oy.adjoint().apply(v) == _ref_apply(ctx, _ref_adjoint(ctx, ry), v)
