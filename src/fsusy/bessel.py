@@ -23,6 +23,12 @@ contour with the opposite phase.  On those contours the oscillatory
 factor turns into double-exponential decay and the same trapezoid engine
 applies.  The kernel quadrature also uses the sinh companion on a constant
 tilt; both tilted contours share one truncation and tail-bound scaffold.
+The trapezoid nodes come in pairs +-t, and each contour evaluates a pair
+from one set of transcendentals: u(-t) = -u(t) on the cosh contour, so
+the pair shares exp(i x cosh u) du and differs only in exp(+-nu u); on
+the sinh contour sinh u(-t) = -conj(sinh u(t)), so both values come from
+the same cosh t, sinh t and tilt angle.  The rule then sums f(t) + f(-t)
+over t >= 0 on the full-line nodes, at half the integrand evaluations.
 
 Route two is the power series: I_nu and J_nu from their ascending series,
 K and Y by the reflection formulas at non-integer order and by the
@@ -102,9 +108,12 @@ class ComplexValue:
 # -- trapezoid engine --
 
 
-def doubling_trapezoid(f, lo, hi, eps, min_levels: int = 3, max_levels: int = 12):
-    """Trapezoid value of integral_lo^hi f, halving the step until the
-    last refinement moves the value by less than eps in absolute terms.
+def doubling_trapezoid(
+    f, lo, hi, eps, min_levels: int = 3, max_levels: int = 12, nodes: int = 16
+):
+    """Trapezoid value of integral_lo^hi f, starting from `nodes` steps and
+    halving the step until the last refinement moves the value by less
+    than eps in absolute terms.
 
     Returns (value, change_at_last_level).  The caller is responsible for
     choosing [lo, hi] so the integrand is negligible outside; for the
@@ -113,7 +122,7 @@ def doubling_trapezoid(f, lo, hi, eps, min_levels: int = 3, max_levels: int = 12
     """
     lo = mp.mpf(lo)
     hi = mp.mpf(hi)
-    n = 16
+    n = nodes
     h = (hi - lo) / n
     total = (f(lo) + f(hi)) / 2
     for k in range(1, n):
@@ -183,22 +192,41 @@ def _k_quadrature(order, arg, eps_abs):
     return half, change + tail
 
 
-def _tilted_quadrature(f, decay_scale, drift, spread, eps_abs):
+def _tilted_quadrature(pair, decay_scale, drift, spread, eps_abs):
     """integral of f over the real line for an integrand on a tilted
     contour whose tails are bounded by spread*exp(-decay_scale*cosh t +
     |drift|*t): truncated at the tail cutoff, summed by the doubling
     trapezoid, plus the tangent-line bound on both tails.  Returns
     (value, error_bound, cutoff).  Raises ArithmeticError if f fails to
-    decay at the cutoff (wrong tilt for the data)."""
+    decay at the cutoff (wrong tilt for the data).
+
+    The integrand arrives as its node pair, pair(t) = (f(t), f(-t)) for
+    t >= 0, so the rule sums f(t) + f(-t) over [0, cutoff] with the
+    full-line step 2*cutoff/16: the same nodes and the same sums as the
+    full-line rule, with one pair evaluation per two nodes."""
     log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
     cutoff = _tail_cutoff(decay_scale, abs(drift), log_target) + 1
-    anchor = abs(f(mp.mpf(0)))
-    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
+    anchor = abs(pair(mp.mpf(0))[0])
+    edge = max(abs(v) for v in pair(cutoff))
     if not edge < anchor * mp.mpf("1e-6") + eps_abs:
         raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-    value, change = doubling_trapezoid(f, -cutoff, cutoff, eps_abs / 4)
+
+    def folded(t):
+        plus, minus = pair(t)
+        return plus + minus
+
+    # the t = 0 node carries f(0) + f(-0) at the endpoint weight 1/2,
+    # which is f(0) at weight one, as on the full line
+    value, change = doubling_trapezoid(folded, 0, cutoff, eps_abs / 4, nodes=8)
     tail = 2 * spread * _tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
     return value, change + tail, cutoff
+
+
+def _cosh_sinh(t):
+    """(cosh t, sinh t) from the one transcendental exp(t)."""
+    e = mp.exp(t)
+    ch = (e + 1 / e) / 2
+    return ch, e - ch
 
 
 def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
@@ -209,6 +237,10 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     oscillation into exp(-arg*sin(theta tanh t)*|sinh t|) decay; the
     opposite tilt grows and trips the decay guard.  Returns
     (value, error_bound, cutoff); see _tilted_quadrature.
+
+    u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair
+    shares exp(i*phase_sign*arg*cosh u)*du and differs only in the
+    factor exp(+-drift*u).
     """
     x = mp.mpf(arg)
     a = mp.mpf(drift)
@@ -216,15 +248,28 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
         theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
     tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
+    bend = tilt * theta
 
-    def f(t):
-        u = t + 1j * tilt * theta * mp.tanh(t)
-        du = 1 + 1j * tilt * theta / mp.cosh(t) ** 2
-        return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
+    def pair(t):
+        ch, sh = _cosh_sinh(t)
+        phi = bend * sh / ch  # Im u
+        c_phi, s_phi = mp.cos_sin(phi)
+        # exp(i*sgn*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
+        # and du = 1 + i*bend/ch^2
+        mag = mp.exp(-sgn * x * sh * s_phi)
+        c, s = mp.cos_sin(sgn * x * ch * c_phi)
+        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, bend / (ch * ch))
+        # exp(+-drift*u) = exp(+-a*t) * (cos(a*phi) +- i*sin(a*phi))
+        grow = mp.exp(a * t)
+        c_a, s_a = mp.cos_sin(a * phi)
+        return (
+            shared * mp.mpc(grow * c_a, grow * s_a),
+            shared * mp.mpc(c_a / grow, -s_a / grow),
+        )
 
     # past |t| = 2 the tilt is within 4% of theta; use that slack in the
     # bound, and |du| <= 1 + theta
-    return _tilted_quadrature(f, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
+    return _tilted_quadrature(pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
 
 
 def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
@@ -234,20 +279,32 @@ def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     With the matching tilt (tilt_sign = phase_sign, the default) the
     integrand decays like exp(-arg*sin(theta)*cosh t); the opposite tilt
     grows and trips the decay guard.  Returns (value, error_bound,
-    cutoff); see _tilted_quadrature."""
+    cutoff); see _tilted_quadrature.
+
+    sinh(u(-t)) = -conj(sinh u(t)), so the node pair shares the decay
+    exp(-phase_sign*arg*cosh(t)*sin(psi)) and the constant exp(i*drift*psi)
+    of the tilt psi, and takes conjugate phases exp(+-i*phase_sign*arg*
+    sinh(t)*cos(psi)) with the drift factors exp(+-drift*t)."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
     if theta is None:
         theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
     tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
-    shift = 1j * tilt * theta
+    c_psi, s_psi = mp.cos_sin(tilt * theta)
+    turn = mp.expj(a * tilt * theta)
 
-    def f(t):
-        u = t + shift
-        return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
+    def pair(t):
+        ch, sh = _cosh_sinh(t)
+        shared = turn * mp.exp(-sgn * x * ch * s_psi)
+        grow = mp.exp(a * t)
+        c, s = mp.cos_sin(sgn * x * sh * c_psi)
+        return (
+            shared * mp.mpc(grow * c, grow * s),
+            shared * mp.mpc(c / grow, -s / grow),
+        )
 
-    return _tilted_quadrature(f, x * mp.sin(theta), a, 1, eps_abs)
+    return _tilted_quadrature(pair, x * mp.sin(theta), a, 1, eps_abs)
 
 
 def _h_quadrature(kind, order, arg, eps_abs):

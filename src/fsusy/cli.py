@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -544,9 +545,33 @@ def _render_csv(args, rows) -> str:
     return buf.getvalue()
 
 
+# negative fractions and exponent forms, which argparse reads as option
+# flags when given as a separate value: its negative-number pattern knows
+# only forms like "-1" and "-0.5", and those are left to it
+_NEGATIVE_VALUE = re.compile(r"-(\d+/\d+|(\d+\.?\d*|\.\d+)[eE][-+]?\d+)$")
+
+
+def _join_negative_values(argv):
+    """Attach such a value to the option before it, as in "--mu -1/3" ->
+    "--mu=-1/3", up to a bare "--"."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (
+            _NEGATIVE_VALUE.match(tok)
+            and prev.startswith("--")
+            and "=" not in prev
+            and "--" not in out
+        ):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     handler = _COMMANDS[args.command]
     try:
         code, payload, text, rows = handler(args)

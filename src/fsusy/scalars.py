@@ -146,7 +146,8 @@ class FieldScalar:
         ctx = self.ctx
         if not isinstance(other, FieldScalar):
             if not isinstance(other, (int, Fraction)):
-                ctx._check(other)  # raises TypeError
+                # lets an algebra element take the product in its __rmul__
+                return NotImplemented
             fn, fd = other.numerator, other.denominator
             if not fn:
                 return ctx._zero

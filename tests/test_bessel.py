@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from fsusy import bessel
 from fsusy.bessel import (
     ComplexValue,
     PrecisionError,
@@ -172,3 +173,103 @@ def test_near_integer_orders_meet_the_default_target(kind, order):
             sign = 1 if kind == "H1" else -1
             want = mp.besselj(nu, 1) + sign * 1j * mp.bessely(nu, 1)
         assert abs(got.to_mpc() - want) <= mp.mpf("1e-25") * abs(want)
+
+
+# -- the full-line tilted quadrature the paired-node path replaced --
+#
+# The reference keeps one complex integrand per node and sums the
+# trapezoid over [-cutoff, cutoff]; the library folds each +-t node pair
+# into one evaluation.  Same nodes, same sums: the two must agree to
+# rounding, with the same cutoff and the same number of levels.
+
+
+def _reference_tilted(f, decay_scale, drift, spread, eps_abs, calls):
+    log_target = -mp.log(eps_abs)
+    cutoff = bessel._tail_cutoff(decay_scale, abs(drift), log_target) + 1
+    anchor = abs(f(mp.mpf(0)))
+    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
+    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
+        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    value, change = doubling_trapezoid(counted, -cutoff, cutoff, eps_abs / 4)
+    tail = 2 * spread * bessel._tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
+    return value, change + tail, cutoff
+
+
+def _reference_cosh(x, a, sgn, eps_abs, calls):
+    theta = mp.pi / 4
+
+    def f(t):
+        u = t + 1j * sgn * theta * mp.tanh(t)
+        du = 1 + 1j * sgn * theta / mp.cosh(t) ** 2
+        return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
+
+    return _reference_tilted(
+        f, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs, calls
+    )
+
+
+def _reference_sinh(x, a, sgn, eps_abs, calls):
+    theta = mp.pi / 4
+    shift = 1j * sgn * theta
+
+    def f(t):
+        u = t + shift
+        return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
+
+    return _reference_tilted(f, x * mp.sin(theta), a, 1, eps_abs, calls)
+
+
+_CONTOURS = {
+    "cosh": (bessel._contour_cosh_integral, _reference_cosh),
+    "sinh": (bessel._contour_sinh_integral, _reference_sinh),
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("phase", [1, -1])
+@pytest.mark.parametrize("family", ["cosh", "sinh"])
+def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits):
+    folded_calls = []
+
+    def counting(f, *args, **kwargs):
+        def counted(t):
+            folded_calls.append(t)
+            return f(t)
+
+        return doubling_trapezoid(counted, *args, **kwargs)
+
+    monkeypatch.setattr(bessel, "doubling_trapezoid", counting)
+    paired, reference = _CONTOURS[family]
+    with mp.workprec(bits):
+        eps = mp.mpf(2) ** -(bits // 2)
+        rounding = mp.mpf(2) ** -(bits - 8)
+        for drift in ("-1.9", "-0.3", "0", "0.7", "1.9"):
+            for arg in ("0.5", "1.3", "4"):
+                x, a = mp.mpf(arg), mp.mpf(drift)
+                ref_calls = []
+                want, want_err, want_cut = reference(x, a, phase, eps, ref_calls)
+                del folded_calls[:]
+                got, got_err, got_cut = paired(x, a, phase, eps)
+                case = f"{family} phase={phase} drift={drift} arg={arg} bits={bits}"
+                assert got_cut == want_cut, case
+                assert abs(got - want) <= rounding * abs(want), case
+                assert abs(got_err - want_err) <= rounding * abs(want), case
+                # full line: 16*2^L + 1 nodes; folded: 8*2^L + 1 pairs
+                assert 2 * len(folded_calls) - 1 == len(ref_calls), case
+
+
+@pytest.mark.parametrize("kind", ["H1", "H2"])
+@pytest.mark.parametrize("order", ["-1.7", "-0.3", "0.45", "1.6"])
+@pytest.mark.parametrize("arg", ["0.3", "2", "7"])
+def test_hankel_quadrature_against_mpmath(kind, order, arg):
+    with mp.workdps(60):
+        nu, x = mp.mpf(order), mp.mpf(arg)
+        want = (mp.hankel1 if kind == "H1" else mp.hankel2)(nu, x)
+        got, err = bessel._h_quadrature(kind, nu, x, mp.mpf("1e-50") * abs(want))
+        assert err <= mp.mpf("1e-49") * abs(want)
+        assert abs(got - want) <= err + mp.mpf("1e-57") * abs(want)

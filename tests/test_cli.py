@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fsusy.cli import CONVENTIONS, main
+from fsusy.cli import CONVENTIONS, _join_negative_values, main
 
 
 def run(capsys, *argv):
@@ -136,6 +136,30 @@ def test_trterm(capsys):
     assert code == 0
     assert doc["result"]["image"] == "(mu=2/3, j=1)"
     assert "e+" in doc["result"]["function_factor"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("trterm", "--n", "1", "--k", "1"), "--mu", "-1/3"),
+        (("kernel-eval", "--quad", "2"), "--nu", "-1/5"),
+        (("kernel-eval", "--quad", "3"), "--beta", "-1/2"),
+        (("kernel-eval", "--quad", "1"), "--beta", "-2.5e-1"),
+    ],
+)
+def test_negative_value_as_separate_argument(capsys, argv, option, value):
+    joined = run(capsys, *argv, f"{option}={value}", "--format", "text")
+    separate = run(capsys, *argv, option, value, "--format", "text")
+    assert joined[0] == 0 and joined[2] == ""
+    assert separate == joined
+
+
+def test_only_unread_negative_values_are_joined():
+    argv = ["trterm", "--mu", "-1/3", "--", "--j", "-2/5"]
+    assert _join_negative_values(argv) == ["trterm", "--mu=-1/3", "--", "--j", "-2/5"]
+    # forms argparse already reads as numbers are left to it
+    argv = ["omega", "--literal", "-1", "--p", "-0.5"]
+    assert _join_negative_values(argv) == argv
 
 
 def test_omega_literal_flag(capsys):

@@ -239,6 +239,23 @@ def test_canonical_deterministic(ctx):
     assert a == b
 
 
+def test_scalar_times_element_defers_to_the_element():
+    from fsusy.afalg import AAlgebra
+    from fsusy.ufalg import UAlgebra
+
+    ctx = FieldContext(3)
+    ualg = UAlgebra(ctx)
+    assert ctx.q(1) * ualg.p_plus() == ualg.p_plus() * ctx.q(1)
+    aalg = AAlgebra(ctx)
+    assert ctx.i() * aalg.eta_plus() == aalg.eta_plus() * ctx.i()
+    t = ualg.p_plus().coproduct()
+    assert ctx.q(2) * t == t * ctx.q(2)
+    with pytest.raises(TypeError, match="different field context"):
+        ctx.q(1) * FieldContext(5).q(1)
+    with pytest.raises(TypeError):
+        ctx.q(1) * "q"
+
+
 def test_rational_detection(ctx):
     a = ctx.from_fraction(Fraction(7, 2))
     assert a.is_rational() and a.as_fraction() == Fraction(7, 2)
