@@ -35,17 +35,21 @@ generators, conjugates coefficients and reverses products.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
+from .report import NumericReport
 from .scalars import FieldContext
 from .sparse import Element, SparseAlgebra, Tensor, hopf_element_checks, hopf_pair_checks
+from .sparse import parse as parse_a
 
-# the element and tensor arithmetic lives in sparse; these names stay
+# the arithmetic and the token grammar live in sparse; these names stay
 AElement = Element
 ATensor = Tensor
 
 A_UNIT = (0, 0, 0, 0, 0, 0, 0)
+_EXP_RE = re.compile(r"^exp\((-?\d+(?:/\d+)?)L\)$")
 
 
 def _check_mu(mu, p: int) -> int:
@@ -61,6 +65,8 @@ class AAlgebra(SparseAlgebra):
 
     UNIT = A_UNIT
     SHORT_MINUS = False
+    GEN_NAMES = ("e+", "e-", "d", "z+", "z-", "L")
+    GEN_SLOTS = {name: slot for slot, name in enumerate(GEN_NAMES)}
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
@@ -158,7 +164,17 @@ class AAlgebra(SparseAlgebra):
         return ((tuple(legs), self.ctx.q(e)),)
 
     def _format_mono(self, mon) -> str:
-        return format_a_monomial(mon, self.ctx.p)
+        word = super()._format_mono(mon)
+        if not mon[6]:
+            return word
+        weight = f"exp({Fraction(mon[6], self.ctx.p)}L)"
+        return weight if word == "1" else f"{word} {weight}"
+
+    def _parse_weight(self, name: str):
+        m = _EXP_RE.match(name)
+        if m is None:
+            return None
+        return lambda e: self.exp_lambda(Fraction(m.group(1)) * e)
 
     # -- Hopf structure --
 
@@ -260,84 +276,6 @@ class AAlgebra(SparseAlgebra):
             return self.exp_lambda(1) * self.z_minus() * Fraction(-1)
         return -self.lam()
 
-    def _gen_anti_power(self, slot: int, n: int) -> AElement:
-        pows = self._gen_anti_pows.setdefault(slot, [self.one()])
-        while len(pows) <= n:
-            pows.append(pows[-1] * self._gen_antipode(slot))
-        return pows[n]
-
-    def _antipode_mono(self, mon) -> AElement:
-        got = self._anti_cache.get(mon)
-        if got is not None:
-            return got
-        # S reverses the word, so the generator images multiply in the
-        # opposite slot order
-        out = AElement(self, {(0, 0, 0, 0, 0, 0, -mon[6]): self.ctx.one()})
-        for slot in range(5, -1, -1):
-            e = mon[slot]
-            if e:
-                out = out * self._gen_anti_power(slot, e)
-        self._anti_cache[mon] = out
-        return out
-
-    def _star_mono(self, mon) -> AElement:
-        got = self._star_cache.get(mon)
-        if got is not None:
-            return got
-        n, m, k, t, s, l, mu = mon
-        # reversed word: d^k then e-^m then e+^n, classical slots unmoved
-        left = AElement(self, {(0, 0, k, t, s, l, mu): self.ctx.one()})
-        out = left * self.monomial(m=m) * self.monomial(n=n)
-        self._star_cache[mon] = out
-        return out
-
-
-# -- text grammar ------------------------------------------------------------
-
-A_GEN_SLOTS = {"e+": 0, "e-": 1, "d": 2, "z+": 3, "z-": 4, "L": 5}
-A_GEN_NAMES = ("e+", "e-", "d", "z+", "z-", "L")
-_EXP_RE = re.compile(r"^exp\((-?\d+(?:/\d+)?)L\)$")
-
-
-def parse_a(alg: AAlgebra, text: str) -> AElement:
-    """Parse a whitespace-separated product in the function-algebra grammar:
-    e+ e- d d^-1 z+ z- L exp(<rational>L), each with an optional ^<int>."""
-    out = alg.one()
-    for token in text.split():
-        name, caret, exp = token.partition("^")
-        e = 1
-        if caret:
-            try:
-                e = int(exp)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-        m = _EXP_RE.match(name)
-        if m:
-            out = out * alg.exp_lambda(Fraction(m.group(1)) * e)
-            continue
-        if name not in A_GEN_SLOTS:
-            raise ValueError(f"unknown generator token {name!r}")
-        if e < 0 and name != "d":
-            raise ValueError(f"negative exponent not allowed for {name!r}")
-        slot = A_GEN_SLOTS[name]
-        args = [0] * 6
-        args[slot] = e % alg.ctx.p if name == "d" else e
-        out = out * alg.monomial(*args)
-    return out
-
-
-def format_a_monomial(mon, p: int) -> str:
-    n, m, k, t, s, l, pmu = mon
-    parts = []
-    for name, e in zip(A_GEN_NAMES, (n, m, k, t, s, l)):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    if pmu:
-        parts.append(f"exp({Fraction(pmu, p)}L)")
-    return " ".join(parts) if parts else "1"
-
 
 def random_a_element(alg: AAlgebra, rng, degree: int = 2, nterms: int = 3) -> AElement:
     out = alg.zero()
@@ -364,11 +302,9 @@ def a_axiom_suite(alg: AAlgebra, degree_bound: int = 2, samples: int = 100, seed
     """Exact verification of the Hopf axioms on the function algebra.  The
     antipode axiom on z+- is the sharpest check here: it exercises every
     coefficient of the long coproduct tail."""
-    import random as _random
-
-    from .report import NumericReport
-
-    rng = _random.Random(seed)
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+    rng = random.Random(seed)
     ctx = alg.ctx
     p = ctx.p
     report = NumericReport(f"a_axiom_suite p={p}")

@@ -420,6 +420,8 @@ def duality_suite(
     other side), plus seeded random element triples.  Full bilinearity makes
     this spanning-set coverage equivalent to the identities on the bounded
     sector."""
+    if exponent_bound < 0:
+        raise ValueError(f"exponent_bound must be non-negative, got {exponent_bound}")
     dual = DualityContext(ctx, convention)
     ual, aal = dual.ualg, dual.aalg
     rng = _random.Random(seed)
@@ -667,6 +669,8 @@ def fractional_root_suite(
 ) -> NumericReport:
     """R(p_pm)^p = R(P_pm) on every symbolic monomial of bounded degree, plus
     Casimir commutation and the twisted Leibniz rules on random pairs."""
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
     dual = DualityContext(ctx, convention)
     ual, aal = dual.ualg, dual.aalg
     rep = NumericReport(f"fractional_root p={ctx.p} degree<={degree_bound}")

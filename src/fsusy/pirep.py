@@ -557,13 +557,21 @@ def _apply_adjoint_word(rep: PiRepresentation, word, v: BasisVector):
 # -- the commutant spot check ----------------------------------------------------
 
 
+def _chain_length(p: int, chain_length: int | None) -> int:
+    """The raising-chain window length, 3p unless given."""
+    if chain_length is None:
+        return 3 * p
+    if chain_length < 1:
+        raise ValueError(f"chain_length must be at least 1, got {chain_length}")
+    return chain_length
+
+
 def commutant_dimension(rep: PiRepresentation, chain_length: int | None = None) -> int:
     """Dimension of the commutant restricted to a raising chain, by exact
     structured elimination: the boost eigenvalues are pairwise distinct, so a
     commuting operator is diagonal there; the chain coefficients of the
     raising action are nonzero, so the diagonal is constant."""
-    p = rep.ctx.p
-    length = chain_length if chain_length is not None else 3 * p
+    length = _chain_length(rep.ctx.p, chain_length)
     window = rep.chain_window(length)
     eigs = []
     for v in window:
@@ -609,7 +617,7 @@ def representation_suite(
     rep = PiRepresentation(ctx, h=h)
     ual = rep.ualg
     p = ctx.p
-    length = chain_length if chain_length is not None else 3 * p
+    length = _chain_length(p, chain_length)
     rng = _random.Random(seed)
     rrep = NumericReport(f"representation_suite p={p} r={ctx.r}")
     rrep.measure("h", rep.h)

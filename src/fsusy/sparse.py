@@ -11,20 +11,24 @@ such fact comes from the algebra object an element carries:
     UNIT                           the unit monomial
     _mono_mul(a, b)                {monomial: factor}, product of two monomials
     _legs_mul(ka, kb)              [(key, factor)], product of two tensor keys
-    _coproduct_mono, _antipode_mono, _star_mono
-                                   the Hopf maps on one monomial
-    _gen_coproduct(slot)           Delta of one generator, whose powers
-                                   _gen_cop_power caches in _gen_cop_pows
-    _format_mono(mon), SHORT_MINUS presentation: a leading -1 prints as
-                                   "- word" when SHORT_MINUS is true
+    _coproduct_mono(mon)           Delta of one monomial
+    _gen_coproduct(slot)           Delta of one generator, cached in powers
+    GEN_NAMES, GEN_SLOTS           generator tokens of slots 0..5 and back
+    _gen_antipode(slot)            S of one generator, cached in powers
+    _parse_weight(name)            optional: claims a group-like weight token
+    SHORT_MINUS                    a leading -1 prints as "- word" when true
 
-Only the operations an element actually uses need to exist: the Gaussian
-sector is added and scaled, never multiplied, so it supplies ctx, key and
-_check alone; the operator calculus is multiplied and starred but has no
-coproduct.  Sums, negation and products keep the class of their left
-operand, so an Element subclass survives its own arithmetic.  In every
-Hopf-algebra monomial, slots 0, 1, 3, 4 and 5 carry the exponents the
-counit and the degree see; the rest are group-like.
+From these SparseAlgebra derives the antipode and star of a monomial (both
+reverse the word; the star fixes every generator), its printed word and
+the grammar of parse, filling the caches _gen_cop_pows, _gen_anti_pows,
+_anti_cache and _star_cache each algebra creates.  Only the operations an
+element actually uses need to exist: the Gaussian sector is added and
+scaled, never multiplied, so it supplies ctx, key and _check alone; the
+operator calculus has no coproduct and brings its own star and printing.
+Sums, negation and products keep the class of their left operand, so an
+Element subclass survives its own arithmetic.  In every Hopf-algebra
+monomial, slots 0, 1, 3, 4 and 5 carry the exponents the counit and the
+degree see; slot 2 and any slot past 5 are group-like.
 """
 
 from __future__ import annotations
@@ -90,6 +94,54 @@ class SparseAlgebra:
         while len(pows) <= n:
             pows.append(pows[-1] * self._gen_coproduct(slot))
         return pows[n]
+
+    def _gen_anti_power(self, slot: int, n: int):
+        """S(generator)^n, cached per slot in self._gen_anti_pows."""
+        pows = self._gen_anti_pows.setdefault(slot, [self.one()])
+        while len(pows) <= n:
+            pows.append(pows[-1] * self._gen_antipode(slot))
+        return pows[n]
+
+    def _antipode_mono(self, mon):
+        got = self._anti_cache.get(mon)
+        if got is not None:
+            return got
+        # S reverses the word: the inverted weights, then the generator
+        # images in the opposite slot order
+        out = Element(self, {(0,) * 6 + tuple(-w for w in mon[6:]): self.ctx.one()})
+        for slot in range(5, -1, -1):
+            if mon[slot]:
+                out = out * self._gen_anti_power(slot, mon[slot])
+        self._anti_cache[mon] = out
+        return out
+
+    def _star_mono(self, mon):
+        got = self._star_cache.get(mon)
+        if got is not None:
+            return got
+        # every generator and weight is *-fixed, so only the word reverses
+        one = self.ctx.one()
+        out = Element(self, {(0,) * 6 + mon[6:]: one})
+        for slot in range(5, -1, -1):
+            if mon[slot]:
+                power = self.UNIT[:slot] + (mon[slot],) + self.UNIT[slot + 1 :]
+                out = out * Element(self, {power: one})
+        self._star_cache[mon] = out
+        return out
+
+    def _format_mono(self, mon) -> str:
+        parts = []
+        for name, e in zip(self.GEN_NAMES, mon):
+            if e == 1:
+                parts.append(name)
+            elif e:
+                parts.append(f"{name}^{e}")
+        return " ".join(parts) if parts else "1"
+
+    def _parse_weight(self, name: str):
+        """A map from an exponent to the weight element the token names, or
+        None if the token is not a weight."""
+        return None
 
 
 class Element:
@@ -353,6 +405,37 @@ class Tensor:
                 acc = acc * Element(alg, {mon: one})
             out = out + acc
         return out
+
+
+# -- the token grammar of both sides ------------------------------------------
+
+
+def parse(alg, text: str):
+    """Parse a whitespace-separated product of generator tokens, each with an
+    optional ^<int> exponent.  Only the cyclic grading generator (slot 2)
+    may carry a negative exponent, which its order p folds back."""
+    out = alg.one()
+    for token in text.split():
+        name, caret, exp = token.partition("^")
+        slot = alg.GEN_SLOTS.get(name)
+        weight = None if slot is not None else alg._parse_weight(name)
+        if slot is None and weight is None:
+            raise ValueError(f"unknown generator token {name!r}")
+        e = 1
+        if caret:
+            try:
+                e = int(exp)
+            except ValueError:
+                raise ValueError(f"bad exponent in token {token!r}") from None
+        if weight is not None:
+            out = out * weight(e)
+            continue
+        if e < 0 and slot != 2:
+            raise ValueError(f"negative exponent not allowed for {name!r}")
+        args = [0] * 6
+        args[slot] = e % alg.ctx.p if slot == 2 else e
+        out = out * alg.monomial(*args)
+    return out
 
 
 # -- the Hopf axioms shared by both suites ----------------------------------

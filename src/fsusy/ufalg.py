@@ -26,20 +26,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
-from .scalars import FieldContext, FieldScalar
+from .report import NumericReport
+from .scalars import FieldContext
 from .sparse import Element, SparseAlgebra, Tensor, hopf_element_checks, hopf_pair_checks
+from .sparse import parse as parse_u
 
-# the element and tensor arithmetic lives in sparse; these names stay
+# the arithmetic and the token grammar live in sparse; these names stay
 UElement = Element
 UTensor = Tensor
 
 UNIT_MONO = (0, 0, 0, 0, 0, 0)
-
-# token name -> slot in the monomial tuple
-GEN_SLOTS = {"p+": 0, "p-": 1, "k": 2, "P+": 3, "P-": 4, "H": 5}
-GEN_NAMES = ("p+", "p-", "k", "P+", "P-", "H")
 
 
 class UAlgebra(SparseAlgebra):
@@ -47,6 +46,8 @@ class UAlgebra(SparseAlgebra):
 
     UNIT = UNIT_MONO
     SHORT_MINUS = True
+    GEN_NAMES = ("p+", "p-", "k", "P+", "P-", "H")
+    GEN_SLOTS = {name: slot for slot, name in enumerate(GEN_NAMES)}
 
     def __init__(self, ctx: FieldContext, h: int = 1):
         if h not in (1, -1):
@@ -59,6 +60,7 @@ class UAlgebra(SparseAlgebra):
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
+        self._gen_anti_pows = {}
 
     # -- element factories --
 
@@ -92,10 +94,10 @@ class UAlgebra(SparseAlgebra):
         return self.monomial(l=1)
 
     def generator(self, name: str):
-        if name not in GEN_SLOTS:
+        if name not in self.GEN_SLOTS:
             raise ValueError(f"unknown generator {name!r}")
         args = [0] * 6
-        args[GEN_SLOTS[name]] = 1
+        args[self.GEN_SLOTS[name]] = 1
         return self.monomial(*args)
 
     def casimir(self):
@@ -145,15 +147,6 @@ class UAlgebra(SparseAlgebra):
             out.append((tuple(mon for mon, _ in combo), f))
         return out
 
-    def _format_mono(self, mon) -> str:
-        return format_u_monomial(mon)
-
-    def _word_product(self, monos, coeff: FieldScalar) -> UElement:
-        out = UElement(self, {monos[0]: coeff})
-        for mon in monos[1:]:
-            out = out * UElement(self, {mon: self.ctx.one()})
-        return out
-
     # -- Hopf structure --
 
     def _gen_coproduct(self, slot: int) -> UTensor:
@@ -195,78 +188,16 @@ class UAlgebra(SparseAlgebra):
         self._cop_cache[mon] = out
         return out
 
-    def _antipode_mono(self, mon) -> UElement:
-        got = self._anti_cache.get(mon)
-        if got is not None:
-            return got
-        n, m, k, t, s, l = mon
-        p = self.ctx.p
-        # S reverses the word; the sign and q factors come off the generators
-        sign = (-1) ** (n + m + t + s + l)
-        coeff = self.ctx.q(n - m) * Fraction(sign)
-        word = (
-            (0, 0, 0, 0, 0, l),
-            (0, 0, 0, 0, s, 0),
-            (0, 0, 0, t, 0, 0),
-            (0, 0, (p - k) % p, 0, 0, 0),
-            (0, m, 0, 0, 0, 0),
-            (n, 0, 0, 0, 0, 0),
-        )
-        out = self._word_product(word, coeff)
-        self._anti_cache[mon] = out
-        return out
-
-    def _star_mono(self, mon) -> UElement:
-        got = self._star_cache.get(mon)
-        if got is not None:
-            return got
-        n, m, k, t, s, l = mon
-        word = (
-            (0, 0, 0, 0, 0, l),
-            (0, 0, 0, 0, s, 0),
-            (0, 0, 0, t, 0, 0),
-            (0, 0, k, 0, 0, 0),
-            (0, m, 0, 0, 0, 0),
-            (n, 0, 0, 0, 0, 0),
-        )
-        out = self._word_product(word, self.ctx.one())
-        self._star_cache[mon] = out
-        return out
+    def _gen_antipode(self, slot: int) -> UElement:
+        # S(p_pm) = -q^{pm 1} p_pm, S(k) = k^{-1}; P_pm and H are primitive
+        if slot == 2:
+            return self.kappa(-1)
+        phase = self.ctx.q((1, -1, 0, 0, 0, 0)[slot])
+        return self.generator(self.GEN_NAMES[slot]) * -phase
 
 
-# -- text grammar ------------------------------------------------------------
-
-def parse_u(alg: UAlgebra, text: str) -> UElement:
-    """Parse a whitespace-separated product of generator tokens, each with an
-    optional ^<int> exponent.  Only the grading unit may carry a negative
-    exponent (k^p = 1 folds it back)."""
-    out = alg.one()
-    for token in text.split():
-        name, _, exp = token.partition("^")
-        if name not in GEN_SLOTS:
-            raise ValueError(f"unknown generator token {name!r}")
-        e = 1
-        if exp or _:
-            try:
-                e = int(exp)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-        if e < 0 and name != "k":
-            raise ValueError(f"negative exponent not allowed for {name!r}")
-        args = [0] * 6
-        args[GEN_SLOTS[name]] = e if name != "k" else e % alg.ctx.p
-        out = out * alg.monomial(*args)
-    return out
-
-
-def format_u_monomial(mon) -> str:
-    parts = []
-    for name, e in zip(GEN_NAMES, mon):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return " ".join(parts) if parts else "1"
+# the generator tokens in slot order
+GEN_NAMES = UAlgebra.GEN_NAMES
 
 
 def random_u_element(alg: UAlgebra, rng, degree: int = 3, nterms: int = 3) -> UElement:
@@ -290,12 +221,10 @@ def random_u_element(alg: UAlgebra, rng, degree: int = 3, nterms: int = 3) -> UE
 
 def u_axiom_suite(alg: UAlgebra, degree_bound: int = 3, samples: int = 100, seed: int = 1):
     """Exact verification of the Hopf axioms on generators and seeded random
-    elements.  Returns a report dict; all residuals must be empty."""
-    import random as _random
-
-    from .report import NumericReport
-
-    rng = _random.Random(seed)
+    elements.  Returns a NumericReport, which passes when every check holds."""
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+    rng = random.Random(seed)
     ctx = alg.ctx
     report = NumericReport(f"u_axiom_suite p={ctx.p} h={alg.h}")
 

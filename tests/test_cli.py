@@ -224,6 +224,32 @@ def test_bad_expression_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("expr", ("foo^x", "foo"))
+@pytest.mark.parametrize("command", ("normalize-u", "normalize-a"))
+def test_unknown_token_message_is_shared(capsys, command, expr):
+    code, out, err = run(capsys, command, expr)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown generator token 'foo'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("duality-suite", "--bound", "-1"), "exponent_bound must be non-negative, got -1"),
+        (("pi-suite", "--root-degree", "-1"), "degree_bound must be non-negative, got -1"),
+        (("pi-suite", "--chain", "0"), "chain_length must be at least 1, got 0"),
+        (("hopf", "--degree", "-1"), "degree_bound must be non-negative, got -1"),
+    ),
+)
+def test_empty_window_is_usage_error(capsys, argv, message):
+    # an empty window would pass every check vacuously
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_grid_is_usage_error(capsys):
     code, out, err = run(capsys, "kernel-verify", "--grid", "fancy")
     assert code == 2
