@@ -229,9 +229,9 @@ def _cosh_sinh(t):
     return ch, e - ch
 
 
-def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
+def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
     """integral exp(i*phase_sign*arg*cosh u + drift*u) du on the tilted
-    contour u(t) = t + i*tilt_sign*theta*tanh(t).
+    contour u(t) = t + i*tilt_sign*theta*tanh(t), theta = pi/4.
 
     The matching tilt (tilt_sign = phase_sign, the default) turns the
     oscillation into exp(-arg*sin(theta tanh t)*|sinh t|) decay; the
@@ -244,8 +244,7 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     """
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    if theta is None:
-        theta = mp.pi / 4
+    theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
     tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
     bend = tilt * theta
@@ -272,9 +271,9 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     return _tilted_quadrature(pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
 
 
-def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
+def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
     """integral exp(i*phase_sign*arg*sinh u + drift*u) du on the constant
-    tilt u = t + i*tilt_sign*theta.
+    tilt u = t + i*tilt_sign*theta, theta = pi/4.
 
     With the matching tilt (tilt_sign = phase_sign, the default) the
     integrand decays like exp(-arg*sin(theta)*cosh t); the opposite tilt
@@ -287,8 +286,7 @@ def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, theta=None, tilt_sig
     sinh(t)*cos(psi)) with the drift factors exp(+-drift*t)."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    if theta is None:
-        theta = mp.pi / 4
+    theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
     tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
     c_psi, s_psi = mp.cos_sin(tilt * theta)

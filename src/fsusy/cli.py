@@ -45,6 +45,7 @@ from .kernels import (
 from .pirep import PiRepresentation, gram_signature, representation_suite
 from .report import NumericReport
 from .scalars import FieldContext, is_odd_prime
+from .sparse import parse
 from .ufalg import UAlgebra, parse_u, u_axiom_suite
 
 # Discrete choices the numeric output depends on.  Version-tagged so a
@@ -172,27 +173,15 @@ def _report_payload(report: NumericReport) -> dict:
 # each returns (exit_code, payload dict, text rendering, csv rows or None)
 
 
-def _cmd_normalize_u(args):
-    elem = parse_u(UAlgebra(_context(args)), args.expr)
-    text = str(elem)
-    return 0, {"input": args.expr, "normal_form": text}, text, None
-
-
-def _cmd_normalize_a(args):
-    elem = parse_a(AAlgebra(_context(args)), args.expr)
-    text = str(elem)
+def _cmd_normalize(args):
+    algebra = UAlgebra if args.command == "normalize-u" else AAlgebra
+    text = str(parse(algebra(_context(args)), args.expr))
     return 0, {"input": args.expr, "normal_form": text}, text, None
 
 
 def _cmd_mul(args):
-    ctx = _context(args)
-    if args.alg == "u":
-        alg = UAlgebra(ctx)
-        prod = parse_u(alg, args.left) * parse_u(alg, args.right)
-    else:
-        alg = AAlgebra(ctx)
-        prod = parse_a(alg, args.left) * parse_a(alg, args.right)
-    text = str(prod)
+    alg = (UAlgebra if args.alg == "u" else AAlgebra)(_context(args))
+    text = str(parse(alg, args.left) * parse(alg, args.right))
     payload = {
         "algebra": args.alg,
         "left": args.left,
@@ -400,8 +389,8 @@ def _cmd_ledger(args):
 
 
 _COMMANDS = {
-    "normalize-u": _cmd_normalize_u,
-    "normalize-a": _cmd_normalize_a,
+    "normalize-u": _cmd_normalize,
+    "normalize-a": _cmd_normalize,
     "mul": _cmd_mul,
     "hopf": _cmd_hopf,
     "pair": _cmd_pair,
@@ -575,9 +564,6 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         code, payload, text, rows = handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,14 @@ evaluations:
   quadrature engine's exp/log, so agreement of the two is a genuine
   cross-check.
 
+One table keyed by quadrant holds the signs of (z_plus, z_minus) and the
+closed route's cylinder function; the reflection, both routes'
+coefficients and phases, and the contour family are derived from it.
+One evaluator, ``_kernel_value``, runs either route from the point, the
+exponent, the mu-weight and the radial scale; ``kernel_eval`` adds the
+strip gate and the precision check on top, while the assembly and the
+ladder call it directly with exact weights.
+
 On top of the scalar kernels sits the Grassmann-valued assembly
 ``q_kernel`` (matrix entries of the corepresentation, carrying
 nilpotent generator factors) and ``d_ladder_suite``, which verifies the
@@ -62,12 +70,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# sign of (z_plus, z_minus) in each quadrant
-_QUAD_SIGNS = {1: (1, 1), 2: (1, -1), 3: (-1, -1), 4: (-1, 1)}
-_SIGNS_QUAD = {v: k for k, v in _QUAD_SIGNS.items()}
-
-# reflecting the boost coordinate (beta -> -beta, z_plus <-> z_minus)
-_QUAD_SWAP = {1: 1, 2: 4, 3: 3, 4: 2}
+# The quadrant table: the signs (s1, s2) of (z_plus, z_minus) and the
+# cylinder function of the closed route.  Every other per-quadrant fact
+# follows from it:
+#   * reflecting the boost coordinate (z_plus <-> z_minus) reverses (s1, s2);
+#   * the closed coefficient is s1/2 on the Hankel quadrants and 1/(pi i)
+#     on the K ones;
+#   * the contour family is cosh on the Hankel quadrants, sinh on the K ones;
+#   * s2 is both the sign of the closed route's i*pi/2 half-turn and the
+#     phase sign of the contour integral.
+_QUADRANTS = {1: (1, 1, "H1"), 2: (1, -1, "K"), 3: (-1, -1, "H2"), 4: (-1, 1, "K")}
+_SIGNS_QUAD = {(s1, s2): quadrant for quadrant, (s1, s2, _) in _QUADRANTS.items()}
 
 
 # -- quadrant geometry --
@@ -90,7 +103,7 @@ class QuadrantPoint:
 
     @classmethod
     def from_polar(cls, quadrant, rho, beta, lambda_val=0):
-        if quadrant not in _QUAD_SIGNS:
+        if quadrant not in _QUADRANTS:
             raise ValueError(f"quadrant must be 1..4, got {quadrant}")
         with mp.extraprec(80):
             rho = mp.mpmathify(rho)
@@ -98,7 +111,7 @@ class QuadrantPoint:
             lam = mp.mpmathify(lambda_val)
             if rho <= 0:
                 raise ValueError("rho must be positive")
-            s1, s2 = _QUAD_SIGNS[quadrant]
+            s1, s2, _ = _QUADRANTS[quadrant]
             zp = s1 * rho / 2 * mp.exp(beta)
             zm = s2 * rho / 2 * mp.exp(-beta)
         return cls(quadrant, rho, beta, lam, zp, zm)
@@ -106,15 +119,16 @@ class QuadrantPoint:
     def round_trip_error(self):
         """max |z reconstructed from (quadrant, rho, beta) - z stored|."""
         with mp.extraprec(80):
-            s1, s2 = _QUAD_SIGNS[self.quadrant]
+            s1, s2, _ = _QUADRANTS[self.quadrant]
             zp = s1 * self.rho / 2 * mp.exp(self.beta)
             zm = s2 * self.rho / 2 * mp.exp(-self.beta)
             return max(abs(zp - self.z_plus), abs(zm - self.z_minus))
 
     def swapped(self):
         """The reflected point: z_plus <-> z_minus (beta flips sign)."""
+        s1, s2, _ = _QUADRANTS[self.quadrant]
         return QuadrantPoint(
-            _QUAD_SWAP[self.quadrant],
+            _SIGNS_QUAD[(s2, s1)],
             self.rho,
             mp.fneg(self.beta, exact=True),
             self.lambda_val,
@@ -194,23 +208,10 @@ class KernelParams:
         return mp.mpmathify(self.nu) - mp.mpmathify(self.mu) + mp.mpf(self.s) / self.p
 
 
-# -- closed route --
-
-# per quadrant: cylinder-function kind, sign of the i*pi/2 half-turn in
-# the exponential prefactor, and the scalar coefficient
-_CLOSED_KIND = {1: "H1", 2: "K", 3: "H2", 4: "K"}
-_HALF_TURN = {1: 1, 2: -1, 3: -1, 4: 1}
+# -- evaluation --
 
 _BESSEL_CACHE = {}
 _J_CACHE = {}
-
-
-def _closed_coeff(quadrant):
-    if quadrant == 1:
-        return mp.mpf(1) / 2
-    if quadrant == 3:
-        return mp.mpf(-1) / 2
-    return 1 / (mp.pi * 1j)
 
 
 def _bessel_cached(kind, order, arg, bits, rel_target):
@@ -223,46 +224,21 @@ def _bessel_cached(kind, order, arg, bits, rel_target):
     return hit
 
 
-def _closed_core(quadrant, abar, x, beta, bits, rel_target):
-    """Cylinder form without the exp(mu*lambda) factor:
-    coeff(quadrant) * exp(abar*(beta + half_turn*i*pi/2)) * C_abar(x)
-    where C is H1 / K / H2 / K in quadrants 1..4."""
-    with mp.workprec(bits):
-        cyl = _bessel_cached(_CLOSED_KIND[quadrant], abar, x, bits, rel_target / 16)
-        pref = _closed_coeff(quadrant) * mp.exp(
-            abar * (beta + _HALF_TURN[quadrant] * 1j * mp.pi / 2)
-        )
-        value = pref * cyl.to_mpc()
-        err = abs(pref) * mp.mpf(cyl.err_estimate) + mp.mpf(2) ** (-(bits - 8)) * abs(value)
-    return value, err
-
-
-# -- integral route --
-
-
-# per quadrant: contour family and phase sign of the rotated integral
-_CONTOUR_FAMILY = {1: "cosh", 2: "sinh", 3: "cosh", 4: "sinh"}
-_PHASE_SIGN = {1: 1, 2: -1, 3: -1, 4: 1}
-
-
-def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
-    """Contour form without the exp(mu*lambda) factor:
-    exp(abar*beta)/(2*pi*i) times the tilted-path integral.  The path
-    integral itself is beta-independent, so it is cached per
-    (quadrant, abar, x, bits, theta, target)."""
-    family = _CONTOUR_FAMILY[quadrant]
-    phase = _PHASE_SIGN[quadrant]
+def _integral_core(quadrant, abar, x, bits, rel_target):
+    """The tilted-path integral of the contour form, (raw, error bound,
+    diagnostics).  It is beta-independent, so it is cached per
+    (quadrant, abar, x, bits, target)."""
+    _, phase, cylinder = _QUADRANTS[quadrant]
+    family = "sinh" if cylinder == "K" else "cosh"
     fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
     with mp.workprec(bits):
-        if theta is None:
-            theta = mp.pi / 4
         eps_abs = mp.mpf(rel_target) / 16 * mp.exp(-x)
-        key = (quadrant, abar._mpf_, x._mpf_, bits, theta._mpf_, float(rel_target))
+        key = (quadrant, abar._mpf_, x._mpf_, bits, float(rel_target))
         hit = _J_CACHE.get(key)
         if hit is None:
             retried = False
             try:
-                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, theta)
+                raw, jerr, cutoff = fn(x, abar, phase, eps_abs)
             except ArithmeticError:
                 logger.warning(
                     "quadrant %d: tilt sign %+d grew past the decay guard; "
@@ -270,26 +246,54 @@ def _integral_core(quadrant, abar, x, beta, bits, rel_target, theta=None):
                     quadrant,
                     phase,
                 )
-                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, theta, tilt_sign=-phase)
+                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, tilt_sign=-phase)
                 retried = True
             hit = (raw, jerr, retried, float(cutoff))
             _J_CACHE[key] = hit
-        raw, jerr, retried, cutoff = hit
-        pref = mp.exp(abar * beta) / (2 * mp.pi * 1j)
-        value = pref * raw
-        err = abs(pref) * jerr + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+    raw, jerr, retried, cutoff = hit
     diag = {
         "route": "integral",
         "family": family,
         "phase_sign": phase,
-        "theta": float(theta),
+        "theta": float(mp.pi / 4),
         "cutoff": cutoff,
         "retried": retried,
     }
-    return value, err, diag
+    return raw, jerr, diag
 
 
-# -- public evaluation --
+def _kernel_value(point, abar, mu, r, bits, rel_target, mode):
+    """One kernel value at a point by either route, with no strip gate:
+    returns (value, error bound, diagnostics).
+
+    abar is minus the combined exponent, mu the weight of exp(mu*lambda)
+    and r the radial scale (x = r*rho); each may be exact, and is read at
+    `bits`.  The cylinder form is the analytic continuation in abar, valid
+    as long as the Bessel order stays inside the evaluator window; the
+    contour integral converges only inside the strip.  Both routes are a
+    prefactor times a raw value:
+
+        closed:    coeff * exp(abar*(beta + s2*i*pi/2)) * C_abar(x)
+        integral:  exp(abar*beta)/(2*pi*i) * tilted-path integral
+
+    with coeff, C and the contour read off the quadrant table."""
+    s1, s2, cylinder = _QUADRANTS[point.quadrant]
+    with mp.workprec(bits):
+        abar = mp.mpmathify(abar)
+        x = mp.mpmathify(r) * point.rho
+        if mode == "closed":
+            cyl = _bessel_cached(cylinder, abar, x, bits, rel_target / 16)
+            raw, raw_err = cyl.to_mpc(), mp.mpf(cyl.err_estimate)
+            coeff = 1 / (mp.pi * 1j) if cylinder == "K" else mp.mpf(s1) / 2
+            pref = coeff * mp.exp(abar * (point.beta + s2 * 1j * mp.pi / 2))
+            diag = {"route": "closed", "cylinder": cylinder}
+        else:
+            raw, raw_err, diag = _integral_core(point.quadrant, abar, x, bits, rel_target)
+            pref = mp.exp(abar * point.beta) / (2 * mp.pi * 1j)
+        value = pref * raw
+        err = abs(pref) * raw_err + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+        scale = mp.exp(mp.mpmathify(mu) * point.lambda_val)
+        return value * scale, err * abs(scale), diag
 
 
 def _target_bits(rel_target):
@@ -311,19 +315,10 @@ def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="close
         tgt = mp.mpf(params.precision)
     bits = _target_bits(tgt)
     with mp.workprec(bits):
-        nu = mp.mpmathify(params.nu)
-        muw = mp.mpmathify(params.mu)
-        r = mp.mpmathify(params.r)
-        abar = -(nu - muw + mp.mpf(params.s) / params.p)
-        x = r * point.rho
-        if mode == "closed":
-            core, err = _closed_core(point.quadrant, abar, x, point.beta, bits, tgt)
-            diag = {"route": "closed", "cylinder": _CLOSED_KIND[point.quadrant]}
-        else:
-            core, err, diag = _integral_core(point.quadrant, abar, x, point.beta, bits, tgt)
-        scale = mp.exp(muw * point.lambda_val)
-        value = core * scale
-        err = err * abs(scale) + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+        value, err, diag = _kernel_value(
+            point, -params.strip_exponent(), params.mu, params.r, bits, tgt, mode
+        )
+        err = err + mp.mpf(2) ** (-(bits - 8)) * abs(value)
         rel = err / abs(value) if value != 0 else (mp.inf if err > 0 else mp.mpf(0))
         if rel > tgt:
             raise PrecisionError(
@@ -338,22 +333,6 @@ def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="close
 def kernel_eval(params: KernelParams, point: QuadrantPoint, mode="closed") -> ComplexValue:
     """Evaluate one scalar kernel at one point; see kernel_eval_detailed."""
     return kernel_eval_detailed(params, point, mode)[0]
-
-
-def _kernel_value_continued(p, s, nuF, muF, rF, point, bits, rel_target):
-    """Closed-route value with exact Fraction weights, skipping the strip
-    gate: the cylinder form is the analytic continuation in the exponent,
-    valid as long as the Bessel order stays inside the evaluator window.
-    Used by the assembly and the ladder, whose shifted terms step outside
-    the strip."""
-    with mp.workprec(bits):
-        abar = mp.mpmathify(-(nuF - muF) - Fraction(s, p))
-        x = mp.mpmathify(rF) * point.rho
-        core, err = _closed_core(point.quadrant, abar, x, point.beta, bits, rel_target)
-        scale = mp.exp(mp.mpmathify(muF) * point.lambda_val)
-        value = core * scale
-        err = err * abs(scale)
-    return value, err
 
 
 # -- omega polynomials --
@@ -528,8 +507,8 @@ def q_kernel(
 
     terms = []
     for factor, shift in _grassmann_factors((l - k) % p, ctx, aal, qs, literal):
-        value, err = _kernel_value_continued(
-            p, shift, nuF, muF, ctx.r, point, bits, tgt
+        value, err, _ = _kernel_value(
+            point, -(nuF - muF) - Fraction(shift, p), muF, ctx.r, bits, tgt, "closed"
         )
         cv = ComplexValue(value.real, value.imag, err)
         terms.append(
@@ -700,11 +679,9 @@ def _eval_zfunc(zf, zp, zm, env: _LadderEnv):
         hit = env.cache.get(key)
         if hit is None:
             point = quadrant_decompose(zp, zm)
-            value, _err = _kernel_value_continued(
-                env.p, shift, nuF, Fraction(0), env.rF, point, env.bits, env.rel_target
-            )
-            env.cache[key] = value
-            hit = value
+            abar = -nuF - Fraction(shift, env.p)
+            hit = _kernel_value(point, abar, 0, env.rF, env.bits, env.rel_target, "closed")[0]
+            env.cache[key] = hit
         return hit
     if tag == "dplus":
         step = env.h * max(mp.mpf(1), abs(zp))

@@ -54,6 +54,16 @@ def _accumulate(out, key, v):
         del out[key]
 
 
+def _power(x, one, n: int):
+    """x**n for n >= 0 by repeated right multiplication onto one."""
+    if n < 0:
+        raise ValueError("negative powers are not defined here")
+    acc = one
+    for _ in range(n):
+        acc = acc * x
+    return acc
+
+
 def _counit_kills(mon) -> bool:
     return bool(mon[0] or mon[1] or mon[3] or mon[4] or mon[5])
 
@@ -191,12 +201,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = self.alg.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _power(self, self.alg.one(), n)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -338,10 +343,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        acc = self.alg.tensor_one(self.nlegs)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _power(self, self.alg.tensor_one(self.nlegs), n)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):

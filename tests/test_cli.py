@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -303,6 +304,17 @@ def test_reports_deterministic_modulo_timestamp(capsys, tmp_path):
 
 # -- presentation golden values --
 
+# both kernel routes at a tight target with every label nonzero
+_KERNEL_EVAL_BOTH = (
+    "kernel-eval", "--p", "3", "--r", "3/2", "--rho", "1.3", "--beta", "-0.2",
+    "--lam", "0.4", "--s", "1", "--nu", "0.1", "--mu", "-1/5", "--tol", "1e-30",
+    "--mode", "both", "--format", "text",
+)
+
+
+def _both_routes(value, gap):
+    return f"closed: {value}\nintegral: {value}\nrelative gap: {gap}"
+
 
 @pytest.mark.parametrize(
     "argv, want",
@@ -339,9 +351,60 @@ def test_reports_deterministic_modulo_timestamp(capsys, tmp_path):
             " - 0.15216904260722457153863029334070114294j)\n"
             "image: (mu=8/5, j=3)",
         ),
+        pytest.param(
+            _KERNEL_EVAL_BOTH + ("--quad", "1"),
+            _both_routes(
+                "(0.10931712273283368316980078571288170359"
+                " + 0.28121060145560038578641385956593796467j)",
+                "6.1737e-47",
+            ),
+            id="kernel-eval-both-q1",
+        ),
+        pytest.param(
+            _KERNEL_EVAL_BOTH + ("--quad", "2"),
+            _both_routes(
+                "(0.03687157816422071830826146529075710189"
+                " - 0.023944682833020462074753576249924318902j)",
+                "5.6485e-43",
+            ),
+            id="kernel-eval-both-q2",
+        ),
+        pytest.param(
+            _KERNEL_EVAL_BOTH + ("--quad", "3"),
+            _both_routes(
+                "(-0.10931712273283368316980078571288170359"
+                " + 0.28121060145560038578641385956593796467j)",
+                "6.1737e-47",
+            ),
+            id="kernel-eval-both-q3",
+        ),
+        pytest.param(
+            _KERNEL_EVAL_BOTH + ("--quad", "4"),
+            _both_routes(
+                "(-0.03687157816422071830826146529075710189"
+                " - 0.023944682833020462074753576249924318902j)",
+                "5.6485e-43",
+            ),
+            id="kernel-eval-both-q4",
+        ),
     ],
 )
 def test_presentation_golden(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == want + "\n"
+
+
+def test_kernel_verify_csv_digest(capsys):
+    """The whole grid report, every value, error and flag, pinned by its
+    sha256 with the timestamp line left out."""
+    code, out, err = run(capsys, "kernel-verify", "--format", "csv")
+    assert code == 0 and err == ""
+    kept = "".join(
+        ln for ln in out.splitlines(keepends=True) if not ln.startswith("# timestamp:")
+    )
+    assert len(kept.splitlines()) == 328
+    assert (
+        hashlib.sha256(kept.encode()).hexdigest()
+        == "f92395a6268d52f3b11c4554f4a8879bc6d5e8fce4c6e3f1e92685d86279a42c"
+    )

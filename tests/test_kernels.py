@@ -5,6 +5,7 @@ Oracle values are frozen decimal strings computed once from the closed
 cylinder forms; mpmath's own Bessel functions appear only as referee."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from mpmath import mp
 
 from fsusy import kernels
 from fsusy.bessel import PrecisionError
+from fsusy.cli import CONVENTIONS
 from fsusy.duality import DualityContext
 from fsusy.kernels import (
     KernelParams,
@@ -62,6 +64,34 @@ def test_light_cone_rejected():
 def test_complex_coordinates_rejected():
     with pytest.raises(ValueError, match="real"):
         quadrant_decompose(mp.mpc(1, 1), "1")
+
+
+def test_quadrant_table_matches_the_ledger():
+    """The ledger's quadrant-table statement and the kernels' quadrant
+    table are the two places the closed forms are stated; nothing else
+    keeps them in step.  Read each quadrant's cylinder, coefficient sign
+    and half-turn sign from the table and match them to the ledger."""
+    (entry,) = [c for c in CONVENTIONS if c["key"] == "quadrant-table"]
+    assert entry["version"] == 2
+    head, body = entry["statement"].split(": ", 1)
+    assert head == "closed kernel forms by quadrant"
+    clause = re.compile(
+        r"(\d) -> ([+-]?)(H1|H2|K)(/2|/\(pi i\)) with (?:the )?([+-])i pi/2(?: half-turn)?"
+    )
+    seen = []
+    for text in body.split(", "):
+        match = clause.fullmatch(text)
+        assert match, text
+        quadrant, sign, cylinder, divisor, turn = match.groups()
+        s1, s2, table_cylinder = kernels._QUADRANTS[int(quadrant)]
+        assert cylinder == table_cylinder, text
+        if cylinder == "K":
+            assert (sign, divisor) == ("", "/(pi i)"), text
+        else:
+            assert (sign, divisor) == ("+" if s1 > 0 else "-", "/2"), text
+        assert turn == ("+" if s2 > 0 else "-"), text
+        seen.append(int(quadrant))
+    assert sorted(seen) == [1, 2, 3, 4]
 
 
 def test_swapped_point():

@@ -143,3 +143,17 @@ def test_negative_exponent_round_trips(make, text, want):
         x = parse(alg, text)
         assert str(x) == printed
         assert parse(alg, printed) == x
+
+
+# -- powers --
+
+
+@pytest.mark.parametrize("which", ["element", "tensor"])
+def test_negative_power_is_an_error(which):
+    x = UAlgebra(FieldContext(3)).p_plus()
+    if which == "tensor":
+        x = x.coproduct()
+    with pytest.raises(ValueError, match="negative powers are not defined here"):
+        x ** -1
+    assert x**0 == (x.alg.one() if which == "element" else x.alg.tensor_one(2))
+    assert x**2 == x * x
