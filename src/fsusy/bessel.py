@@ -96,11 +96,11 @@ class ComplexValue:
             return mp.inf if self.err_estimate > 0 else mp.mpf(0)
         return self.err_estimate / scale
 
-    def pretty(self, digits: int = 20) -> str:
+    def pretty(self) -> str:
         return "(%s %s %si) +- %s" % (
-            mp.nstr(self.re, digits),
+            mp.nstr(self.re, 20),
             "+" if self.im >= 0 else "-",
-            mp.nstr(abs(self.im), digits),
+            mp.nstr(abs(self.im), 20),
             mp.nstr(self.err_estimate, 3),
         )
 
@@ -108,12 +108,10 @@ class ComplexValue:
 # -- trapezoid engine --
 
 
-def doubling_trapezoid(
-    f, lo, hi, eps, min_levels: int = 3, max_levels: int = 12, nodes: int = 16
-):
+def doubling_trapezoid(f, lo, hi, eps, nodes: int = 16):
     """Trapezoid value of integral_lo^hi f, starting from `nodes` steps and
-    halving the step until the last refinement moves the value by less
-    than eps in absolute terms.
+    halving the step, at least 3 and at most 12 times, until the last
+    refinement moves the value by less than eps in absolute terms.
 
     Returns (value, change_at_last_level).  The caller is responsible for
     choosing [lo, hi] so the integrand is negligible outside; for the
@@ -129,7 +127,7 @@ def doubling_trapezoid(
         total += f(lo + k * h)
     value = total * h
     change = mp.inf
-    for level in range(1, max_levels + 1):
+    for level in range(1, 13):
         mid = mp.mpc(0)
         for k in range(n):
             mid += f(lo + (k + mp.mpf("0.5")) * h)
@@ -138,7 +136,7 @@ def doubling_trapezoid(
         value = new_value
         n *= 2
         h /= 2
-        if level >= min_levels and change <= eps:
+        if level >= 3 and change <= eps:
             break
     return value, change
 
@@ -229,14 +227,14 @@ def _cosh_sinh(t):
     return ch, e - ch
 
 
-def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
+def _contour_cosh_integral(arg, drift, phase_sign, eps_abs):
     """integral exp(i*phase_sign*arg*cosh u + drift*u) du on the tilted
-    contour u(t) = t + i*tilt_sign*theta*tanh(t), theta = pi/4.
+    contour u(t) = t + i*phase_sign*theta*tanh(t), theta = pi/4.
 
-    The matching tilt (tilt_sign = phase_sign, the default) turns the
-    oscillation into exp(-arg*sin(theta tanh t)*|sinh t|) decay; the
-    opposite tilt grows and trips the decay guard.  Returns
-    (value, error_bound, cutoff); see _tilted_quadrature.
+    Tilting with the phase turns the oscillation into
+    exp(-arg*sin(theta tanh t)*|sinh t|) decay; the opposite tilt would
+    make the same factor grow, which is why the tilt follows the phase.
+    Returns (value, error_bound, cutoff); see _tilted_quadrature.
 
     u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair
     shares exp(i*phase_sign*arg*cosh u)*du and differs only in the
@@ -246,8 +244,7 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
     a = mp.mpf(drift)
     theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
-    tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
-    bend = tilt * theta
+    bend = sgn * theta
 
     def pair(t):
         ch, sh = _cosh_sinh(t)
@@ -271,14 +268,14 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
     return _tilted_quadrature(pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
 
 
-def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
+def _contour_sinh_integral(arg, drift, phase_sign, eps_abs):
     """integral exp(i*phase_sign*arg*sinh u + drift*u) du on the constant
-    tilt u = t + i*tilt_sign*theta, theta = pi/4.
+    tilt u = t + i*phase_sign*theta, theta = pi/4.
 
-    With the matching tilt (tilt_sign = phase_sign, the default) the
-    integrand decays like exp(-arg*sin(theta)*cosh t); the opposite tilt
-    grows and trips the decay guard.  Returns (value, error_bound,
-    cutoff); see _tilted_quadrature.
+    Tilting with the phase makes the integrand decay like
+    exp(-arg*sin(theta)*cosh t); the opposite tilt would make it grow
+    like exp(+arg*sin(theta)*cosh t), which is why the tilt follows the
+    phase.  Returns (value, error_bound, cutoff); see _tilted_quadrature.
 
     sinh(u(-t)) = -conj(sinh u(t)), so the node pair shares the decay
     exp(-phase_sign*arg*cosh(t)*sin(psi)) and the constant exp(i*drift*psi)
@@ -288,9 +285,8 @@ def _contour_sinh_integral(arg, drift, phase_sign, eps_abs, tilt_sign=None):
     a = mp.mpf(drift)
     theta = mp.pi / 4
     sgn = 1 if phase_sign >= 0 else -1
-    tilt = sgn if tilt_sign is None else (1 if tilt_sign >= 0 else -1)
-    c_psi, s_psi = mp.cos_sin(tilt * theta)
-    turn = mp.expj(a * tilt * theta)
+    c_psi, s_psi = mp.cos_sin(sgn * theta)
+    turn = mp.expj(a * sgn * theta)
 
     def pair(t):
         ch, sh = _cosh_sinh(t)

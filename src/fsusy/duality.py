@@ -393,14 +393,14 @@ def _u_window(ual: UAlgebra, bound: int):
         yield (n, m, k, t, s, l)
 
 
-def _matched_a_monos(dual: DualityContext, umono, pmu_set, extra_l: int = 1):
+def _matched_a_monos(dual: DualityContext, umono, pmu_set):
     """Function-side basis monomials whose multidegree can pair with umono,
-    with every grading index and a margin of lambda degrees; pmu_set holds
-    the weights as key slots p*mu."""
+    with every grading index and a margin of one lambda degree; pmu_set
+    holds the weights as key slots p*mu."""
     n, m, _k, t, s, l = umono
     p = dual.ctx.p
     for k2 in range(p):
-        for l2 in range(l + extra_l + 1):
+        for l2 in range(l + 2):
             for pmu in pmu_set:
                 yield (n, m, k2, t, s, l2, pmu)
 
@@ -608,7 +608,6 @@ def default_conformance_monomials(dual: DualityContext, zbound: int = 2):
 
 def reo_conformance(
     ctx: FieldContext,
-    monomial_set=None,
     convention: PairingConvention | None = None,
 ) -> NumericReport:
     """Compare the duality-derived right action against the printed closed
@@ -621,8 +620,7 @@ def reo_conformance(
     aal = dual.aalg
     rep = NumericReport(f"reo_conformance p={ctx.p}")
     rep.measure("convention", dual.convention.describe())
-    if monomial_set is None:
-        monomial_set = default_conformance_monomials(dual)
+    monomial_set = default_conformance_monomials(dual)
 
     for gen in ("k", "H", "P+", "P-"):
         bad = 0

@@ -34,7 +34,6 @@ Weights are kept exact (strings / Fractions) until they meet the
 working-precision block, same policy as :mod:`fsusy.bessel`.
 """
 
-import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,8 +66,6 @@ __all__ = [
     "kernel_verify",
     "d_ladder_suite",
 ]
-
-logger = logging.getLogger(__name__)
 
 # The quadrant table: the signs (s1, s2) of (z_plus, z_minus) and the
 # cylinder function of the closed route.  Every other per-quadrant fact
@@ -227,7 +224,8 @@ def _bessel_cached(kind, order, arg, bits, rel_target):
 def _integral_core(quadrant, abar, x, bits, rel_target):
     """The tilted-path integral of the contour form, (raw, error bound,
     diagnostics).  It is beta-independent, so it is cached per
-    (quadrant, abar, x, bits, target)."""
+    (quadrant, abar, x, bits, target).  A contour that fails the decay
+    guard raises ArithmeticError."""
     _, phase, cylinder = _QUADRANTS[quadrant]
     family = "sinh" if cylinder == "K" else "cosh"
     fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
@@ -236,28 +234,16 @@ def _integral_core(quadrant, abar, x, bits, rel_target):
         key = (quadrant, abar._mpf_, x._mpf_, bits, float(rel_target))
         hit = _J_CACHE.get(key)
         if hit is None:
-            retried = False
-            try:
-                raw, jerr, cutoff = fn(x, abar, phase, eps_abs)
-            except ArithmeticError:
-                logger.warning(
-                    "quadrant %d: tilt sign %+d grew past the decay guard; "
-                    "retrying with the tilt flipped",
-                    quadrant,
-                    phase,
-                )
-                raw, jerr, cutoff = fn(x, abar, phase, eps_abs, tilt_sign=-phase)
-                retried = True
-            hit = (raw, jerr, retried, float(cutoff))
+            raw, jerr, cutoff = fn(x, abar, phase, eps_abs)
+            hit = (raw, jerr, float(cutoff))
             _J_CACHE[key] = hit
-    raw, jerr, retried, cutoff = hit
+    raw, jerr, cutoff = hit
     diag = {
         "route": "integral",
         "family": family,
         "phase_sign": phase,
         "theta": float(mp.pi / 4),
         "cutoff": cutoff,
-        "retried": retried,
     }
     return raw, jerr, diag
 
@@ -465,7 +451,6 @@ def q_kernel(
     point: QuadrantPoint,
     ctx: FieldContext,
     dual: DualityContext | None = None,
-    literal: bool = False,
 ) -> QKernel:
     """Assemble the (k, l) matrix entry at a point.
 
@@ -506,7 +491,7 @@ def q_kernel(
     bits = _target_bits(tgt)
 
     terms = []
-    for factor, shift in _grassmann_factors((l - k) % p, ctx, aal, qs, literal):
+    for factor, shift in _grassmann_factors((l - k) % p, ctx, aal, qs):
         value, err, _ = _kernel_value(
             point, -(nuF - muF) - Fraction(shift, p), muF, ctx.r, bits, tgt, "closed"
         )
@@ -527,25 +512,25 @@ def kernel_verify(
     betas=("-1", "0", "1"),
     exponents=("-0.3", "0", "0.3"),
     quadrants=(1, 2, 3, 4),
-    precision="1e-16",
 ) -> NumericReport:
-    """Closed vs integral route over a grid of kernel parameters.
+    """Closed vs integral route over a grid of kernel parameters, both
+    at relative target 1e-16.
 
     The grid runs the strip exponent nu - mu + s/p over `exponents`
-    (realized as nu with mu = 0, s = 0).  Tolerances are per quadrant:
-    1e-8 where the kernel is a decaying K-type integral, 1e-6 where it
-    is oscillatory Hankel-type.  Also checks the boost-reflection
-    symmetry K[a](beta) = K[-a, swapped quadrant](-beta), the two fixed
-    pointwise oracle values in quadrants 1 and 2, and that a mu = 0
-    kernel ignores the lambda coordinate."""
-    tol = {1: mp.mpf("1e-6"), 2: mp.mpf("1e-6"), 3: mp.mpf("1e-8"), 4: mp.mpf("1e-8")}
+    (realized as nu with mu = 0, s = 0).  Every quadrant, the decaying
+    K ones and the oscillatory Hankel ones alike, must agree to 1e-8.
+    Also checks the boost-reflection symmetry
+    K[a](beta) = K[-a, swapped quadrant](-beta), the two fixed pointwise
+    oracle values in quadrants 1 and 2, and that a mu = 0 kernel ignores
+    the lambda coordinate."""
+    precision = "1e-16"
+    tol = mp.mpf("1e-8")
     report = NumericReport("kernel-verify")
     report.measure("p", p)
-    report.measure("precision", str(precision))
+    report.measure("precision", precision)
     t0 = time.perf_counter()
     rows = []
     worst = {quadrant: mp.mpf(0) for quadrant in quadrants}
-    retried_count = 0
     for quadrant in quadrants:
         for r in rs:
             for rho in rhos:
@@ -556,8 +541,7 @@ def kernel_verify(
                         )
                         point = QuadrantPoint.from_polar(quadrant, rho, beta)
                         closed = kernel_eval(params, point, "closed")
-                        integral, diag = kernel_eval_detailed(params, point, "integral")
-                        retried_count += bool(diag["retried"])
+                        integral = kernel_eval(params, point, "integral")
                         with mp.workprec(64):
                             cv = closed.to_mpc()
                             iv = integral.to_mpc()
@@ -573,21 +557,15 @@ def kernel_verify(
                                 "closed": mp.nstr(cv, 20),
                                 "integral": mp.nstr(iv, 20),
                                 "rel_err": float(rel),
-                                "retried": diag["retried"],
                             }
                         )
     for quadrant in quadrants:
         report.check(
             f"quadrant {quadrant}: closed vs integral on the grid",
-            worst[quadrant] < tol[quadrant],
-            detail=f"worst rel err {mp.nstr(worst[quadrant], 4)}, tol {mp.nstr(tol[quadrant], 2)}",
+            worst[quadrant] < tol,
+            detail=f"worst rel err {mp.nstr(worst[quadrant], 4)}, tol {mp.nstr(tol, 2)}",
             residual=float(worst[quadrant]),
         )
-    report.check(
-        "no contour needed the fallback tilt",
-        retried_count == 0,
-        detail=f"{retried_count} retried rows",
-    )
 
     # boost reflection: negating the exponent and beta while swapping
     # z_plus <-> z_minus reproduces the same value
@@ -759,15 +737,14 @@ def d_ladder_suite(
     h="1e-4",
     ctx: FieldContext | None = None,
     precision_bits: int = 192,
-    check_literal_omega: bool = True,
 ) -> NumericReport:
     """Verify the generator ladder on the diagonal corepresentation
     entries D_n numerically.
 
     Symbolic generator actions (exact scalars, derivative parts deferred)
     are evaluated by central finite differences of the scalar kernels at
-    each grid point (quadrant 3, where the kernels are smooth decaying
-    K-type) and compared against the predicted ladder targets:
+    each grid point (quadrant 3, the H2 quadrant, where the kernels are
+    smooth) and compared against the predicted ladder targets:
 
       kappa:  q^n * D_n                      (exact, no numerics)
       H:      -i*nu * D_n
@@ -778,8 +755,8 @@ def d_ladder_suite(
     with chat the real p-th root of r.  The weight must satisfy
     0 < nu < 1/p so every shifted kernel order stays inside the cylinder
     evaluator's window.  Also reports the residual of the alternative
-    eigenvalue -i*(nu + n/p) for H, and (optionally) demonstrates that
-    the alternative omega-denominator reading breaks the p+ relation."""
+    eigenvalue -i*(nu + n/p) for H, and demonstrates that the
+    alternative omega-denominator reading breaks the p+ relation."""
     if ctx is None:
         ctx = FieldContext(3)
     p = ctx.p
@@ -906,30 +883,29 @@ def d_ladder_suite(
                 f"{mp.nstr(avg, 10)} (expected -chat = {mp.nstr(-chat, 10)})",
             )
 
-        if check_literal_omega:
-            # the swap of readings is invisible on the p+ step out of
-            # n = 0 (the rescaling factors cancel between the source and
-            # target polynomials there), so discriminate at n >= 1
-            n_lit = n if n != 0 else 1
-            base_lit = _d_terms(n_lit, nuF, dual, literal=True)
-            target_lit = _d_terms((n_lit - 1) % p, nuF + Fraction(1, p), dual, literal=True)
-            acted_lit = _act("p+", base_lit, dual)
-            worst_lit = mp.mpf(0)
-            for point in grid:
-                zp, zm = point.z_plus, point.z_minus
-                lhs = _eval_terms(acted_lit, zp, zm, env, bits)
-                tgt_num = _eval_terms(target_lit, zp, zm, env, bits)
-                gap, scale = _dict_gap(lhs, _scaled(tgt_num, -chat))
-                worst_lit = max(worst_lit, gap / max(scale, mp.mpf("1e-30")))
-            report.measure("p+_residual_literal_omega", float(worst_lit))
-            report.check(
-                f"alternative omega denominator breaks the p+ step at n = {n_lit}",
-                worst_lit > mp.mpf("1e-2") and worst["p+"] < tol_mixed,
-                detail=(
-                    f"literal-reading residual {mp.nstr(worst_lit, 4)} vs "
-                    f"{mp.nstr(worst['p+'], 4)} for the factorial-pair reading"
-                ),
-            )
+        # the swap of readings is invisible on the p+ step out of
+        # n = 0 (the rescaling factors cancel between the source and
+        # target polynomials there), so discriminate at n >= 1
+        n_lit = n if n != 0 else 1
+        base_lit = _d_terms(n_lit, nuF, dual, literal=True)
+        target_lit = _d_terms((n_lit - 1) % p, nuF + Fraction(1, p), dual, literal=True)
+        acted_lit = _act("p+", base_lit, dual)
+        worst_lit = mp.mpf(0)
+        for point in grid:
+            zp, zm = point.z_plus, point.z_minus
+            lhs = _eval_terms(acted_lit, zp, zm, env, bits)
+            tgt_num = _eval_terms(target_lit, zp, zm, env, bits)
+            gap, scale = _dict_gap(lhs, _scaled(tgt_num, -chat))
+            worst_lit = max(worst_lit, gap / max(scale, mp.mpf("1e-30")))
+        report.measure("p+_residual_literal_omega", float(worst_lit))
+        report.check(
+            f"alternative omega denominator breaks the p+ step at n = {n_lit}",
+            worst_lit > mp.mpf("1e-2") and worst["p+"] < tol_mixed,
+            detail=(
+                f"literal-reading residual {mp.nstr(worst_lit, 4)} vs "
+                f"{mp.nstr(worst['p+'], 4)} for the factorial-pair reading"
+            ),
+        )
 
     report.measure("kernel_cache_entries", len(env.cache))
     return report

@@ -11,31 +11,16 @@ class NumericReport:
 
     Exact suites push boolean checks; numerical suites also push residuals
     through `measure` so the worst observed error lands in the summary.
-    A check row may carry the two compared values and their residual so
-    JSON output preserves what was actually tested, not just the verdict.
+    A check row may carry its residual so JSON output preserves how close
+    the test came, not just the verdict.
     """
 
     name: str
     checks: list = field(default_factory=list)
     measurements: dict = field(default_factory=dict)
 
-    def check(
-        self,
-        label: str,
-        ok: bool,
-        detail: str | None = None,
-        lhs=None,
-        rhs=None,
-        residual=None,
-    ):
-        extra = {}
-        if lhs is not None:
-            extra["lhs"] = lhs
-        if rhs is not None:
-            extra["rhs"] = rhs
-        if residual is not None:
-            extra["residual"] = residual
-        self.checks.append((label, bool(ok), detail, extra))
+    def check(self, label: str, ok: bool, detail: str | None = None, residual=None):
+        self.checks.append((label, bool(ok), detail, residual))
         return ok
 
     def measure(self, label: str, value):
@@ -52,14 +37,14 @@ class NumericReport:
     def summary(self) -> str:
         n_ok = sum(1 for row in self.checks if row[1])
         lines = [f"{self.name}: {n_ok}/{len(self.checks)} checks passed"]
-        for label, ok, detail, extra in self.checks:
+        for label, ok, detail, residual in self.checks:
             if ok:
                 continue
             parts = [f"  FAIL {label}"]
             if detail:
                 parts.append(f": {detail}")
-            if "residual" in extra:
-                parts.append(f" (residual={extra['residual']})")
+            if residual is not None:
+                parts.append(f" (residual={residual})")
             lines.append("".join(parts))
         for label, value in self.measurements.items():
             lines.append(f"  {label} = {value}")
@@ -67,13 +52,12 @@ class NumericReport:
 
     def to_json(self) -> dict:
         rows = []
-        for label, ok, detail, extra in self.checks:
+        for label, ok, detail, residual in self.checks:
             row = {"check": label, "passed": ok}
             if detail:
                 row["detail"] = detail
-            for key in ("lhs", "rhs", "residual"):
-                if key in extra:
-                    row[key] = str(extra[key])
+            if residual is not None:
+                row["residual"] = str(residual)
             rows.append(row)
         return {
             "name": self.name,

@@ -164,8 +164,7 @@ def test_kernel_grid_two_routes():
     rows = report.measurements["rows"]
     assert len(rows) == 4 * 3 * 3 * 3 * 3
     for row in rows:
-        bound = 1e-8 if row["quadrant"] in (3, 4) else 1e-6
-        assert row["rel_err"] < bound, row
+        assert row["rel_err"] < 1e-8, row
     assert report.measurements["elapsed_seconds"] < 300
 
 

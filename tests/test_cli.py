@@ -184,7 +184,8 @@ def test_kernel_eval_both_routes(capsys):
     assert code == 0
     gap = float(doc["result"]["relative_gap"])
     assert gap < 1e-12
-    assert doc["result"]["integral"]["diagnostics"]["retried"] == "False"
+    diag = doc["result"]["integral"]["diagnostics"]
+    assert set(diag) == {"route", "family", "phase_sign", "theta", "cutoff"}
 
 
 def test_kernel_eval_single_route_text(capsys):
@@ -396,7 +397,7 @@ def test_presentation_golden(capsys, argv, want):
 
 
 def test_kernel_verify_csv_digest(capsys):
-    """The whole grid report, every value, error and flag, pinned by its
+    """The whole grid report, every value and error, pinned by its
     sha256 with the timestamp line left out."""
     code, out, err = run(capsys, "kernel-verify", "--format", "csv")
     assert code == 0 and err == ""
@@ -406,5 +407,5 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "f92395a6268d52f3b11c4554f4a8879bc6d5e8fce4c6e3f1e92685d86279a42c"
+        == "b4c8bcc620adf9f8404a8a65085dd60d84c6de1442b8bd89763ab294a22c6c65"
     )

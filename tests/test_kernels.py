@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from fsusy import kernels
+from fsusy import bessel, kernels
 from fsusy.bessel import PrecisionError
-from fsusy.cli import CONVENTIONS
+from fsusy.cli import CONVENTIONS, main
 from fsusy.duality import DualityContext
 from fsusy.kernels import (
     KernelParams,
@@ -176,8 +176,8 @@ def test_routes_agree(quadrant):
     closed = _mpc(kernel_eval(params, pt, "closed"))
     integral, diag = kernel_eval_detailed(params, pt, "integral")
     rel = abs(closed - _mpc(integral)) / abs(closed)
-    assert rel < mp.mpf("1e-20")  # far below the 1e-6 / 1e-8 grid gates
-    assert diag["retried"] is False
+    assert rel < mp.mpf("1e-20")  # far below the 1e-8 grid gate
+    assert set(diag) == {"route", "family", "phase_sign", "theta", "cutoff"}
     assert diag["family"] == ("cosh" if quadrant in (1, 3) else "sinh")
 
 
@@ -216,35 +216,68 @@ def test_boost_reflection_symmetry():
         assert abs(_mpc(a) - _mpc(b)) < mp.mpf("1e-25")
 
 
+def _tilted_pairs(x, a, sgn, tilt):
+    """Node pairs (f(t), f(-t)) of both contour integrands, written out
+    from their definitions with the tilt sign given separately."""
+    theta = mp.pi / 4
+
+    def cosh_pair(t):
+        def f(t):
+            u = t + 1j * tilt * theta * mp.tanh(t)
+            du = 1 + 1j * tilt * theta / mp.cosh(t) ** 2
+            return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
+
+        return f(t), f(-t)
+
+    def sinh_pair(t):
+        def f(t):
+            u = t + 1j * tilt * theta
+            return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
+
+        return f(t), f(-t)
+
+    return {
+        "cosh": (cosh_pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), 1 + theta),
+        "sinh": (sinh_pair, x * mp.sin(theta), 1),
+    }
+
+
 def test_wrong_tilt_grows():
+    # tilted against the phase, the integrand grows and the decay guard
+    # refuses it; tilted with the phase, the same data integrates to the
+    # library contour's value
     with mp.workprec(128):
-        with pytest.raises(ArithmeticError, match="decay"):
-            kernels._contour_sinh_integral(
-                mp.mpf(1), mp.mpf("0.3"), +1, mp.mpf("1e-20"), tilt_sign=-1
-            )
-        with pytest.raises(ArithmeticError, match="decay"):
-            kernels._contour_cosh_integral(
-                mp.mpf(1), mp.mpf("0.3"), -1, mp.mpf("1e-20"), tilt_sign=+1
-            )
+        x, a, eps = mp.mpf(1), mp.mpf("0.3"), mp.mpf("1e-20")
+        for family, sgn in itertools.product(("cosh", "sinh"), (1, -1)):
+            case = f"{family} phase={sgn}"
+            pair, decay, spread = _tilted_pairs(x, a, sgn, -sgn)[family]
+            with pytest.raises(ArithmeticError, match="decay"):
+                bessel._tilted_quadrature(pair, decay, a, spread, eps)
+            pair, decay, spread = _tilted_pairs(x, a, sgn, sgn)[family]
+            got, _, cutoff = bessel._tilted_quadrature(pair, decay, a, spread, eps)
+            contour = getattr(bessel, f"_contour_{family}_integral")
+            want, want_err, want_cutoff = contour(x, a, sgn, eps)
+            assert cutoff == want_cutoff, case
+            assert abs(got - want) <= want_err, case
 
 
-def test_tilt_retry_is_logged_and_used(monkeypatch, caplog):
-    real = kernels._contour_cosh_integral
+def test_decay_guard_trip_is_a_verification_failure(monkeypatch, capsys):
+    def stuck(arg, drift, phase_sign, eps_abs):
+        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
 
-    def flaky(arg, drift, phase_sign, eps_abs, theta=None, tilt_sign=None):
-        if tilt_sign is None:
-            raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-        return real(arg, drift, phase_sign, eps_abs, theta)
-
-    monkeypatch.setattr(kernels, "_contour_cosh_integral", flaky)
+    monkeypatch.setattr(kernels, "_contour_cosh_integral", stuck)
+    # points no other test evaluates, so no cached contour value answers
     params = KernelParams(p=3, s=0, nu="0.17", mu=0, r=1, precision="1e-14")
     pt = QuadrantPoint.from_polar(3, "1.23456", "0.1")
-    with caplog.at_level("WARNING", logger="fsusy.kernels"):
-        integral, diag = kernel_eval_detailed(params, pt, "integral")
-    assert diag["retried"] is True
-    assert any("tilt" in rec.message for rec in caplog.records)
-    closed = kernel_eval(params, pt, "closed")
-    assert abs(_mpc(closed) - _mpc(integral)) < mp.mpf("1e-20")
+    with pytest.raises(ArithmeticError, match="decay"):
+        kernel_eval_detailed(params, pt, "integral")
+    code = main(
+        ["kernel-eval", "--mode", "integral", "--quad", "3", "--rho", "1.23457"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: ")
+    assert "decay" in err
 
 
 def test_precision_shortfall_raises(monkeypatch):
