@@ -35,6 +35,12 @@ K and Y by the reflection formulas at non-integer order and by the
 digamma series at integer order.  mpmath supplies only arbitrary
 precision arithmetic and elementary calls (exp, log, gamma, digamma);
 its own Bessel implementations are never imported here.
+
+The quadrature is the primary route for K and the series for H1/H2.  The
+reported error is the quadrature's own bound plus the disagreement of
+the two routes, so it covers whichever route is returned.  For the
+Hankel kinds the quadrature is only a cross-check, so it runs to a
+fraction (1/64) of the target rather than to the working precision.
 """
 
 from __future__ import annotations
@@ -443,7 +449,7 @@ def _h_series(kind, order, x):
 
 def _working_bits(precision, arg) -> int:
     # guard digits: series cancellation grows like exp(arg) for J/Y
-    bits = int(mp.ceil(-mp.log(precision, 2))) if precision < 1 else 53
+    bits = int(mp.ceil(-mp.log(precision, 2)))
     return max(96, bits + 48 + int(2 * arg))
 
 
@@ -465,17 +471,22 @@ def _reflection_guard_bits(order, bits) -> int:
 def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
     """Evaluate K/H1/H2 at real order in (-2, 2) and positive real argument.
 
-    `precision` is the target relative error (default 1e-25).  The primary
-    method per kind follows the module docstring (quadrature for K, series
-    for H1/H2); the other route is always computed as a cross-check and the
-    disagreement is folded into err_estimate.  If the certified relative
-    error exceeds the target, PrecisionError carries the achieved bound.
+    `precision` is the target relative error, in (0, 1) (default 1e-25).
+    The primary method per kind follows the module docstring (quadrature
+    for K, series for H1/H2); the other route is always computed as a
+    cross-check.  err_estimate is the quadrature's bound plus the
+    disagreement of the routes plus rounding; for H1/H2 the quadrature
+    runs to precision/64 of the value, so its bound stays well inside the
+    target.  If the certified relative error exceeds the target,
+    PrecisionError carries the achieved bound.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if precision is None:
         precision = mp.mpf("1e-25")
     precision = mp.mpf(precision)
+    if not 0 < precision < 1:
+        raise ValueError(f"precision must be a relative error in (0, 1), got {precision}")
     # provisional low-precision reads only size the guard bits; the real
     # conversion happens inside the working-precision block so decimal
     # strings and Fractions keep their full value
@@ -493,18 +504,18 @@ def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
             )
         if not arg_f > 0:
             raise ValueError("argument must be a positive real")
-        eps_work = mp.mpf(2) ** (-(bits - 24))
         if kind == "K":
+            eps_work = mp.mpf(2) ** (-(bits - 24))
             scale_guess = mp.exp(-arg_f) + mp.power(arg_f / 2, -abs(order_f))
-            primary, p_err = _k_quadrature(order_f, arg_f, eps_work * scale_guess)
+            primary, q_err = _k_quadrature(order_f, arg_f, eps_work * scale_guess)
             secondary = _k_series(order_f, arg_f)
             value = mp.mpc(primary)
         else:
             value = mp.mpc(_h_series(kind, order_f, arg_f))
-            p_err = eps_work * abs(value)
-            secondary, _ = _h_quadrature(kind, order_f, arg_f, eps_work * abs(value))
-        disagreement = abs(value - secondary)
-        err = p_err + disagreement + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+            secondary, q_err = _h_quadrature(kind, order_f, arg_f, precision / 64 * abs(value))
+        # the quadrature's bound covers its own error, so the disagreement
+        # plus that bound covers the other route's (triangle inequality)
+        err = q_err + abs(value - secondary) + mp.mpf(2) ** (-(bits - 8)) * abs(value)
         result = ComplexValue(re=+value.real, im=+value.imag, err_estimate=+err)
         rel = result.rel_err()
         if rel > precision:

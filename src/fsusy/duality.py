@@ -410,7 +410,6 @@ def duality_suite(
     exponent_bound: int = 2,
     samples: int = 50,
     seed: int = 1,
-    convention: PairingConvention | None = None,
 ) -> NumericReport:
     """Exact verification that the pairing is a Hopf pairing.
 
@@ -422,7 +421,7 @@ def duality_suite(
     sector."""
     if exponent_bound < 0:
         raise ValueError(f"exponent_bound must be non-negative, got {exponent_bound}")
-    dual = DualityContext(ctx, convention)
+    dual = DualityContext(ctx)
     ual, aal = dual.ualg, dual.aalg
     rng = _random.Random(seed)
     rep = NumericReport(f"duality_suite p={ctx.p} bound={exponent_bound}")
@@ -606,17 +605,14 @@ def default_conformance_monomials(dual: DualityContext, zbound: int = 2):
     return out
 
 
-def reo_conformance(
-    ctx: FieldContext,
-    convention: PairingConvention | None = None,
-) -> NumericReport:
+def reo_conformance(ctx: FieldContext) -> NumericReport:
     """Compare the duality-derived right action against the printed closed
     forms.  Classical generators must match exactly.  For the fractional
     generators the closed form is evaluated with the canonical square root;
     the ratio against the duality route must be one monomial-independent
     unit, which is recorded (it is the visible face of the root-sign
     convention)."""
-    dual = DualityContext(ctx, convention)
+    dual = DualityContext(ctx)
     aal = dual.aalg
     rep = NumericReport(f"reo_conformance p={ctx.p}")
     rep.measure("convention", dual.convention.describe())
@@ -660,16 +656,12 @@ def reo_conformance(
 
 # -- fractional root and Leibniz checks ----------------------------------------
 
-def fractional_root_suite(
-    ctx: FieldContext,
-    degree_bound: int = 4,
-    convention: PairingConvention | None = None,
-) -> NumericReport:
+def fractional_root_suite(ctx: FieldContext, degree_bound: int = 4) -> NumericReport:
     """R(p_pm)^p = R(P_pm) on every symbolic monomial of bounded degree, plus
     Casimir commutation and the twisted Leibniz rules on random pairs."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
-    dual = DualityContext(ctx, convention)
+    dual = DualityContext(ctx)
     ual, aal = dual.ualg, dual.aalg
     rep = NumericReport(f"fractional_root p={ctx.p} degree<={degree_bound}")
     p = ctx.p
@@ -811,16 +803,12 @@ def gaussian_right_act(dual: DualityContext, gen: str, x: Element) -> Element:
     return Element(dual, out)
 
 
-def star_representation_suite(
-    ctx: FieldContext,
-    zbound: int = 1,
-    convention: PairingConvention | None = None,
-) -> NumericReport:
+def star_representation_suite(ctx: FieldContext, zbound: int = 1) -> NumericReport:
     """Adjointness of the right action under the hermitian form.  The
     classical generators and the grading unit must be exactly self-adjoint
     (all generators are star-fixed); the fractional pair is measured against
     both natural candidates and the outcome recorded, not asserted."""
-    dual = DualityContext(ctx, convention)
+    dual = DualityContext(ctx)
     rep = NumericReport(f"star_representation p={ctx.p} zbound={zbound}")
     p = ctx.p
     window = [
@@ -863,10 +851,10 @@ def star_representation_suite(
     return rep
 
 
-def integral_suite(ctx: FieldContext, convention: PairingConvention | None = None) -> NumericReport:
+def integral_suite(ctx: FieldContext) -> NumericReport:
     """Values and invariance of the nilpotent-sector integral, plus the
     Gaussian moment anchors."""
-    dual = DualityContext(ctx, convention)
+    dual = DualityContext(ctx)
     aal = dual.aalg
     rep = NumericReport(f"integral_suite p={ctx.p}")
     p = ctx.p

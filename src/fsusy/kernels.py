@@ -212,32 +212,47 @@ _J_CACHE = {}
 
 
 def _bessel_cached(kind, order, arg, bits, rel_target):
-    key = (kind, order._mpf_, arg._mpf_, bits, float(rel_target))
+    """bessel_eval, cached per conjugate pair: at real order and argument
+    H2 = conj(H1) (DLMF 10.11), so one H1 entry serves both Hankel kinds,
+    with the imaginary part negated exactly for H2."""
+    family = "K" if kind == "K" else "H1"
+    key = (family, order._mpf_, arg._mpf_, bits, float(rel_target))
     hit = _BESSEL_CACHE.get(key)
     if hit is None:
         with mp.workprec(bits):
-            hit = bessel_eval(kind, order, arg, precision=rel_target)
+            hit = bessel_eval(family, order, arg, precision=rel_target)
         _BESSEL_CACHE[key] = hit
+    if kind == "H2":
+        return ComplexValue(hit.re, mp.fneg(hit.im, exact=True), hit.err_estimate)
     return hit
 
 
 def _integral_core(quadrant, abar, x, bits, rel_target):
     """The tilted-path integral of the contour form, (raw, error bound,
-    diagnostics).  It is beta-independent, so it is cached per
-    (quadrant, abar, x, bits, target).  A contour that fails the decay
-    guard raises ArithmeticError."""
+    diagnostics).  A contour that fails the decay guard raises
+    ArithmeticError.
+
+    At real drift and argument the phase -1 contour is the mirror image
+    of the phase +1 one, so its integral is the conjugate (as for
+    H2 = conj(H1), DLMF 10.11).  The integral is beta-independent, so it
+    is cached once per conjugate pair, keyed by (family, abar, x, bits,
+    target); only phase +1 is evaluated, and phase -1 negates the
+    imaginary part exactly."""
     _, phase, cylinder = _QUADRANTS[quadrant]
     family = "sinh" if cylinder == "K" else "cosh"
     fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
     with mp.workprec(bits):
         eps_abs = mp.mpf(rel_target) / 16 * mp.exp(-x)
-        key = (quadrant, abar._mpf_, x._mpf_, bits, float(rel_target))
+        key = (family, abar._mpf_, x._mpf_, bits, float(rel_target))
         hit = _J_CACHE.get(key)
         if hit is None:
-            raw, jerr, cutoff = fn(x, abar, phase, eps_abs)
+            raw, jerr, cutoff = fn(x, abar, 1, eps_abs)
             hit = (raw, jerr, float(cutoff))
             _J_CACHE[key] = hit
-    raw, jerr, cutoff = hit
+        raw, jerr, cutoff = hit
+        if phase < 0:
+            # the parts were rounded to `bits`, so this mpc keeps them as is
+            raw = mp.mpc(raw.real, mp.fneg(raw.imag, exact=True))
     diag = {
         "route": "integral",
         "family": family,

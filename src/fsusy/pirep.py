@@ -254,11 +254,10 @@ class PiRepresentation:
         p = self.ctx.p
         return BasisVector(Fraction(_check_mu(mu, p), p), j % p)
 
-    def chain_window(self, length: int, mu0=0, j0: int = 0):
-        """Vectors along the raising chain from (mu0, j0)."""
+    def chain_window(self, length: int):
+        """Vectors along the raising chain from (0, 0)."""
         p = self.ctx.p
-        base = Fraction(_check_mu(mu0, p), p)
-        return [self.vector(base + Fraction(b, p), j0 + b) for b in range(length)]
+        return [self.vector(Fraction(b, p), b) for b in range(length)]
 
     def weight_window(self, mu=0):
         """All cyclic powers at one weight; closed for the diagonal actions."""
@@ -608,13 +607,12 @@ def representation_suite(
     chain_length: int | None = None,
     samples: int = 15,
     seed: int = 7,
-    h: int | None = None,
 ) -> NumericReport:
     """Exact checks of the representation: the defining relations as operator
     identities, the fractional root both in the calculus and pointwise on a
     chain window, formal self-adjointness of the star-fixed generators by two
     routes, the Gram signature, and the corepresentation reassembly."""
-    rep = PiRepresentation(ctx, h=h)
+    rep = PiRepresentation(ctx)
     ual = rep.ualg
     p = ctx.p
     length = _chain_length(p, chain_length)

@@ -6,6 +6,7 @@ numerical oracles; mpmath's own Bessel implementations appear only in
 this file, as an extra independent referee for the in-repo routes.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -59,10 +60,14 @@ def test_hankel_wronskian():
 
 
 def test_hankel_conjugation_symmetry():
+    # H2 = conj(H1) at real order and argument, exactly: both routes
+    # evaluate the two kinds from conjugate data
     for nu, x in [(mp.mpf("0.3"), mp.mpf("2")), (mp.mpf("-1.2"), mp.mpf("0.5"))]:
-        h1 = _val("H1", nu, x)
-        h2 = _val("H2", nu, x)
-        assert abs(h1 - mp.conj(h2)) < mp.mpf("1e-10")
+        h1 = bessel_eval("H1", nu, x, precision=mp.mpf("1e-30"))
+        h2 = bessel_eval("H2", nu, x, precision=mp.mpf("1e-30"))
+        assert h2.re == h1.re
+        assert h2.im == mp.fneg(h1.im, exact=True)
+        assert h2.err_estimate == h1.err_estimate
 
 
 # -- cross-checks against the external referee (tests only) --
@@ -138,6 +143,12 @@ def test_input_guards():
         bessel_eval("H1", -2.5, 1.0)
 
 
+@pytest.mark.parametrize("precision", [0, -1e-10, "nan", 1, 2])
+def test_precision_must_be_a_relative_error(precision):
+    with pytest.raises(ValueError, match="precision"):
+        bessel_eval("H1", "0.3", "2", precision=precision)
+
+
 def test_precision_error_carries_achieved_bound(monkeypatch):
     import fsusy.bessel as bessel
 
@@ -173,6 +184,49 @@ def test_near_integer_orders_meet_the_default_target(kind, order):
             sign = 1 if kind == "H1" else -1
             want = mp.besselj(nu, 1) + sign * 1j * mp.bessely(nu, 1)
         assert abs(got.to_mpc() - want) <= mp.mpf("1e-25") * abs(want)
+
+
+# -- the Hankel error bound against the referee --
+#
+# The series value is returned and the contour quadrature, run only to a
+# fraction of the target, is the cross-check; its bound plus the
+# disagreement must still cover the true error at every target.
+
+
+_NEAR_INTEGER = {Fraction(1, 10**20): "1e-20", Fraction(10**20 + 1, 10**20): "1+1e-20"}
+
+
+def _hankel_bound_points(count=48, seed=14):
+    rng = random.Random(seed)
+    exponents = [10 + (35 * i) // (count - 1) for i in range(count)]
+    rng.shuffle(exponents)
+    near_integer = tuple(_NEAR_INTEGER)
+    points = []
+    for i, exponent in enumerate(exponents):
+        if i % 3 < 2:
+            order = near_integer[i % 3]
+        else:
+            order = Fraction(rng.randint(-190, 190), 100)
+        arg = Fraction(rng.randint(1, 90), 10)
+        points.append((("H1", "H2")[i % 2], order, arg, f"1e-{exponent}"))
+    return points
+
+
+_HANKEL_BOUND_POINTS = _hankel_bound_points()
+
+
+@pytest.mark.parametrize(
+    "kind, order, arg, target",
+    _HANKEL_BOUND_POINTS,
+    ids=[f"{k}-nu{_NEAR_INTEGER.get(o, o)}-x{a}-{t}" for k, o, a, t in _HANKEL_BOUND_POINTS],
+)
+def test_hankel_bound_covers_the_true_error(kind, order, arg, target):
+    got = bessel_eval(kind, order, arg, precision=target)
+    with mp.workdps(120):
+        want = REFEREE[kind](mp.mpmathify(order), mp.mpmathify(arg))
+        value = got.to_mpc()
+        assert abs(value - want) <= got.err_estimate
+        assert got.err_estimate <= mp.mpf(target) * abs(value)
 
 
 # -- the full-line tilted quadrature the paired-node path replaced --

@@ -297,6 +297,79 @@ def test_determinism():
         assert (a.re, a.im, a.err_estimate) == (b.re, b.im, b.err_estimate)
 
 
+# -- conjugate pairs share one evaluation --
+
+
+def _parts(value):
+    return value.re._mpf_, value.im._mpf_, value.err_estimate._mpf_
+
+
+def _conjugate_parts(value):
+    return value.re._mpf_, mp.fneg(value.im, exact=True)._mpf_, value.err_estimate._mpf_
+
+
+# (bits, target) of the grid's closed route and of the ladder, with the
+# orders and arguments each asks the cylinder evaluator for
+_CONJUGATE_SETTINGS = {
+    "grid": (256, "6.25e-18", ("-0.3", "0", "0.3"), ("1/4", "1/2", "1", "2", "4")),
+    "ladder": (
+        192,
+        "6.25e-20",
+        ("-23/15", "-6/5", "-8/15", "-1/5", "7/15", "4/5", "22/15"),
+        ("4/5", "1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_CONJUGATE_SETTINGS))
+def test_h2_is_the_exact_conjugate_of_h1(setting):
+    # the closed route serves H2 from the H1 entry; the values it hands
+    # out must be the ones bessel_eval("H2") computes
+    bits, target, orders, args = _CONJUGATE_SETTINGS[setting]
+    with mp.workprec(bits):
+        for order, arg in itertools.product(orders, args):
+            nu, x = mp.mpmathify(Fraction(order)), mp.mpmathify(Fraction(arg))
+            h1 = bessel.bessel_eval("H1", nu, x, precision=target)
+            h2 = bessel.bessel_eval("H2", nu, x, precision=target)
+            assert _parts(h2) == _conjugate_parts(h1), (order, arg)
+
+
+@pytest.mark.parametrize("bits", [110, 256])
+@pytest.mark.parametrize("family", ["cosh", "sinh"])
+def test_phase_minus_contour_is_the_exact_conjugate(family, bits):
+    # the integral route evaluates only phase +1 and conjugates for -1
+    contour = getattr(bessel, f"_contour_{family}_integral")
+    with mp.workprec(bits):
+        for drift, arg in itertools.product(("-0.3", "0", "0.3"), ("1/4", "1", "4")):
+            a, x = mp.mpmathify(Fraction(drift)), mp.mpmathify(Fraction(arg))
+            eps = mp.mpf("1e-16") / 16 * mp.exp(-x)
+            plus, plus_err, plus_cut = contour(x, a, 1, eps)
+            minus, minus_err, minus_cut = contour(x, a, -1, eps)
+            case = (drift, arg)
+            assert minus.real._mpf_ == plus.real._mpf_, case
+            assert minus.imag._mpf_ == mp.fneg(plus.imag, exact=True)._mpf_, case
+            assert (minus_err._mpf_, minus_cut._mpf_) == (plus_err._mpf_, plus_cut._mpf_), case
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+def test_conjugate_quadrant_is_independent_of_history(monkeypatch, mode):
+    # a quadrant-3 value served from the entry a quadrant-1 call made must
+    # equal one computed with both caches empty
+    params = KernelParams(p=3, s=0, nu="0.23", mu=0, r=1, precision="1e-20")
+
+    def quadrant_3_after(quadrants):
+        monkeypatch.setattr(kernels, "_BESSEL_CACHE", {})
+        monkeypatch.setattr(kernels, "_J_CACHE", {})
+        for quadrant in quadrants:
+            pt = QuadrantPoint.from_polar(quadrant, "1.17", "0.35")
+            got = kernel_eval(params, pt, mode)
+        cache = kernels._BESSEL_CACHE if mode == "closed" else kernels._J_CACHE
+        assert len(cache) == 1  # one entry serves the conjugate pair
+        return _parts(got)
+
+    assert quadrant_3_after((1, 3)) == quadrant_3_after((3,))
+
+
 # -- dressing polynomials --
 
 
