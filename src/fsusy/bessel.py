@@ -2,7 +2,7 @@
 
 The numeric layer needs the decaying Macdonald function K_nu and the two
 Hankel functions H1/H2 at real order and positive real argument.  Nothing
-here trusts a library implementation: every kind is computed by two
+here trusts a library implementation: K and H1 are each computed by two
 unrelated methods and the disagreement feeds the reported error bound.
 
 Route one is quadrature.  K_nu(x) has the integral representation
@@ -18,11 +18,12 @@ u(t) = t + i theta tanh(t):
 
     H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du
 
-over the rising contour (theta > 0), and H2 mirrors it on the falling
-contour with the opposite phase.  On those contours the oscillatory
-factor turns into double-exponential decay and the same trapezoid engine
-applies.  The kernel quadrature also uses the sinh companion on a constant
-tilt; both tilted contours share one truncation and tail-bound scaffold.
+over the rising contour (theta > 0).  At real order and argument
+H2 = conj(H1) (DLMF 10.11), so H2 is the exact conjugate of H1 and every
+contour runs at phase +1 only.  On the tilted contours the oscillation
+turns into double-exponential decay and the same trapezoid engine
+applies.  The kernel quadrature also uses the sinh companion on a
+constant tilt; both contours share one truncation and tail-bound scaffold.
 The trapezoid nodes come in pairs +-t, and each contour evaluates a pair
 from one set of transcendentals: u(-t) = -u(t) on the cosh contour, so
 the pair shares exp(i x cosh u) du and differs only in exp(+-nu u); on
@@ -233,34 +234,31 @@ def _cosh_sinh(t):
     return ch, e - ch
 
 
-def _contour_cosh_integral(arg, drift, phase_sign, eps_abs):
-    """integral exp(i*phase_sign*arg*cosh u + drift*u) du on the tilted
-    contour u(t) = t + i*phase_sign*theta*tanh(t), theta = pi/4.
+def _contour_cosh_integral(arg, drift, eps_abs):
+    """integral exp(i*arg*cosh u + drift*u) du on the tilted contour
+    u(t) = t + i*theta*tanh(t), theta = pi/4.
 
-    Tilting with the phase turns the oscillation into
-    exp(-arg*sin(theta tanh t)*|sinh t|) decay; the opposite tilt would
-    make the same factor grow, which is why the tilt follows the phase.
-    Returns (value, error_bound, cutoff); see _tilted_quadrature.
+    The tilt turns the oscillation into exp(-arg*sin(theta tanh t)*|sinh t|)
+    decay; the opposite tilt would make the same factor grow.  Returns
+    (value, error_bound, cutoff); see _tilted_quadrature.
 
     u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair
-    shares exp(i*phase_sign*arg*cosh u)*du and differs only in the
-    factor exp(+-drift*u).
+    shares exp(i*arg*cosh u)*du and differs only in the factor
+    exp(+-drift*u).
     """
     x = mp.mpf(arg)
     a = mp.mpf(drift)
     theta = mp.pi / 4
-    sgn = 1 if phase_sign >= 0 else -1
-    bend = sgn * theta
 
     def pair(t):
         ch, sh = _cosh_sinh(t)
-        phi = bend * sh / ch  # Im u
+        phi = theta * sh / ch  # Im u
         c_phi, s_phi = mp.cos_sin(phi)
-        # exp(i*sgn*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
-        # and du = 1 + i*bend/ch^2
-        mag = mp.exp(-sgn * x * sh * s_phi)
-        c, s = mp.cos_sin(sgn * x * ch * c_phi)
-        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, bend / (ch * ch))
+        # exp(i*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
+        # and du = 1 + i*theta/ch^2
+        mag = mp.exp(-x * sh * s_phi)
+        c, s = mp.cos_sin(x * ch * c_phi)
+        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, theta / (ch * ch))
         # exp(+-drift*u) = exp(+-a*t) * (cos(a*phi) +- i*sin(a*phi))
         grow = mp.exp(a * t)
         c_a, s_a = mp.cos_sin(a * phi)
@@ -274,31 +272,29 @@ def _contour_cosh_integral(arg, drift, phase_sign, eps_abs):
     return _tilted_quadrature(pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
 
 
-def _contour_sinh_integral(arg, drift, phase_sign, eps_abs):
-    """integral exp(i*phase_sign*arg*sinh u + drift*u) du on the constant
-    tilt u = t + i*phase_sign*theta, theta = pi/4.
+def _contour_sinh_integral(arg, drift, eps_abs):
+    """integral exp(i*arg*sinh u + drift*u) du on the constant tilt
+    u = t + i*theta, theta = pi/4.
 
-    Tilting with the phase makes the integrand decay like
-    exp(-arg*sin(theta)*cosh t); the opposite tilt would make it grow
-    like exp(+arg*sin(theta)*cosh t), which is why the tilt follows the
-    phase.  Returns (value, error_bound, cutoff); see _tilted_quadrature.
+    The tilt makes the integrand decay like exp(-arg*sin(theta)*cosh t);
+    the opposite tilt would make it grow like exp(+arg*sin(theta)*cosh t).
+    Returns (value, error_bound, cutoff); see _tilted_quadrature.
 
     sinh(u(-t)) = -conj(sinh u(t)), so the node pair shares the decay
-    exp(-phase_sign*arg*cosh(t)*sin(psi)) and the constant exp(i*drift*psi)
-    of the tilt psi, and takes conjugate phases exp(+-i*phase_sign*arg*
-    sinh(t)*cos(psi)) with the drift factors exp(+-drift*t)."""
+    exp(-arg*cosh(t)*sin(theta)) and the constant exp(i*drift*theta) of
+    the tilt, and takes conjugate phases exp(+-i*arg*sinh(t)*cos(theta))
+    with the drift factors exp(+-drift*t)."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
     theta = mp.pi / 4
-    sgn = 1 if phase_sign >= 0 else -1
-    c_psi, s_psi = mp.cos_sin(sgn * theta)
-    turn = mp.expj(a * sgn * theta)
+    c_psi, s_psi = mp.cos_sin(theta)
+    turn = mp.expj(a * theta)
 
     def pair(t):
         ch, sh = _cosh_sinh(t)
-        shared = turn * mp.exp(-sgn * x * ch * s_psi)
+        shared = turn * mp.exp(-x * ch * s_psi)
         grow = mp.exp(a * t)
-        c, s = mp.cos_sin(sgn * x * sh * c_psi)
+        c, s = mp.cos_sin(x * sh * c_psi)
         return (
             shared * mp.mpc(grow * c, grow * s),
             shared * mp.mpc(c / grow, -s / grow),
@@ -307,17 +303,12 @@ def _contour_sinh_integral(arg, drift, phase_sign, eps_abs):
     return _tilted_quadrature(pair, x * mp.sin(theta), a, 1, eps_abs)
 
 
-def _h_quadrature(kind, order, arg, eps_abs):
-    """Hankel functions from the rotated cosh-kernel contour."""
+def _h_quadrature(order, arg, eps_abs):
+    """H1 from the rotated cosh-kernel contour."""
     nu = mp.mpf(order)
     x = mp.mpf(arg)
-    if kind == "H1":
-        raw, err, _ = _contour_cosh_integral(x, nu, +1, eps_abs)
-        value = mp.expjpi(-nu / 2) / (mp.pi * 1j) * raw
-    else:
-        raw, err, _ = _contour_cosh_integral(x, nu, -1, eps_abs)
-        value = -mp.expjpi(nu / 2) / (mp.pi * 1j) * raw
-    return value, err / mp.pi
+    raw, err, _ = _contour_cosh_integral(x, nu, eps_abs)
+    return mp.expjpi(-nu / 2) / (mp.pi * 1j) * raw, err / mp.pi
 
 
 # -- route two: series --
@@ -436,12 +427,9 @@ def _y_series(order, x):
     return sign * (finite + logpart - acc / mp.pi)
 
 
-def _h_series(kind, order, x):
-    j = _j_series(order, x)
-    y = _y_series(order, x)
-    if kind == "H1":
-        return j + 1j * y
-    return j - 1j * y
+def _h_series(order, x):
+    """H1 = J + iY."""
+    return _j_series(order, x) + 1j * _y_series(order, x)
 
 
 # -- public entry point --
@@ -511,14 +499,16 @@ def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
             secondary = _k_series(order_f, arg_f)
             value = mp.mpc(primary)
         else:
-            value = mp.mpc(_h_series(kind, order_f, arg_f))
-            secondary, q_err = _h_quadrature(kind, order_f, arg_f, precision / 64 * abs(value))
+            value = mp.mpc(_h_series(order_f, arg_f))
+            secondary, q_err = _h_quadrature(order_f, arg_f, precision / 64 * abs(value))
         # the quadrature's bound covers its own error, so the disagreement
         # plus that bound covers the other route's (triangle inequality)
         err = q_err + abs(value - secondary) + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+        if kind == "H2":
+            value = mp.conj(value)  # H2 = conj(H1) at real order and argument (DLMF 10.11)
         result = ComplexValue(re=+value.real, im=+value.imag, err_estimate=+err)
         rel = result.rel_err()
-        if rel > precision:
+        if not rel <= precision:
             raise PrecisionError(
                 f"{kind}(order={order}, arg={arg}): certified relative error "
                 f"{mp.nstr(rel, 5)} misses the target {mp.nstr(precision, 5)}",

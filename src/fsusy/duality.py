@@ -148,14 +148,16 @@ class DualityContext:
         self._pair_cache[key] = val
         return val
 
-    def _pair_terms(self, uterms, amono) -> FieldScalar:
-        """<sum of uterms, amono> for enveloping-side (monomial,
-        coefficient) pairs of amono's multidegree, one group of _by_degree."""
+    def _pair_terms(self, terms, mono, fixed_u=False) -> FieldScalar:
+        """<sum of terms, mono> for the (monomial, coefficient) pairs of one
+        _by_degree group of mono's multidegree: enveloping-side terms
+        against a function-side mono, or the other way round if fixed_u."""
+        pair_mono = self._pair_mono
         acc = self.ctx._zero
-        for um, uc in uterms:
-            v = self._pair_mono(um, amono)
+        for m, c in terms:
+            v = pair_mono(mono, m) if fixed_u else pair_mono(m, mono)
             if v:
-                acc = acc + uc * v
+                acc = acc + c * v
         return acc
 
     def pair(self, x: UElement, a: AElement) -> FieldScalar:
@@ -170,26 +172,32 @@ class DualityContext:
                     acc = acc + ac * v
         return acc
 
-    def pair_tensor(self, x: UElement, y: UElement, ta) -> FieldScalar:
-        """<x (x) y, ta> for a two-leg tensor on the function side, with the
-        leg order given by the convention."""
+    def _contract(self, tensor, first, second, fixed_u=False) -> FieldScalar:
+        """sum c <m1, first> <m2, second> over the terms ((m1, m2), c) of a
+        two-leg tensor, against the _by_degree groupings first and second of
+        the other side; fixed_u as in _pair_terms, for an enveloping-side
+        tensor."""
         acc = self.ctx.zero()
-        first, second = (x, y) if self.convention.left_first else (y, x)
-        first, second = _by_degree(first), _by_degree(second)
-        for (a1, a2), c in ta.terms.items():
-            u1 = first.get(_degree(a1))
-            if u1 is None:
+        for (m1, m2), c in tensor.terms.items():
+            g1 = first.get(_degree(m1))
+            if g1 is None:
                 continue
-            u2 = second.get(_degree(a2))
-            if u2 is None:
+            g2 = second.get(_degree(m2))
+            if g2 is None:
                 continue
-            v1 = self._pair_terms(u1, a1)
+            v1 = self._pair_terms(g1, m1, fixed_u)
             if not v1:
                 continue
-            v2 = self._pair_terms(u2, a2)
+            v2 = self._pair_terms(g2, m2, fixed_u)
             if v2:
                 acc = acc + c * v1 * v2
         return acc
+
+    def pair_tensor(self, x: UElement, y: UElement, ta) -> FieldScalar:
+        """<x (x) y, ta> for a two-leg tensor on the function side, with the
+        leg order given by the convention."""
+        first, second = (x, y) if self.convention.left_first else (y, x)
+        return self._contract(ta, _by_degree(first), _by_degree(second))
 
     # -- actions --
 
@@ -212,16 +220,8 @@ class DualityContext:
                 if uterms is None:
                     continue
                 v = self._pair_terms(uterms, am)
-                if not v:
-                    continue
-                v = c * f * v
-                tgt = key[keep]
-                cur = out.get(tgt)
-                s = v if cur is None else cur + v
-                if s:
-                    out[tgt] = s
-                elif cur is not None:
-                    del out[tgt]
+                if v:
+                    _accumulate(out, key[keep], c * f * v)
         return AElement(self.aalg, out)
 
     # -- closed-form right action (the conformance target) --
@@ -287,41 +287,36 @@ class DualityContext:
     # -- invariant integral on the nilpotent sector --
 
     def grassmann_integral(self, x: AElement) -> FieldScalar:
-        """The invariant integral: q^{-1} times the coefficient of the top
-        monomial e+^{p-1} e-^{p-1}, zero elsewhere on the nilpotent sector."""
-        p = self.ctx.p
+        """The invariant integral on the nilpotent sector; see _integral_mono."""
         acc = self.ctx.zero()
-        for (n, m, k, t, s, l, mu), c in x.terms.items():
-            if t or s or l or mu:
+        for mon, c in x.terms.items():
+            if any(mon[3:]):
                 raise ValueError("integrand outside the nilpotent sector")
-            if n == m == p - 1 and k == 0:
-                acc = acc + c * self.ctx.q(-1)
+            v = self._integral_mono(mon)
+            if v:
+                acc = acc + c * v
         return acc
 
-    def _lenient_integral_mono(self, mon) -> FieldScalar:
-        # used only inside the invariance contraction, where coproduct legs
-        # may carry group-like classical factors that integrate to zero
-        n, m, k, t, s, l, mu = mon
-        p = self.ctx.p
-        if n == m == p - 1 and k == 0 and t == s == l == 0 and mu == 0:
-            return self.ctx.q(-1)
-        return self.ctx.zero()
+    def _integral_mono(self, mon) -> FieldScalar:
+        """The integral of one basis monomial: q^{-1} on the top monomial
+        e+^{p-1} e-^{p-1}, zero on every other one (coproduct legs may carry
+        group-like classical factors, which integrate to zero)."""
+        top = self.ctx.p - 1
+        return self.ctx.q(-1) if mon == (top, top, 0, 0, 0, 0, 0) else self.ctx.zero()
 
     def integral_invariance(self, a: AElement):
         """Both one-sided invariance contractions of the integral on a.
         Returns (left_side, right_side) where left = (id (x) I) Delta(a) and
         right = (I (x) id) Delta(a), both as elements to compare to I(a) 1."""
-        cop = a.coproduct()
-        left = self.aalg.zero()
-        right = self.aalg.zero()
-        for (a1, a2), c in cop.terms.items():
-            v = self._lenient_integral_mono(a2)
+        left, right = {}, {}
+        for (a1, a2), c in a.coproduct().terms.items():
+            v = self._integral_mono(a2)
             if v:
-                left = left + AElement(self.aalg, {a1: c * v})
-            w = self._lenient_integral_mono(a1)
+                _accumulate(left, a1, c * v)
+            w = self._integral_mono(a1)
             if w:
-                right = right + AElement(self.aalg, {a2: c * w})
-        return left, right
+                _accumulate(right, a2, c * w)
+        return AElement(self.aalg, left), AElement(self.aalg, right)
 
 
 # -- convention determination -------------------------------------------------
@@ -384,15 +379,6 @@ def determine_convention(ctx: FieldContext) -> PairingConvention:
 
 # -- the duality suite ---------------------------------------------------------
 
-def _u_window(ual: UAlgebra, bound: int):
-    p = ual.ctx.p
-    rng_n = range(min(bound, p - 1) + 1)
-    rng_k = range(min(bound, p - 1) + 1)
-    rng_c = range(bound + 1)
-    for n, m, k, t, s, l in itertools.product(rng_n, rng_n, rng_k, rng_c, rng_c, rng_c):
-        yield (n, m, k, t, s, l)
-
-
 def _matched_a_monos(dual: DualityContext, umono, pmu_set):
     """Function-side basis monomials whose multidegree can pair with umono,
     with every grading index and a margin of one lambda degree; pmu_set
@@ -430,17 +416,10 @@ def duality_suite(
     # the weights 0, 1/p, -1/p, 1 as key slots p*mu
     pmu_set = (0, 1, -1, p)
 
-    u_monos = list(_u_window(ual, exponent_bound))
-    a_monos = [
-        (n, m, k, t, s, l, pmu)
-        for n, m, k in itertools.product(
-            range(min(exponent_bound, p - 1) + 1),
-            range(min(exponent_bound, p - 1) + 1),
-            range(min(exponent_bound, p - 1) + 1),
-        )
-        for t, s, l in itertools.product(*(range(exponent_bound + 1),) * 3)
-        for pmu in pmu_set
-    ]
+    nilpotent = range(min(exponent_bound, p - 1) + 1)
+    classical = range(exponent_bound + 1)
+    u_monos = list(itertools.product(*(nilpotent,) * 3, *(classical,) * 3))
+    a_monos = [um + (pmu,) for um in u_monos for pmu in pmu_set]
 
     # counit compatibilities, exhaustive
     ok_u = all(
@@ -567,28 +546,8 @@ def _matched_u_monos(dual: DualityContext, amono, bound: int):
 
 def _pair_cop_x(dual: DualityContext, x: UElement, a: AElement, b: AElement) -> FieldScalar:
     """sum <x_(1), a> <x_(2), b>, with the leg order of the convention."""
-    ctx = dual.ctx
-    pair_mono = dual._pair_mono
-
-    def pair_leg(um, by_degree):
-        acc = ctx._zero
-        for am, ac in by_degree.get(_degree(um), ()):
-            v = pair_mono(um, am)
-            if v:
-                acc = acc + ac * v
-        return acc
-
-    acc = ctx.zero()
-    legs = (0, 1) if dual.convention.left_first else (1, 0)
-    a_deg, b_deg = _by_degree(a), _by_degree(b)
-    for key, c in x.coproduct().terms.items():
-        v1 = pair_leg(key[legs[0]], a_deg)
-        if not v1:
-            continue
-        v2 = pair_leg(key[legs[1]], b_deg)
-        if v2:
-            acc = acc + c * v1 * v2
-    return acc
+    first, second = (a, b) if dual.convention.left_first else (b, a)
+    return dual._contract(x.coproduct(), _by_degree(first), _by_degree(second), True)
 
 
 # -- conformance of the printed closed forms -----------------------------------

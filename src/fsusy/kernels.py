@@ -83,6 +83,15 @@ _SIGNS_QUAD = {(s1, s2): quadrant for quadrant, (s1, s2, _) in _QUADRANTS.items(
 # -- quadrant geometry --
 
 
+def _finite_real(label, value):
+    """value as an mpf at the ambient precision; a complex, NaN or infinite
+    value is a ValueError that names the coordinate."""
+    v = mp.mpmathify(value)
+    if isinstance(v, mp.mpc) or not mp.isfinite(v):
+        raise ValueError(f"{label} must be a finite real number, got {value}")
+    return v
+
+
 @dataclass(frozen=True)
 class QuadrantPoint:
     """A point off the light cone, stored both ways: cartesian
@@ -103,9 +112,9 @@ class QuadrantPoint:
         if quadrant not in _QUADRANTS:
             raise ValueError(f"quadrant must be 1..4, got {quadrant}")
         with mp.extraprec(80):
-            rho = mp.mpmathify(rho)
-            beta = mp.mpmathify(beta)
-            lam = mp.mpmathify(lambda_val)
+            rho = _finite_real("rho", rho)
+            beta = _finite_real("beta", beta)
+            lam = _finite_real("lambda", lambda_val)
             if rho <= 0:
                 raise ValueError("rho must be positive")
             s1, s2, _ = _QUADRANTS[quadrant]
@@ -146,11 +155,9 @@ def quadrant_decompose(z_plus, z_minus, lambda_val=0):
     Points on the light cone (either coordinate zero) have no quadrant
     and are rejected."""
     with mp.extraprec(80):
-        zp = mp.mpmathify(z_plus)
-        zm = mp.mpmathify(z_minus)
-        lam = mp.mpmathify(lambda_val)
-        if any(isinstance(v, mp.mpc) for v in (zp, zm, lam)):
-            raise ValueError("coordinates must be real")
+        zp = _finite_real("z_plus", z_plus)
+        zm = _finite_real("z_minus", z_minus)
+        lam = _finite_real("lambda", lambda_val)
         if zp == 0 or zm == 0:
             raise ValueError("point lies on the light cone; no quadrant applies")
         quadrant = _SIGNS_QUAD[(1 if zp > 0 else -1, 1 if zm > 0 else -1)]
@@ -188,7 +195,7 @@ class KernelParams:
             for label, v in (("nu", self.nu), ("mu", self.mu)):
                 if isinstance(mp.mpmathify(v), mp.mpc):
                     raise ValueError(f"{label} must be real here")
-            if mp.mpmathify(self.r) <= 0:
+            if _finite_real("r", self.r) <= 0:
                 raise ValueError("r must be positive")
             tgt = mp.mpf(self.precision)
             if not 0 < tgt < 1:
@@ -246,7 +253,7 @@ def _integral_core(quadrant, abar, x, bits, rel_target):
         key = (family, abar._mpf_, x._mpf_, bits, float(rel_target))
         hit = _J_CACHE.get(key)
         if hit is None:
-            raw, jerr, cutoff = fn(x, abar, 1, eps_abs)
+            raw, jerr, cutoff = fn(x, abar, eps_abs)
             hit = (raw, jerr, float(cutoff))
             _J_CACHE[key] = hit
         raw, jerr, cutoff = hit
@@ -321,7 +328,7 @@ def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="close
         )
         err = err + mp.mpf(2) ** (-(bits - 8)) * abs(value)
         rel = err / abs(value) if value != 0 else (mp.inf if err > 0 else mp.mpf(0))
-        if rel > tgt:
+        if not rel <= tgt:
             raise PrecisionError(
                 f"kernel evaluation achieved relative error {mp.nstr(rel, 5)}, "
                 f"target {mp.nstr(tgt, 5)}",

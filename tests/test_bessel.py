@@ -308,7 +308,10 @@ def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits)
                 ref_calls = []
                 want, want_err, want_cut = reference(x, a, phase, eps, ref_calls)
                 del folded_calls[:]
-                got, got_err, got_cut = paired(x, a, phase, eps)
+                # the library runs phase +1 only; phase -1 is its conjugate
+                got, got_err, got_cut = paired(x, a, eps)
+                if phase < 0:
+                    got = mp.conj(got)
                 case = f"{family} phase={phase} drift={drift} arg={arg} bits={bits}"
                 assert got_cut == want_cut, case
                 assert abs(got - want) <= rounding * abs(want), case
@@ -324,6 +327,9 @@ def test_hankel_quadrature_against_mpmath(kind, order, arg):
     with mp.workdps(60):
         nu, x = mp.mpf(order), mp.mpf(arg)
         want = (mp.hankel1 if kind == "H1" else mp.hankel2)(nu, x)
-        got, err = bessel._h_quadrature(kind, nu, x, mp.mpf("1e-50") * abs(want))
+        # the quadrature runs H1 only; H2 = conj(H1) at real order and argument
+        got, err = bessel._h_quadrature(nu, x, mp.mpf("1e-50") * abs(want))
+        if kind == "H2":
+            got = mp.conj(got)
         assert err <= mp.mpf("1e-49") * abs(want)
         assert abs(got - want) <= err + mp.mpf("1e-57") * abs(want)

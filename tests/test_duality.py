@@ -9,6 +9,7 @@ from fsusy.afalg import AElement, random_a_element
 from fsusy.duality import (
     DualityContext,
     PairingConvention,
+    _pair_cop_x,
     _probe_pass,
     classical_integral,
     default_conformance_monomials,
@@ -24,7 +25,7 @@ from fsusy.duality import (
     star_representation_suite,
 )
 from fsusy.scalars import FieldContext
-from fsusy.ufalg import random_u_element
+from fsusy.ufalg import UElement, random_u_element
 
 
 @pytest.fixture(scope="session")
@@ -192,8 +193,12 @@ def test_indexed_pairing_matches_brute_force(p, left_first):
     dual = DualityContext(FieldContext(p), PairingConvention(left_first, -1, 1))
     ual = dual.ualg
     rng = random.Random(41 + p)
+    # the coproduct side draws from its own stream, so the data of the
+    # other checks stay as they are
+    rng_cop = random.Random(43 + p)
     left, right = (0, 1) if dual.convention.left_first else (1, 0)
-    nonzero = 0
+    one = dual.ctx.one()
+    nonzero = nonzero_cop = 0
     for _ in range(12):
         x = random_u_element(ual, rng, degree=3, nterms=4)
         y = random_u_element(ual, rng, degree=2, nterms=3)
@@ -211,7 +216,20 @@ def test_indexed_pairing_matches_brute_force(p, left_first):
         assert dual.right_act(x, a) == _brute_act(dual, x, a, left)
         assert dual.left_act(x, a) == _brute_act(dual, x, a, right)
         nonzero += not dual.right_act(x, a).is_zero()
+        # sum c <x_(1), a> <x_(2), b> over Delta x, with a and b near the
+        # two legs of a few of its terms
+        cop = x.coproduct()
+        picks = rng_cop.sample(sorted(cop.terms), 3)
+        a = _near_pair(dual, rng_cop, UElement(ual, {key[left]: one for key in picks}))
+        b = _near_pair(dual, rng_cop, UElement(ual, {key[right]: one for key in picks}))
+        want = dual.ctx.zero()
+        for key, c in cop.terms.items():
+            u1, u2 = UElement(ual, {key[left]: one}), UElement(ual, {key[right]: one})
+            want = want + c * _brute_pair(dual, u1, a) * _brute_pair(dual, u2, b)
+        assert _pair_cop_x(dual, x, a, b) == want
+        nonzero_cop += bool(want)
     assert nonzero >= 18
+    assert nonzero_cop >= 10
 
 
 def test_pair_normal_ordering_composition(dual3):

@@ -66,6 +66,58 @@ def test_complex_coordinates_rejected():
         quadrant_decompose(mp.mpc(1, 1), "1")
 
 
+_BAD_COORDINATES = {
+    "z_plus": lambda v: quadrant_decompose(v, "0.5"),
+    "z_minus": lambda v: quadrant_decompose("2", v),
+    "lambda": lambda v: quadrant_decompose("2", "0.5", v),
+    "rho": lambda v: QuadrantPoint.from_polar(3, v, "0"),
+    "beta": lambda v: QuadrantPoint.from_polar(3, "1", v),
+    "lambda_polar": lambda v: QuadrantPoint.from_polar(3, "1", "0", v),
+    "r": lambda v: KernelParams(p=3, s=0, nu="0.1", mu=0, r=v),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1j"])
+@pytest.mark.parametrize("case", sorted(_BAD_COORDINATES))
+def test_non_finite_or_complex_coordinates_rejected(case, bad):
+    label = case.removesuffix("_polar")
+    with pytest.raises(ValueError, match=f"^{label} must be a finite real number"):
+        _BAD_COORDINATES[case](bad)
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (("--beta", "nan"), "beta"),
+        (("--lam", "inf", "--mu", "0.1"), "lambda"),
+        (("--beta", "1j"), "beta"),
+        (("--lam", "1j"), "lambda"),
+        (("--rho", "inf"), "rho"),
+        (("--rho", "nan"), "rho"),
+    ],
+)
+def test_cli_rejects_non_finite_or_complex_coordinates(capsys, argv, label):
+    code = main(["kernel-eval", "--format", "text", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {label} must be a finite real number")
+
+
+def test_nan_bound_is_never_certified(monkeypatch):
+    # a bound that compares false against the target in both directions
+    # must fail the check, not pass it
+    def nan_bound(quadrant, abar, x, bits, rel_target):
+        return mp.mpc(1), mp.nan, {}
+
+    monkeypatch.setattr(kernels, "_integral_core", nan_bound)
+    params = KernelParams(p=3, s=0, nu="0.3", mu=0, r=1)
+    with pytest.raises(PrecisionError):
+        kernel_eval(params, QuadrantPoint.from_polar(3, "1", "0.5"), "integral")
+    monkeypatch.setattr(bessel, "_h_quadrature", lambda order, arg, eps_abs: (mp.mpc(1), mp.nan))
+    with pytest.raises(PrecisionError):
+        bessel.bessel_eval("H1", "0.3", "1.5")
+
+
 def test_quadrant_table_matches_the_ledger():
     """The ledger's quadrant-table statement and the kernels' quadrant
     table are the two places the closed forms are stated; nothing else
@@ -245,7 +297,8 @@ def _tilted_pairs(x, a, sgn, tilt):
 def test_wrong_tilt_grows():
     # tilted against the phase, the integrand grows and the decay guard
     # refuses it; tilted with the phase, the same data integrates to the
-    # library contour's value
+    # library contour's value, which runs at phase +1 and is conjugated
+    # for phase -1
     with mp.workprec(128):
         x, a, eps = mp.mpf(1), mp.mpf("0.3"), mp.mpf("1e-20")
         for family, sgn in itertools.product(("cosh", "sinh"), (1, -1)):
@@ -256,13 +309,15 @@ def test_wrong_tilt_grows():
             pair, decay, spread = _tilted_pairs(x, a, sgn, sgn)[family]
             got, _, cutoff = bessel._tilted_quadrature(pair, decay, a, spread, eps)
             contour = getattr(bessel, f"_contour_{family}_integral")
-            want, want_err, want_cutoff = contour(x, a, sgn, eps)
+            want, want_err, want_cutoff = contour(x, a, eps)
+            if sgn < 0:
+                want = mp.conj(want)
             assert cutoff == want_cutoff, case
             assert abs(got - want) <= want_err, case
 
 
 def test_decay_guard_trip_is_a_verification_failure(monkeypatch, capsys):
-    def stuck(arg, drift, phase_sign, eps_abs):
+    def stuck(arg, drift, eps_abs):
         raise ArithmeticError("tilted integrand fails to decay at the cutoff")
 
     monkeypatch.setattr(kernels, "_contour_cosh_integral", stuck)
@@ -336,19 +391,25 @@ def test_h2_is_the_exact_conjugate_of_h1(setting):
 
 @pytest.mark.parametrize("bits", [110, 256])
 @pytest.mark.parametrize("family", ["cosh", "sinh"])
-def test_phase_minus_contour_is_the_exact_conjugate(family, bits):
-    # the integral route evaluates only phase +1 and conjugates for -1
-    contour = getattr(bessel, f"_contour_{family}_integral")
-    with mp.workprec(bits):
-        for drift, arg in itertools.product(("-0.3", "0", "0.3"), ("1/4", "1", "4")):
+def test_phase_minus_contour_is_the_exact_conjugate(monkeypatch, family, bits):
+    # the integral route evaluates only phase +1 and conjugates for -1:
+    # each phase -1 quadrant, computed with the caches empty, is the exact
+    # conjugate of the phase +1 quadrant of its family
+    plus_q, minus_q = (1, 3) if family == "cosh" else (4, 2)
+    for drift, arg in itertools.product(("-0.3", "0", "0.3"), ("1/4", "1", "4")):
+        with mp.workprec(bits):
             a, x = mp.mpmathify(Fraction(drift)), mp.mpmathify(Fraction(arg))
-            eps = mp.mpf("1e-16") / 16 * mp.exp(-x)
-            plus, plus_err, plus_cut = contour(x, a, 1, eps)
-            minus, minus_err, minus_cut = contour(x, a, -1, eps)
-            case = (drift, arg)
-            assert minus.real._mpf_ == plus.real._mpf_, case
-            assert minus.imag._mpf_ == mp.fneg(plus.imag, exact=True)._mpf_, case
-            assert (minus_err._mpf_, minus_cut._mpf_) == (plus_err._mpf_, plus_cut._mpf_), case
+        got = {}
+        for quadrant in (plus_q, minus_q):
+            monkeypatch.setattr(kernels, "_J_CACHE", {})
+            got[quadrant] = kernels._integral_core(quadrant, a, x, bits, mp.mpf("1e-16"))
+        (plus, plus_err, plus_diag), (minus, minus_err, minus_diag) = got[plus_q], got[minus_q]
+        case = (drift, arg)
+        assert (plus_diag["phase_sign"], minus_diag["phase_sign"]) == (1, -1), case
+        assert minus.real._mpf_ == plus.real._mpf_, case
+        assert minus.imag._mpf_ == mp.fneg(plus.imag, exact=True)._mpf_, case
+        assert minus_err._mpf_ == plus_err._mpf_, case
+        assert minus_diag["cutoff"] == plus_diag["cutoff"], case
 
 
 @pytest.mark.parametrize("mode", ["closed", "integral"])
