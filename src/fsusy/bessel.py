@@ -1,52 +1,49 @@
-"""High-precision cylinder-function evaluators with two independent routes.
+"""High-precision cylinder functions: certified series and tilted contours.
 
 The numeric layer needs the decaying Macdonald function K_nu and the two
 Hankel functions H1/H2 at real order and positive real argument.  Nothing
-here trusts a library implementation: K and H1 are each computed by two
-unrelated methods and the disagreement feeds the reported error bound.
+here trusts a library implementation of them.
 
-Route one is quadrature.  K_nu(x) has the integral representation
+`bessel_eval` returns K and H1 from their ascending series, evaluated in
+mpmath's interval context `mp.iv`: I_nu and J_nu term by term, each sum
+closed by a geometric bound on its tail, then K and Y by the reflection
+formulas at non-integer order (DLMF 10.27.4, 10.4.7) and by the digamma
+series at integer order, with psi(k+1) = H_k - euler.  Every rounding
+and every input is enclosed, so the box around the result is a
+certified error bound: it widens by itself where sin(nu pi) cancels near
+an integer order, and the reported err_estimate is its radius.  At real
+order and argument H2 = conj(H1) (DLMF 10.11), so H2 is the exact
+conjugate of H1.  mpmath supplies only the arithmetic and elementary
+calls (power, gamma, log, sin, cos); its own Bessel implementations are
+never imported here.
 
-    K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt,  x > 0,
-
-whose integrand decays doubly exponentially, so the plain trapezoid rule
-converges geometrically; the step is halved until the value settles and
-the truncation tail is bounded analytically (cosh is convex, so the
-exponent is dominated by its tangent line past the cutoff).  The Hankel
-functions come from the same kernel pushed onto a tilted contour
-u(t) = t + i theta tanh(t):
+The tilted contour integrals are the kernels' independent integral
+route.  The Hankel functions come from the cosh kernel pushed onto the
+contour u(t) = t + i theta tanh(t):
 
     H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du
 
-over the rising contour (theta > 0).  At real order and argument
-H2 = conj(H1) (DLMF 10.11), so H2 is the exact conjugate of H1 and every
-contour runs at phase +1 only.  On the tilted contours the oscillation
-turns into double-exponential decay and the same trapezoid engine
-applies.  The kernel quadrature also uses the sinh companion on a
-constant tilt; both contours share one truncation and tail-bound scaffold.
-The trapezoid nodes come in pairs +-t, and each contour evaluates a pair
-from one set of transcendentals: u(-t) = -u(t) on the cosh contour, so
-the pair shares exp(i x cosh u) du and differs only in exp(+-nu u); on
-the sinh contour sinh u(-t) = -conj(sinh u(t)), so both values come from
-the same cosh t, sinh t and tilt angle.  The rule then sums f(t) + f(-t)
-over t >= 0 on the full-line nodes, at half the integrand evaluations.
-
-Route two is the power series: I_nu and J_nu from their ascending series,
-K and Y by the reflection formulas at non-integer order and by the
-digamma series at integer order.  mpmath supplies only arbitrary
-precision arithmetic and elementary calls (exp, log, gamma, digamma);
-its own Bessel implementations are never imported here.
-
-The quadrature is the primary route for K and the series for H1/H2.  The
-reported error is the quadrature's own bound plus the disagreement of
-the two routes, so it covers whichever route is returned.  For the
-Hankel kinds the quadrature is only a cross-check, so it runs to a
-fraction (1/64) of the target rather than to the working precision.
+over the rising contour (theta > 0), and the kernel quadrature also uses
+the sinh companion on a constant tilt.  On the tilted contours the
+oscillation turns into double-exponential decay, so the plain trapezoid
+rule converges geometrically; the step is halved until the value
+settles and the truncation tail is bounded analytically (cosh is
+convex, so the exponent is dominated by its tangent line past the
+cutoff).  Both contours share one truncation and tail-bound scaffold,
+and run at phase +1 only.  The trapezoid nodes come in pairs +-t, and
+each contour evaluates a pair from one set of transcendentals: u(-t) =
+-u(t) on the cosh contour, so the pair shares exp(i x cosh u) du and
+differs only in exp(+-nu u); on the sinh contour sinh u(-t) =
+-conj(sinh u(t)), so both values come from the same cosh t, sinh t and
+tilt angle.  The rule then sums f(t) + f(-t) over t >= 0 on the
+full-line nodes, at half the integrand evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 
@@ -176,25 +173,7 @@ def _tangent_tail_bound(decay_scale, drift, cutoff):
     return mp.exp(-(decay_scale * mp.cosh(cutoff) - drift * cutoff)) / slope
 
 
-# -- route one: quadrature --
-
-
-def _k_quadrature(order, arg, eps_abs):
-    """K_nu by trapezoid on the cosh-kernel representation; even integrand."""
-    nu = abs(mp.mpf(order))
-    x = mp.mpf(arg)
-    log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
-    cutoff = _tail_cutoff(x, nu, log_target)
-
-    def f(t):
-        return mp.exp(-x * mp.cosh(t)) * mp.cosh(nu * t)
-
-    half, change = doubling_trapezoid(f, 0, cutoff, eps_abs / 4)
-    tail = _tangent_tail_bound(x, nu, cutoff)
-    # f is even in t, so the half-line integral equals the [0, cutoff]
-    # trapezoid minus half the t=0 node's double counting; the engine
-    # already weights the endpoint by 1/2
-    return half, change + tail
+# -- the tilted contours --
 
 
 def _tilted_quadrature(pair, decay_scale, drift, spread, eps_abs):
@@ -303,133 +282,125 @@ def _contour_sinh_integral(arg, drift, eps_abs):
     return _tilted_quadrature(pair, x * mp.sin(theta), a, 1, eps_abs)
 
 
-def _h_quadrature(order, arg, eps_abs):
-    """H1 from the rotated cosh-kernel contour."""
-    nu = mp.mpf(order)
-    x = mp.mpf(arg)
-    raw, err, _ = _contour_cosh_integral(x, nu, eps_abs)
-    return mp.expjpi(-nu / 2) / (mp.pi * 1j) * raw, err / mp.pi
+# -- the series on intervals --
+
+_TAIL_BITS = 16
 
 
-# -- route two: series --
+def _enclose(value):
+    """An interval around an input at iv.prec.  Fractions are divided and
+    decimal strings parsed in the interval context, so neither is rounded
+    to a float on the way in."""
+    if isinstance(value, Fraction):
+        return mp.iv.mpf(value.numerator) / value.denominator
+    return mp.iv.mpf(value)
 
-_MAX_TERMS = 20000
 
+def _ascending_sums(nu, half, sign, digamma=False):
+    """Enclosures of sum_k u_k and, with digamma=True, of sum_k u_k w_k, where
 
-def _gamma_ratio_series(nu, x, signs):
-    """sum_k signs^k (x/2)^{2k+nu} / (k! Gamma(k+nu+1)): I for signs=+1,
-    J for signs=-1.  Terms are generated by ratio recursion, so a single
-    Gamma call seeds the sum."""
-    half = x / 2
-    term = mp.power(half, nu) / mp.gamma(nu + 1)
-    acc = term
-    k = 0
+        u_k = sign^k (x/2)^(2k+nu) / (k! Gamma(k+nu+1)),
+        w_k = psi(k+1) + psi(k+nu+1)    (integer nu only),
+
+    so the plain sum is I_nu for sign +1 and J_nu for sign -1 (DLMF
+    10.25.2, 10.2.2).  The terms recurse by the ratio sign*(x/2)^2/(k(k+nu)),
+    and psi by harmonic steps from psi(1) = -euler.  Once k+1+nu > 0 the
+    ratio rho to the next term falls with k, so where rho <= 1/2 the rest
+    of the plain sum is at most 2 rho |u_k|; w grows by at most 2 a step,
+    so the rest of the weighted sum is at most 2 rho |u_k| (|w_k| + 4).
+    The sums stop once a term falls 2^-(prec - _TAIL_BITS) below the plain
+    sum and are closed by these tails, so the tails spend about _TAIL_BITS
+    of the guard bits `_working_bits` carries above the target instead of
+    summing on into the rounding noise."""
+    iv = mp.iv
     quarter = half * half
-    tiny = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    scale = abs(term)
-    while k < _MAX_TERMS:
-        k += 1
-        term = term * signs * quarter / (k * (k + nu))
-        acc += term
-        mag = abs(term)
-        if mag > scale:
-            scale = mag
-        if mag < tiny * (abs(acc) + scale * tiny) and k > int(abs(x)) + 4:
-            break
-    else:
-        raise ArithmeticError("series failed to converge")
-    return acc
-
-
-def _i_series(nu, x):
-    nu = mp.mpf(nu)
-    if nu < 0 and _is_integer(nu):
-        nu = -nu  # I_{-n} = I_n
-    return _gamma_ratio_series(nu, mp.mpf(x), 1)
-
-
-def _j_series(nu, x):
-    nu = mp.mpf(nu)
-    sign = mp.mpf(1)
-    if nu < 0 and _is_integer(nu):
-        nu = -nu
-        sign = mp.power(-1, nu)  # J_{-n} = (-1)^n J_n
-    return sign * _gamma_ratio_series(nu, mp.mpf(x), -1)
-
-
-def _is_integer(nu) -> bool:
-    return nu == mp.floor(nu)
-
-
-def _integer_order_sums(n, x, step):
-    """The two sums of the integer-order K and Y series, with step = x^2/4
-    for K and -x^2/4 for Y:
-
-        finite = sum_{k<n} (n-k-1)!/k! (-step)^k
-        acc    = sum_k (x/2)^n step^k/(k! (k+n)!) (psi(k+1) + psi(k+n+1))
-
-    The digamma terms recurse like the I series, with the psi weights
-    updated by harmonic increments."""
-    half = x / 2
-    finite = mp.mpf(0)
-    for k in range(n):
-        finite += mp.factorial(n - k - 1) / mp.factorial(k) * mp.power(-step, k)
-    psi_a = mp.digamma(1)
-    psi_b = mp.digamma(n + 1)
-    term = mp.power(half, n) / mp.factorial(n)
-    acc = term * (psi_a + psi_b)
+    step = sign * quarter
+    u = iv.power(half, nu) / iv.gamma(nu + 1)
+    if digamma:
+        psi_a = -iv.euler
+        psi_b = psi_a + sum(iv.mpf(1) / j for j in range(1, int(nu) + 1))
+        w = psi_a + psi_b
+    sums = [u, u * w] if digamma else [u]
     k = 0
-    tiny = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    while k < _MAX_TERMS:
+    while True:
         k += 1
-        term = term * step / (k * (k + n))
-        psi_a += mp.mpf(1) / k
-        psi_b += mp.mpf(1) / (k + n)
-        inc = term * (psi_a + psi_b)
-        acc += inc
-        if abs(inc) < tiny * abs(acc) and k > int(abs(x)) + 4:
-            break
-    else:
-        raise ArithmeticError("series failed to converge")
-    return finite, acc
+        shift = k + nu
+        u = u * step / (k * shift)
+        sums[0] += u
+        if digamma:
+            psi_a += iv.mpf(1) / k
+            psi_b += 1 / shift
+            w = psi_a + psi_b
+            sums[1] += u * w
+        if iv.mag(u) > iv.mag(sums[0]) - iv.prec + _TAIL_BITS:
+            continue
+        ahead = shift + 1
+        rho = quarter / ((k + 1) * ahead)
+        if ahead.a > 0 and rho.b <= 0.5:
+            tail = 2 * rho * abs(u)
+            tails = [tail, tail * (abs(w) + 4)] if digamma else [tail]
+            return [s + iv.mpf([-t.b, t.b]) for s, t in zip(sums, tails)]
 
 
-def _k_series(order, x):
-    """K_nu via reflection (non-integer) or the digamma series (integer)."""
-    nu = abs(mp.mpf(order))
-    x = mp.mpf(x)
-    if not _is_integer(nu):
-        return (mp.pi / 2) * (_i_series(-nu, x) - _i_series(nu, x)) / mp.sinpi(nu)
-    n = int(nu)
-    half = x / 2
-    finite, acc = _integer_order_sums(n, x, half * half)
-    finite = finite / 2 * mp.power(half, -n)
-    logpart = mp.power(-1, n + 1) * mp.log(half) * _i_series(n, x)
-    return finite + logpart + mp.power(-1, n) * acc / 2
+def _series_boxes(kind, order, arg):
+    """Enclosures (real part, imaginary part) of K or H1 at iv.prec.
+
+    Non-integer orders use the reflection formulas
+    Y = (J_nu cos(nu pi) - J_-nu)/sin(nu pi) and
+    K = (pi/2)(I_-nu - I_nu)/sin(nu pi) (DLMF 10.4.7, 10.27.4); the
+    cancellation near an integer order widens the box by itself.
+    Exactly integer orders take the digamma series (DLMF 10.8.1, 10.31.1)
+    with Y_-n = (-1)^n Y_n, J_-n = (-1)^n J_n and K_-n = K_n."""
+    iv = mp.iv
+    nu = _enclose(order)
+    half = _enclose(arg) / 2
+    sign = 1 if kind == "K" else -1
+    lo, hi = (mp.make_mpf(end) for end in nu._mpi_)
+    if lo == hi and lo == mp.floor(lo):
+        turn = (-1) ** int(lo) if lo < 0 else 1
+        n = abs(int(lo))
+        plain, weighted = _ascending_sums(iv.mpf(n), half, sign, digamma=True)
+        finite = sum(
+            iv.mpf(factorial(n - k - 1)) / factorial(k) * (-sign * half * half) ** k
+            for k in range(n)
+        ) * half ** (-n)
+        if kind == "K":
+            log_part = (-1) ** (n + 1) * iv.log(half) * plain
+            return finite / 2 + log_part + (-1) ** n * weighted / 2, iv.mpf(0)
+        y = (2 * iv.log(half) * plain - finite - weighted) / iv.pi
+        return turn * plain, turn * y
+    s = iv.sin(iv.pi * nu)
+    if 0 in s:
+        # an interval order that holds an integer has no reflection value
+        return iv.mpf([-mp.inf, mp.inf]), iv.mpf([-mp.inf, mp.inf])
+    (plus,) = _ascending_sums(nu, half, sign)
+    (minus,) = _ascending_sums(-nu, half, sign)
+    if kind == "K":
+        return iv.pi / 2 * (minus - plus) / s, iv.mpf(0)
+    return plus, (plus * iv.cos(iv.pi * nu) - minus) / s
 
 
-def _y_series(order, x):
-    """Y_nu via reflection (non-integer) or the digamma series (integer)."""
-    nu = mp.mpf(order)
-    x = mp.mpf(x)
-    if not _is_integer(nu):
-        return (_j_series(nu, x) * mp.cospi(nu) - _j_series(-nu, x)) / mp.sinpi(nu)
-    n = int(nu)
-    sign = mp.mpf(1)
-    if n < 0:
-        # Y_{-n} = (-1)^n Y_n
-        n = -n
-        sign = mp.power(-1, n)
-    half = x / 2
-    finite, acc = _integer_order_sums(n, x, -(half * half))
-    finite = -finite / mp.pi * mp.power(half, -n)
-    logpart = (2 / mp.pi) * mp.log(half) * _j_series(n, x)
-    return sign * (finite + logpart - acc / mp.pi)
+def _center(box):
+    """A box's midpoint at the working precision, and a bound, rounded up,
+    on its distance to every point of the box."""
+    lo, hi = (mp.make_mpf(end) for end in box._mpi_)
+    mid = (lo + hi) / 2
+    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
 
 
-def _h_series(order, x):
-    """H1 = J + iY."""
-    return _j_series(order, x) + 1j * _y_series(order, x)
+def _series_value(kind, order, arg, bits):
+    """K or H1 from the series on intervals at `bits`: the midpoint, and a
+    certified bound on its distance to the true value."""
+    iv = mp.iv
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        boxes = _series_boxes(kind, order, arg)
+    finally:
+        iv.prec = saved
+    with mp.workprec(bits):
+        (re, re_rad), (im, im_rad) = (_center(box) for box in boxes)
+        return mp.mpc(re, im), mp.fadd(re_rad, im_rad, rounding="u")
 
 
 # -- public entry point --
@@ -441,32 +412,18 @@ def _working_bits(precision, arg) -> int:
     return max(96, bits + 48 + int(2 * arg))
 
 
-def _reflection_guard_bits(order, bits) -> int:
-    """Extra bits for the reflection formulas near an integer order, which
-    lose -log2|sin(pi nu)| bits to cancellation; the base guard already
-    covers 40 of them.  The order is read at the working precision, so an
-    offset like 1 + 1e-20 is not rounded away."""
-    with mp.workprec(bits):
-        nu = mp.mpmathify(order)
-        if not isinstance(nu, mp.mpf):
-            return 0  # rejected with a ValueError once evaluation starts
-        s = abs(mp.sinpi(nu))
-    if s == 0:
-        return 0  # integer orders take the digamma series, no reflection
-    return max(0, int(mp.floor(-mp.log(s, 2))) - 40)
-
-
 def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
     """Evaluate K/H1/H2 at real order in (-2, 2) and positive real argument.
 
     `precision` is the target relative error, in (0, 1) (default 1e-25).
-    The primary method per kind follows the module docstring (quadrature
-    for K, series for H1/H2); the other route is always computed as a
-    cross-check.  err_estimate is the quadrature's bound plus the
-    disagreement of the routes plus rounding; for H1/H2 the quadrature
-    runs to precision/64 of the value, so its bound stays well inside the
-    target.  If the certified relative error exceeds the target,
-    PrecisionError carries the achieved bound.
+    K and H1 come from their ascending series evaluated on intervals (see
+    the module docstring), and err_estimate is the radius of the result's
+    box, so it bounds the true error.  The working precision is sized
+    once from the target and the argument; if the box misses the target,
+    the evaluation is repeated once with the bits the first run lost
+    added.  H2 is the exact conjugate of H1.  If the certified relative
+    error still exceeds the target, PrecisionError carries the achieved
+    bound.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -475,38 +432,29 @@ def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
     precision = mp.mpf(precision)
     if not 0 < precision < 1:
         raise ValueError(f"precision must be a relative error in (0, 1), got {precision}")
-    # provisional low-precision reads only size the guard bits; the real
-    # conversion happens inside the working-precision block so decimal
-    # strings and Fractions keep their full value
-    arg_rough = abs(float(mp.mpmathify(arg)))
-    bits = _working_bits(precision, arg_rough)
-    bits += _reflection_guard_bits(order, bits)
+    # a rough read checks the argument and sizes the working precision;
+    # the evaluation encloses the exact inputs at that precision
+    with mp.workprec(64):
+        arg_rough = mp.mpmathify(arg)
+    if isinstance(arg_rough, mp.mpc) or not (mp.isfinite(arg_rough) and arg_rough > 0):
+        raise ValueError(f"argument must be a finite positive real, got {arg!r}")
+    bits = _working_bits(precision, float(arg_rough))
+    family = "K" if kind == "K" else "H1"
     with mp.workprec(bits):
         order_f = mp.mpmathify(order)
-        arg_f = mp.mpmathify(arg)
-        if isinstance(order_f, mp.mpc) or isinstance(arg_f, mp.mpc):
-            raise ValueError("order and argument must be real")
+        if isinstance(order_f, mp.mpc):
+            raise ValueError("order must be real")
         if not abs(order_f) < ORDER_LIMIT:
-            raise ValueError(
-                f"order {order} outside the supported window (-2, 2)"
-            )
-        if not arg_f > 0:
-            raise ValueError("argument must be a positive real")
-        if kind == "K":
-            eps_work = mp.mpf(2) ** (-(bits - 24))
-            scale_guess = mp.exp(-arg_f) + mp.power(arg_f / 2, -abs(order_f))
-            primary, q_err = _k_quadrature(order_f, arg_f, eps_work * scale_guess)
-            secondary = _k_series(order_f, arg_f)
-            value = mp.mpc(primary)
-        else:
-            value = mp.mpc(_h_series(order_f, arg_f))
-            secondary, q_err = _h_quadrature(order_f, arg_f, precision / 64 * abs(value))
-        # the quadrature's bound covers its own error, so the disagreement
-        # plus that bound covers the other route's (triangle inequality)
-        err = q_err + abs(value - secondary) + mp.mpf(2) ** (-(bits - 8)) * abs(value)
+            raise ValueError(f"order {order} outside the supported window (-2, 2)")
+        value, err = _series_value(family, order, arg, bits)
+        rel = ComplexValue(value.real, value.imag, err).rel_err()
+        if not rel <= precision and mp.isfinite(rel):
+            lost = bits + int(mp.ceil(mp.log(rel, 2)))
+            value, err = _series_value(family, order, arg, bits + lost)
+        im = value.imag
         if kind == "H2":
-            value = mp.conj(value)  # H2 = conj(H1) at real order and argument (DLMF 10.11)
-        result = ComplexValue(re=+value.real, im=+value.imag, err_estimate=+err)
+            im = mp.fneg(im, exact=True)  # H2 = conj(H1) at real order and argument (DLMF 10.11)
+        result = ComplexValue(re=value.real, im=im, err_estimate=err)
         rel = result.rel_err()
         if not rel <= precision:
             raise PrecisionError(

@@ -188,9 +188,8 @@ def test_near_integer_orders_meet_the_default_target(kind, order):
 
 # -- the Hankel error bound against the referee --
 #
-# The series value is returned and the contour quadrature, run only to a
-# fraction of the target, is the cross-check; its bound plus the
-# disagreement must still cover the true error at every target.
+# The series value is returned with the radius of its interval box as
+# the bound; the bound must cover the true error at every target.
 
 
 _NEAR_INTEGER = {Fraction(1, 10**20): "1e-20", Fraction(10**20 + 1, 10**20): "1+1e-20"}
@@ -320,6 +319,12 @@ def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits)
                 assert 2 * len(folded_calls) - 1 == len(ref_calls), case
 
 
+def _h_quadrature(order, arg, eps_abs):
+    """H1 from the rotated cosh-kernel contour."""
+    raw, err, _ = bessel._contour_cosh_integral(arg, order, eps_abs)
+    return mp.expjpi(-order / 2) / (mp.pi * 1j) * raw, err / mp.pi
+
+
 @pytest.mark.parametrize("kind", ["H1", "H2"])
 @pytest.mark.parametrize("order", ["-1.7", "-0.3", "0.45", "1.6"])
 @pytest.mark.parametrize("arg", ["0.3", "2", "7"])
@@ -328,8 +333,101 @@ def test_hankel_quadrature_against_mpmath(kind, order, arg):
         nu, x = mp.mpf(order), mp.mpf(arg)
         want = (mp.hankel1 if kind == "H1" else mp.hankel2)(nu, x)
         # the quadrature runs H1 only; H2 = conj(H1) at real order and argument
-        got, err = bessel._h_quadrature(nu, x, mp.mpf("1e-50") * abs(want))
+        got, err = _h_quadrature(nu, x, mp.mpf("1e-50") * abs(want))
         if kind == "H2":
             got = mp.conj(got)
         assert err <= mp.mpf("1e-49") * abs(want)
         assert abs(got - want) <= err + mp.mpf("1e-57") * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["K", "H1"])
+@pytest.mark.parametrize("arg", ["inf", "nan", "-inf", float("inf"), mp.nan, "1j"])
+def test_argument_must_be_finite_positive_real(kind, arg):
+    with pytest.raises(ValueError, match="argument must be a finite positive real"):
+        bessel_eval(kind, "0.3", arg)
+
+
+@pytest.mark.parametrize(
+    "order", [Fraction(10**20 + 1, 10**20), "1e-20", 1, "-0.3"], ids=["1+1e-20", "1e-20", "1", "-0.3"]
+)
+def test_series_value_ignores_the_ambient_precisions(order):
+    # mp.iv has no workprec: the series sets iv.prec itself and restores
+    # it, so a value depends on neither the caller's mp.prec or iv.prec
+    # nor on an earlier call
+    got = set()
+    saved = mp.iv.prec
+    for ambient in (53, 400):
+        with mp.workprec(ambient):
+            mp.iv.prec = ambient
+            try:
+                value, err = bessel._series_value("H1", order, Fraction(13, 10), 114)
+                assert mp.iv.prec == ambient
+            finally:
+                mp.iv.prec = saved
+        got.add((value.real._mpf_, value.imag._mpf_, err._mpf_))
+    assert len(got) == 1
+
+
+def test_interval_precision_is_restored_after_an_error(monkeypatch):
+    def fail(nu, half, sign, digamma=False):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(bessel, "_ascending_sums", fail)
+    saved = mp.iv.prec
+    with pytest.raises(ZeroDivisionError):
+        bessel_eval("K", "0.3", "1.5")
+    assert mp.iv.prec == saved
+
+
+# -- the certified series against the referee --
+#
+# The series boxes are the only route bessel_eval takes, so their radius
+# is the whole error bound: the midpoint must lie within it of mpmath at
+# far higher precision, at the Hankel bound points, at exact and near
+# integer orders, at seeded random points, and where the I series cancels
+# hard (K at x = 30).
+
+
+def _enclosure_points(seed=16):
+    rng = random.Random(seed)
+    points = list(_HANKEL_BOUND_POINTS)
+    special = [0, 1, -1, Fraction(1, 10**20), Fraction(10**20 + 1, 10**20), "-1e-30"]
+    for order in special:
+        for kind in ("K", "H1", "H2"):
+            for arg in (Fraction(rng.randint(1, 40), 10), "2"):
+                points.append((kind, order, arg, f"1e-{rng.randint(10, 45)}"))
+    for i in range(24):
+        order = Fraction(rng.randint(-199, 199), 100)
+        arg = Fraction(rng.randint(1, 90), 10)
+        points.append((("K", "H1", "H2")[i % 3], order, arg, f"1e-{rng.randint(10, 45)}"))
+    for order in ("0.3", 0, "1e-20", Fraction(-3, 2)):
+        points.append(("K", order, 30, "1e-25"))
+    return points
+
+
+_ENCLOSURE_POINTS = _enclosure_points()
+
+
+def test_series_boxes_enclose_the_referee(monkeypatch):
+    assert len(_ENCLOSURE_POINTS) >= 100
+    runs = []
+    series_value = bessel._series_value
+
+    def counted(kind, order, arg, bits):
+        runs.append(bits)
+        return series_value(kind, order, arg, bits)
+
+    monkeypatch.setattr(bessel, "_series_value", counted)
+    retried = 0
+    for kind, order, arg, target in _ENCLOSURE_POINTS:
+        del runs[:]
+        got = bessel_eval(kind, order, arg, precision=target)
+        retried += len(runs) > 1
+        with mp.workprec(450):
+            want = REFEREE[kind](mp.mpmathify(order), mp.mpmathify(arg))
+            value = got.to_mpc()
+            case = (kind, order, arg, target)
+            assert abs(value - want) <= got.err_estimate, case
+            assert got.err_estimate <= mp.mpf(target) * abs(value), case
+    # the near-integer orders lose more bits than the guard holds
+    assert retried >= 10

@@ -357,7 +357,7 @@ def _both_routes(value, gap):
             _both_routes(
                 "(0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "6.1737e-47",
+                "6.865e-47",
             ),
             id="kernel-eval-both-q1",
         ),
@@ -366,7 +366,7 @@ def _both_routes(value, gap):
             _both_routes(
                 "(0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "5.6485e-43",
+                "4.5703e-44",
             ),
             id="kernel-eval-both-q2",
         ),
@@ -375,7 +375,7 @@ def _both_routes(value, gap):
             _both_routes(
                 "(-0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "6.1737e-47",
+                "6.865e-47",
             ),
             id="kernel-eval-both-q3",
         ),
@@ -384,7 +384,7 @@ def _both_routes(value, gap):
             _both_routes(
                 "(-0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "5.6485e-43",
+                "4.5703e-44",
             ),
             id="kernel-eval-both-q4",
         ),
@@ -407,5 +407,5 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "b4c8bcc620adf9f8404a8a65085dd60d84c6de1442b8bd89763ab294a22c6c65"
+        == "03b29449d39169fefab0f2214b6973f7eb1ab538a0406b889382d94d6f1d4ad4"
     )

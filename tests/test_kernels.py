@@ -113,7 +113,7 @@ def test_nan_bound_is_never_certified(monkeypatch):
     params = KernelParams(p=3, s=0, nu="0.3", mu=0, r=1)
     with pytest.raises(PrecisionError):
         kernel_eval(params, QuadrantPoint.from_polar(3, "1", "0.5"), "integral")
-    monkeypatch.setattr(bessel, "_h_quadrature", lambda order, arg, eps_abs: (mp.mpc(1), mp.nan))
+    monkeypatch.setattr(bessel, "_series_value", lambda kind, order, arg, bits: (mp.mpc(1), mp.nan))
     with pytest.raises(PrecisionError):
         bessel.bessel_eval("H1", "0.3", "1.5")
 
