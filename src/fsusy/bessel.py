@@ -10,33 +10,29 @@ closed by a geometric bound on its tail, then K and Y by the reflection
 formulas at non-integer order (DLMF 10.27.4, 10.4.7) and by the digamma
 series at integer order, with psi(k+1) = H_k - euler.  Every rounding
 and every input is enclosed, so the box around the result is a
-certified error bound: it widens by itself where sin(nu pi) cancels near
-an integer order, and the reported err_estimate is its radius.  At real
-order and argument H2 = conj(H1) (DLMF 10.11), so H2 is the exact
-conjugate of H1.  mpmath supplies only the arithmetic and elementary
-calls (power, gamma, log, sin, cos); its own Bessel implementations are
-never imported here.
+certified error bound that widens by itself where sin(nu pi) cancels
+near an integer order.  At real order and argument H2 = conj(H1) (DLMF
+10.11), so H2 is the exact conjugate of H1.  mpmath supplies only the
+arithmetic and elementary calls (power, gamma, log, sin, cos); its own
+Bessel implementations are never imported here.
+
+One precision policy, `_certified`, turns a box into a value, for
+`bessel_eval` and for every kernel value: it sizes the working precision
+from the relative target, retries once with the bits the first run
+lost, and reports the box's radius as the error bound, which the target
+check reads directly.
 
 The tilted contour integrals are the kernels' independent integral
-route.  The Hankel functions come from the cosh kernel pushed onto the
-contour u(t) = t + i theta tanh(t):
+route: the Hankel cosh kernel on u(t) = t + i theta tanh(t),
 
-    H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du
+    H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du,
 
-over the rising contour (theta > 0), and the kernel quadrature also uses
-the sinh companion on a constant tilt.  On the tilted contours the
-oscillation turns into double-exponential decay, so the plain trapezoid
-rule converges geometrically; the step is halved until the value
-settles and the truncation tail is bounded analytically (cosh is
-convex, so the exponent is dominated by its tangent line past the
-cutoff).  Both contours share one truncation and tail-bound scaffold,
-and run at phase +1 only.  The trapezoid nodes come in pairs +-t, and
-each contour evaluates a pair from one set of transcendentals: u(-t) =
--u(t) on the cosh contour, so the pair shares exp(i x cosh u) du and
-differs only in exp(+-nu u); on the sinh contour sinh u(-t) =
--conj(sinh u(t)), so both values come from the same cosh t, sinh t and
-tilt angle.  The rule then sums f(t) + f(-t) over t >= 0 on the
-full-line nodes, at half the integrand evaluations.
+and its sinh companion on a constant tilt.  There the oscillation turns
+into double-exponential decay, so the plain trapezoid rule converges
+geometrically; the step is halved until the value settles, and the
+truncation tail is bounded analytically.  Both contours share that
+scaffold, run at phase +1 only, and sum each trapezoid node pair +-t from
+one evaluation.
 """
 
 from __future__ import annotations
@@ -288,12 +284,10 @@ _TAIL_BITS = 16
 
 
 def _enclose(value):
-    """An interval around an input at iv.prec.  Fractions are divided and
-    decimal strings parsed in the interval context, so neither is rounded
-    to a float on the way in."""
-    if isinstance(value, Fraction):
-        return mp.iv.mpf(value.numerator) / value.denominator
-    return mp.iv.mpf(value)
+    """An interval at iv.prec around the exact number an input stands for
+    (see `_exact`), so no input is rounded to a float on the way in."""
+    value = _exact(value)
+    return mp.iv.mpf(value.numerator) / value.denominator
 
 
 def _ascending_sums(nu, half, sign, digamma=False):
@@ -315,7 +309,11 @@ def _ascending_sums(nu, half, sign, digamma=False):
     iv = mp.iv
     quarter = half * half
     step = sign * quarter
-    u = iv.power(half, nu) / iv.gamma(nu + 1)
+    # u_0 and u_1 both from Gamma(nu+2): near nu = -1, Gamma(nu+1) sits at
+    # its pole, and the interval would treat it and the first ratio
+    # 1/(1+nu) as independent
+    seed = iv.power(half, nu) / iv.gamma(nu + 2)
+    u = (nu + 1) * seed
     if digamma:
         psi_a = -iv.euler
         psi_b = psi_a + sum(iv.mpf(1) / j for j in range(1, int(nu) + 1))
@@ -325,7 +323,7 @@ def _ascending_sums(nu, half, sign, digamma=False):
     while True:
         k += 1
         shift = k + nu
-        u = u * step / (k * shift)
+        u = step * seed if k == 1 else u * step / (k * shift)
         sums[0] += u
         if digamma:
             psi_a += iv.mpf(1) / k
@@ -380,30 +378,66 @@ def _series_boxes(kind, order, arg):
     return plus, (plus * iv.cos(iv.pi * nu) - minus) / s
 
 
-def _center(box):
-    """A box's midpoint at the working precision, and a bound, rounded up,
-    on its distance to every point of the box."""
-    lo, hi = (mp.make_mpf(end) for end in box._mpi_)
-    mid = (lo + hi) / 2
-    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
+def _box_value(boxes, bits):
+    """The midpoint of the boxes (real part, imaginary part) that `boxes()`
+    returns at iv.prec = bits (restored even if it raises), and a bound on
+    its distance to all of them: the two half-widths' hypotenuse, rounded up."""
+    iv = mp.iv
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        with mp.workprec(bits):
+            parts = [(part, part.mid) for part in boxes()]
+            centre = mp.mpc(*(mp.make_mpf(mid._mpi_[0]) for _, mid in parts))
+        halves = [abs(part - mid) for part, mid in parts]
+        iv.prec = 53  # rounded outward, the radius needs no more bits
+        radius = iv.sqrt(sum(half * half for half in halves))
+    finally:
+        iv.prec = saved
+    return centre, mp.make_mpf(radius._mpi_[1])
 
 
 def _series_value(kind, order, arg, bits):
     """K or H1 from the series on intervals at `bits`: the midpoint, and a
     certified bound on its distance to the true value."""
-    iv = mp.iv
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        boxes = _series_boxes(kind, order, arg)
-    finally:
-        iv.prec = saved
-    with mp.workprec(bits):
-        (re, re_rad), (im, im_rad) = (_center(box) for box in boxes)
-        return mp.mpc(re, im), mp.fadd(re_rad, im_rad, rounding="u")
+    return _box_value(lambda: _series_boxes(kind, order, arg), bits)
 
 
-# -- public entry point --
+# -- the precision policy --
+
+
+def _exact(value, label="value") -> Fraction:
+    """The rational number an input stands for: an int, a Fraction or a
+    decimal or ratio string as written, an mpf or a float as the dyadic
+    number it holds.  A complex, infinite or NaN input is a ValueError
+    that names `label`."""
+    if isinstance(value, (int, Fraction, str)):
+        try:
+            return Fraction(value)
+        except ValueError:
+            pass
+    v = mp.mpmathify(value)
+    if isinstance(v, mp.mpc) or not mp.isfinite(v):
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+    sign, man, exp, _ = v._mpf_
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
+
+
+def _gap_bits(order) -> int:
+    """About the bits the reflection formulas lose to sin(nu pi): a bound on
+    -log2 of the exact order's distance to the nearest integer (0 at one)."""
+    gap = abs(order - round(order))
+    return gap and gap.denominator.bit_length() - gap.numerator.bit_length() + 1
+
+
+def _target(precision):
+    """A relative-error target in (0, 1), read at a fixed 64 bits so that
+    no value depends on the caller's mp.prec."""
+    with mp.workprec(64):
+        target = mp.mpf(precision)
+    if not 0 < target < 1:
+        raise ValueError(f"precision must be a relative error in (0, 1), got {target}")
+    return target
 
 
 def _working_bits(precision, arg) -> int:
@@ -412,54 +446,57 @@ def _working_bits(precision, arg) -> int:
     return max(96, bits + 48 + int(2 * arg))
 
 
+def _certified(value_at, precision, arg, order, what):
+    """The one precision policy: value_at(bits) returns a box's midpoint
+    and radius.  The first run takes `_working_bits`; if its radius misses
+    the relative target, one more run adds the bits the first lost, or,
+    where its box was unbounded and measured no loss, the bits the exact
+    order's distance to an integer costs.  Returns (midpoint, radius); a
+    radius still over the target, or NaN, raises PrecisionError."""
+    bits = _working_bits(precision, arg)
+    for _ in range(2):
+        value, err = value_at(bits)
+        rel = ComplexValue(value.real, value.imag, err).rel_err()
+        if rel <= precision:
+            return value, err
+        bits += bits + int(mp.ceil(mp.log(rel, 2))) if mp.isfinite(rel) else _gap_bits(order)
+    raise PrecisionError(
+        f"{what}: certified relative error {mp.nstr(rel, 5)} "
+        f"misses the target {mp.nstr(precision, 5)}",
+        achieved=rel,
+    )
+
+
+# -- public entry point --
+
+
 def bessel_eval(kind: str, order, arg, precision=None) -> ComplexValue:
     """Evaluate K/H1/H2 at real order in (-2, 2) and positive real argument.
 
     `precision` is the target relative error, in (0, 1) (default 1e-25).
-    K and H1 come from their ascending series evaluated on intervals (see
-    the module docstring), and err_estimate is the radius of the result's
-    box, so it bounds the true error.  The working precision is sized
-    once from the target and the argument; if the box misses the target,
-    the evaluation is repeated once with the bits the first run lost
-    added.  H2 is the exact conjugate of H1.  If the certified relative
-    error still exceeds the target, PrecisionError carries the achieved
-    bound.
+    K and H1 come from their ascending series evaluated on intervals, and
+    err_estimate is the radius of the result's box, so it bounds the true
+    error; `_certified` sets the working precision and the one retry, and
+    raises PrecisionError if the target is still missed.  H2 is the exact
+    conjugate of H1.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if precision is None:
-        precision = mp.mpf("1e-25")
-    precision = mp.mpf(precision)
-    if not 0 < precision < 1:
-        raise ValueError(f"precision must be a relative error in (0, 1), got {precision}")
+    precision = _target("1e-25" if precision is None else precision)
     # a rough read checks the argument and sizes the working precision;
     # the evaluation encloses the exact inputs at that precision
     with mp.workprec(64):
         arg_rough = mp.mpmathify(arg)
     if isinstance(arg_rough, mp.mpc) or not (mp.isfinite(arg_rough) and arg_rough > 0):
         raise ValueError(f"argument must be a finite positive real, got {arg!r}")
-    bits = _working_bits(precision, float(arg_rough))
+    nu = _exact(order, "order")
+    if not abs(nu) < ORDER_LIMIT:
+        raise ValueError(f"order {order} outside the supported window (-2, 2)")
     family = "K" if kind == "K" else "H1"
-    with mp.workprec(bits):
-        order_f = mp.mpmathify(order)
-        if isinstance(order_f, mp.mpc):
-            raise ValueError("order must be real")
-        if not abs(order_f) < ORDER_LIMIT:
-            raise ValueError(f"order {order} outside the supported window (-2, 2)")
-        value, err = _series_value(family, order, arg, bits)
-        rel = ComplexValue(value.real, value.imag, err).rel_err()
-        if not rel <= precision and mp.isfinite(rel):
-            lost = bits + int(mp.ceil(mp.log(rel, 2)))
-            value, err = _series_value(family, order, arg, bits + lost)
-        im = value.imag
-        if kind == "H2":
-            im = mp.fneg(im, exact=True)  # H2 = conj(H1) at real order and argument (DLMF 10.11)
-        result = ComplexValue(re=value.real, im=im, err_estimate=err)
-        rel = result.rel_err()
-        if not rel <= precision:
-            raise PrecisionError(
-                f"{kind}(order={order}, arg={arg}): certified relative error "
-                f"{mp.nstr(rel, 5)} misses the target {mp.nstr(precision, 5)}",
-                achieved=rel,
-            )
-    return result
+    what = f"{kind}(order={order}, arg={arg})"
+    value, err = _certified(
+        lambda bits: _series_value(family, order, arg, bits), precision, float(arg_rough), nu, what
+    )
+    # H2 = conj(H1) at real order and argument (DLMF 10.11)
+    im = mp.fneg(value.imag, exact=True) if kind == "H2" else value.imag
+    return ComplexValue(re=value.real, im=im, err_estimate=err)

@@ -347,8 +347,6 @@ def _cmd_kernel_eval(args):
 
 def _cmd_kernel_verify(args):
     _context(args)
-    if args.grid != "default":
-        raise UsageError(f"unknown grid {args.grid!r}; only 'default' is defined")
     quadrants = tuple(args.quad) if args.quad else (1, 2, 3, 4)
     report = kernel_verify(p=args.p, quadrants=quadrants)
     rows = report.measurements["rows"]
@@ -489,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-verify", parents=[common], help="closed vs integral over the grid")
     sp.add_argument("--quad", type=int, choices=(1, 2, 3, 4), action="append")
-    sp.add_argument("--grid", default="default")
 
     sp = sub.add_parser("ladder-suite", parents=[common], help="generator ladder by finite differences")
     sp.add_argument("--n", type=int, default=1)

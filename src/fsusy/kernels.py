@@ -19,34 +19,37 @@ evaluations:
 One table keyed by quadrant holds the signs of (z_plus, z_minus) and the
 closed route's cylinder function; the reflection, both routes'
 coefficients and phases, and the contour family are derived from it.
-One evaluator, ``_kernel_value``, runs either route from the point, the
-exponent, the mu-weight and the radial scale; ``kernel_eval`` adds the
-strip gate and the precision check on top, while the assembly and the
-ladder call it directly with exact weights.
-
-On top of the scalar kernels sits the Grassmann-valued assembly
-``q_kernel`` (matrix entries of the corepresentation, carrying
-nilpotent generator factors) and ``d_ladder_suite``, which verifies the
-symbolic generator actions against finite differences of the numeric
-kernels.
-
-Weights are kept exact (strings / Fractions) until they meet the
-working-precision block, same policy as :mod:`fsusy.bessel`.
+One evaluator, ``_kernel_value``, runs either route as a product of
+interval boxes: the prefactor with the mu-weight, times the raw value
+(the cylinder function's series box, or the contour integral plus or
+minus its quadrature bound).  The product's radius is the value's one
+error budget, and :mod:`fsusy.bessel`'s precision policy sizes the
+working precision, retries once and checks the target, for
+``kernel_eval``, the Grassmann-valued assembly ``q_kernel`` (matrix
+entries of the corepresentation, carrying nilpotent generator factors)
+and ``d_ladder_suite`` (the symbolic generator actions against finite
+differences of the kernels) alike.  Weights, r and the point's
+coordinates enter as the exact numbers they stand for.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from .afalg import AAlgebra, AElement
 from .bessel import (
     ComplexValue,
-    PrecisionError,
     bessel_eval,
+    _box_value,
+    _certified,
     _contour_cosh_integral,
     _contour_sinh_integral,
+    _enclose,
+    _exact,
+    _series_boxes,
+    _target,
 )
 from .duality import DualityContext
 from .report import NumericReport
@@ -122,14 +125,6 @@ class QuadrantPoint:
             zm = s2 * rho / 2 * mp.exp(-beta)
         return cls(quadrant, rho, beta, lam, zp, zm)
 
-    def round_trip_error(self):
-        """max |z reconstructed from (quadrant, rho, beta) - z stored|."""
-        with mp.extraprec(80):
-            s1, s2, _ = _QUADRANTS[self.quadrant]
-            zp = s1 * self.rho / 2 * mp.exp(self.beta)
-            zm = s2 * self.rho / 2 * mp.exp(-self.beta)
-            return max(abs(zp - self.z_plus), abs(zm - self.z_minus))
-
     def swapped(self):
         """The reflected point: z_plus <-> z_minus (beta flips sign)."""
         s1, s2, _ = _QUADRANTS[self.quadrant]
@@ -193,13 +188,10 @@ class KernelParams:
             raise ValueError("shift index s must be an integer")
         with mp.extraprec(80):
             for label, v in (("nu", self.nu), ("mu", self.mu)):
-                if isinstance(mp.mpmathify(v), mp.mpc):
-                    raise ValueError(f"{label} must be real here")
+                _exact(v, label)
             if _finite_real("r", self.r) <= 0:
                 raise ValueError("r must be positive")
-            tgt = mp.mpf(self.precision)
-            if not 0 < tgt < 1:
-                raise ValueError("precision must be a relative error in (0, 1)")
+            _target(self.precision)
             a = self.strip_exponent()
             if not -1 < a < 1:
                 raise ValueError(
@@ -214,99 +206,84 @@ class KernelParams:
 
 # -- evaluation --
 
+# the beta-independent raw values, each cached once per conjugate pair
 _BESSEL_CACHE = {}
 _J_CACHE = {}
 
 
-def _bessel_cached(kind, order, arg, bits, rel_target):
-    """bessel_eval, cached per conjugate pair: at real order and argument
-    H2 = conj(H1) (DLMF 10.11), so one H1 entry serves both Hankel kinds,
-    with the imaginary part negated exactly for H2."""
-    family = "K" if kind == "K" else "H1"
-    key = (family, order._mpf_, arg._mpf_, bits, float(rel_target))
-    hit = _BESSEL_CACHE.get(key)
-    if hit is None:
-        with mp.workprec(bits):
-            hit = bessel_eval(family, order, arg, precision=rel_target)
-        _BESSEL_CACHE[key] = hit
-    if kind == "H2":
-        return ComplexValue(hit.re, mp.fneg(hit.im, exact=True), hit.err_estimate)
-    return hit
+def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
+    """Either route's raw value as boxes (real part, imaginary part) at
+    iv.prec = bits, and its diagnostics: the cylinder function's series
+    boxes, or the tilted-path integral plus or minus its quadrature bound
+    at absolute tolerance rel_target/16 * exp(-x), the integral route's
+    share of the target (K decays like exp(-x)).  A contour that fails
+    the decay guard raises ArithmeticError.  H2 = conj(H1) and the phase
+    -1 contour mirrors phase +1 (DLMF 10.11), so only s2 = +1 is
+    evaluated and s2 = -1 negates the imaginary box.  Each cache key holds
+    all a box depends on: family, abar, x, bits, and the integral's
+    target."""
+    _, s2, cylinder = _QUADRANTS[quadrant]
+    if mode == "closed":
+        family = "K" if cylinder == "K" else "H1"
+        key = (family, abar, x, bits)
+        if key not in _BESSEL_CACHE:
+            _BESSEL_CACHE[key] = _series_boxes(family, abar, x)
+        re, im = _BESSEL_CACHE[key]
+        diag = {"route": "closed", "cylinder": cylinder}
+    else:
+        family = "sinh" if cylinder == "K" else "cosh"
+        key = (family, abar, x, bits, rel_target._mpf_)
+        if key not in _J_CACHE:
+            fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
+            with mp.workprec(bits):
+                arg = mp.mpmathify(x)
+                raw, jerr, cutoff = fn(arg, mp.mpmathify(abar), rel_target / 16 * mp.exp(-arg))
+            disc = iv.mpf([-jerr, jerr])
+            _J_CACHE[key] = (disc + raw.real, disc + raw.imag, float(cutoff))
+        re, im, cutoff = _J_CACHE[key]
+        diag = {"route": "integral", "family": family, "phase_sign": s2,
+                "theta": float(mp.pi / 4), "cutoff": cutoff}
+    return re, (-im if s2 < 0 else im), diag
 
 
-def _integral_core(quadrant, abar, x, bits, rel_target):
-    """The tilted-path integral of the contour form, (raw, error bound,
-    diagnostics).  A contour that fails the decay guard raises
-    ArithmeticError.
-
-    At real drift and argument the phase -1 contour is the mirror image
-    of the phase +1 one, so its integral is the conjugate (as for
-    H2 = conj(H1), DLMF 10.11).  The integral is beta-independent, so it
-    is cached once per conjugate pair, keyed by (family, abar, x, bits,
-    target); only phase +1 is evaluated, and phase -1 negates the
-    imaginary part exactly."""
-    _, phase, cylinder = _QUADRANTS[quadrant]
-    family = "sinh" if cylinder == "K" else "cosh"
-    fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
-    with mp.workprec(bits):
-        eps_abs = mp.mpf(rel_target) / 16 * mp.exp(-x)
-        key = (family, abar._mpf_, x._mpf_, bits, float(rel_target))
-        hit = _J_CACHE.get(key)
-        if hit is None:
-            raw, jerr, cutoff = fn(x, abar, eps_abs)
-            hit = (raw, jerr, float(cutoff))
-            _J_CACHE[key] = hit
-        raw, jerr, cutoff = hit
-        if phase < 0:
-            # the parts were rounded to `bits`, so this mpc keeps them as is
-            raw = mp.mpc(raw.real, mp.fneg(raw.imag, exact=True))
-    diag = {
-        "route": "integral",
-        "family": family,
-        "phase_sign": phase,
-        "theta": float(mp.pi / 4),
-        "cutoff": cutoff,
-    }
-    return raw, jerr, diag
-
-
-def _kernel_value(point, abar, mu, r, bits, rel_target, mode):
+def _kernel_value(point, abar, mu, r, rel_target, mode):
     """One kernel value at a point by either route, with no strip gate:
-    returns (value, error bound, diagnostics).
+    returns (ComplexValue, diagnostics), and raises PrecisionError if the
+    certified relative error misses rel_target.
 
-    abar is minus the combined exponent, mu the weight of exp(mu*lambda)
-    and r the radial scale (x = r*rho); each may be exact, and is read at
-    `bits`.  The cylinder form is the analytic continuation in abar, valid
-    as long as the Bessel order stays inside the evaluator window; the
-    contour integral converges only inside the strip.  Both routes are a
-    prefactor times a raw value:
+    abar, a Fraction, is minus the combined exponent, mu the weight of
+    exp(mu*lambda) and r the radial scale (x = r*rho), each read as the
+    exact number it stands for.  The cylinder form is the analytic
+    continuation in abar, valid while the Bessel order stays inside the
+    evaluator window; the contour integral converges only inside the
+    strip.  Both routes are a prefactor box times the raw value's box:
 
         closed:    coeff * exp(abar*(beta + s2*i*pi/2)) * C_abar(x)
         integral:  exp(abar*beta)/(2*pi*i) * tilted-path integral
 
     with coeff, C and the contour read off the quadrant table."""
     s1, s2, cylinder = _QUADRANTS[point.quadrant]
-    with mp.workprec(bits):
-        abar = mp.mpmathify(abar)
-        x = mp.mpmathify(r) * point.rho
-        if mode == "closed":
-            cyl = _bessel_cached(cylinder, abar, x, bits, rel_target / 16)
-            raw, raw_err = cyl.to_mpc(), mp.mpf(cyl.err_estimate)
-            coeff = 1 / (mp.pi * 1j) if cylinder == "K" else mp.mpf(s1) / 2
-            pref = coeff * mp.exp(abar * (point.beta + s2 * 1j * mp.pi / 2))
-            diag = {"route": "closed", "cylinder": cylinder}
+    x = _exact(r) * _exact(point.rho)
+    diag = {}
+
+    def boxes(bits):
+        re, im, raw_diag = _raw_boxes(mode, point.quadrant, abar, x, bits, rel_target)
+        diag.update(raw_diag)
+        a = _enclose(abar)
+        if mode == "integral":
+            coeff, turn = iv.mpc(0, -1 / (2 * iv.pi)), 0  # 1/(2 pi i)
         else:
-            raw, raw_err, diag = _integral_core(point.quadrant, abar, x, bits, rel_target)
-            pref = mp.exp(abar * point.beta) / (2 * mp.pi * 1j)
-        value = pref * raw
-        err = abs(pref) * raw_err + mp.mpf(2) ** (-(bits - 8)) * abs(value)
-        scale = mp.exp(mp.mpmathify(mu) * point.lambda_val)
-        return value * scale, err * abs(scale), diag
+            coeff = iv.mpc(0, -1 / iv.pi) if cylinder == "K" else iv.mpf(s1) / 2
+            turn = s2 * a * iv.pi / 2
+        out = coeff * iv.exp(iv.mpc(a * point.beta + _enclose(mu) * point.lambda_val, turn))
+        out *= iv.mpc(re, im)
+        return out.real, out.imag
 
+    def value_at(bits):
+        return _box_value(lambda: boxes(bits), bits)
 
-def _target_bits(rel_target):
-    with mp.extraprec(40):
-        return max(256, int(mp.ceil(-mp.log(rel_target, 2))) + 96)
+    value, err = _certified(value_at, rel_target, float(x), abar, "kernel evaluation")
+    return ComplexValue(value.real, value.imag, err), diag
 
 
 def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="closed"):
@@ -319,23 +296,8 @@ def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="close
         raise ValueError(f"mode must be 'closed' or 'integral', got {mode!r}")
     if not isinstance(point, QuadrantPoint):
         raise TypeError("point must be a QuadrantPoint")
-    with mp.extraprec(40):
-        tgt = mp.mpf(params.precision)
-    bits = _target_bits(tgt)
-    with mp.workprec(bits):
-        value, err, diag = _kernel_value(
-            point, -params.strip_exponent(), params.mu, params.r, bits, tgt, mode
-        )
-        err = err + mp.mpf(2) ** (-(bits - 8)) * abs(value)
-        rel = err / abs(value) if value != 0 else (mp.inf if err > 0 else mp.mpf(0))
-        if not rel <= tgt:
-            raise PrecisionError(
-                f"kernel evaluation achieved relative error {mp.nstr(rel, 5)}, "
-                f"target {mp.nstr(tgt, 5)}",
-                achieved=rel,
-            )
-        out = ComplexValue(value.real, value.imag, err)
-    return out, diag
+    abar = _exact(params.mu) - _exact(params.nu) - Fraction(params.s, params.p)
+    return _kernel_value(point, abar, params.mu, params.r, _target(params.precision), mode)
 
 
 def kernel_eval(params: KernelParams, point: QuadrantPoint, mode="closed") -> ComplexValue:
@@ -508,16 +470,10 @@ def q_kernel(
             "assembly keeps weights exact; pass nu and mu as int, Fraction, "
             "or a decimal/ratio string"
         ) from exc
-    with mp.extraprec(40):
-        tgt = mp.mpf(params.precision)
-    bits = _target_bits(tgt)
-
+    tgt = _target(params.precision)
     terms = []
     for factor, shift in _grassmann_factors((l - k) % p, ctx, aal, qs):
-        value, err, _ = _kernel_value(
-            point, -(nuF - muF) - Fraction(shift, p), muF, ctx.r, bits, tgt, "closed"
-        )
-        cv = ComplexValue(value.real, value.imag, err)
+        cv, _ = _kernel_value(point, muF - nuF - Fraction(shift, p), muF, ctx.r, tgt, "closed")
         terms.append(
             QKernelTerm(factor * aal.delta(k), shift, f"K[shift {shift:+d}]", cv)
         )
@@ -659,7 +615,6 @@ class _LadderEnv:
 
     p: int
     rF: Fraction
-    bits: int
     h: mp.mpf
     rel_target: mp.mpf
     cache: dict
@@ -680,7 +635,7 @@ def _eval_zfunc(zf, zp, zm, env: _LadderEnv):
         if hit is None:
             point = quadrant_decompose(zp, zm)
             abar = -nuF - Fraction(shift, env.p)
-            hit = _kernel_value(point, abar, 0, env.rF, env.bits, env.rel_target, "closed")[0]
+            hit = _kernel_value(point, abar, 0, env.rF, env.rel_target, "closed")[0].to_mpc()
             env.cache[key] = hit
         return hit
     if tag == "dplus":
@@ -806,7 +761,7 @@ def d_ladder_suite(
             raise ValueError("ladder grid points must sit in quadrant 3")
 
     dual = DualityContext(ctx)
-    env = _LadderEnv(p, ctx.r, bits, h_val, mp.mpf("1e-18"), {})
+    env = _LadderEnv(p, ctx.r, h_val, _target("1e-18"), {})
     report = NumericReport("d-ladder")
     report.measure("p", p)
     report.measure("n", n)

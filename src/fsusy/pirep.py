@@ -208,9 +208,6 @@ class OperatorMatrix:
             if i != j
         )
 
-    def column_support(self, j: int) -> int:
-        return sum(1 for i in range(len(self.window)) if self.entries[i][j])
-
     def pretty(self) -> str:
         labels = [v.pretty() for v in self.window]
         rows = [f"window: {', '.join(labels)}"]
@@ -243,8 +240,6 @@ class PiRepresentation:
         self.h = h
         self.ualg = UAlgebra(ctx, h=h)
         self.pialg = PiAlgebra(ctx)
-        self._minus_c = -ctx.c_hat(1)
-        self._minus_r = -ctx.c_hat(ctx.p)
         self._dual = None
         self._gen_ops = {}
 

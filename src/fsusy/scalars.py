@@ -519,22 +519,3 @@ class FieldContext:
             got = self.qfact(n - 1) * self.qint(n)
             self._qfact_cache[n] = got
         return got
-
-    def qbinom_qminus2(self, a: int, b: int):
-        """Gauss binomial in the variable q^-2 written on the balanced basis:
-        q^(-b(a-b)) [a]! / ([b]! [a-b]!).  Defined for 0 <= a < p; at a >= p
-        the factorials vanish and the quotient stops meaning anything."""
-        if a >= self.p:
-            raise ValueError("q-binomial undefined at or above p")
-        if b < 0 or b > a:
-            return self._zero
-        num = self.qfact(a) * self.q(-b * (a - b))
-        return num / (self.qfact(b) * self.qfact(a - b))
-
-    def qbinom_qplus2(self, a: int, b: int):
-        if a >= self.p:
-            raise ValueError("q-binomial undefined at or above p")
-        if b < 0 or b > a:
-            return self._zero
-        num = self.qfact(a) * self.q(b * (a - b))
-        return num / (self.qfact(b) * self.qfact(a - b))

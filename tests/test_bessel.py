@@ -340,6 +340,30 @@ def test_hankel_quadrature_against_mpmath(kind, order, arg):
         assert abs(got - want) <= err + mp.mpf("1e-57") * abs(want)
 
 
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (mp.mpf(-0.75), Fraction(-3, 4)),
+        (mp.make_mpf((0, 2**60 + 1, -60, 61)), 1 + Fraction(1, 2**60)),
+        (-0.7, Fraction(-3152519739159347, 2**52)),
+        ("-0.7", Fraction(-7, 10)),
+        ("1e-20", Fraction(1, 10**20)),
+        (Fraction(-13, 10), Fraction(-13, 10)),
+        (-2, Fraction(-2)),
+        (mp.mpf(0), Fraction(0)),
+    ],
+)
+def test_exact_reads_the_number_an_input_stands_for(value, want):
+    with mp.workprec(200):
+        assert bessel._exact(value) == want
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1j", mp.mpc(1, 1), float("nan")])
+def test_exact_rejects_non_finite_or_complex_inputs(value):
+    with pytest.raises(ValueError, match="^order must be a finite real number"):
+        bessel._exact(value, "order")
+
+
 @pytest.mark.parametrize("kind", ["K", "H1"])
 @pytest.mark.parametrize("arg", ["inf", "nan", "-inf", float("inf"), mp.nan, "1j"])
 def test_argument_must_be_finite_positive_real(kind, arg):
@@ -402,6 +426,11 @@ def _enclosure_points(seed=16):
         points.append((("K", "H1", "H2")[i % 3], order, arg, f"1e-{rng.randint(10, 45)}"))
     for order in ("0.3", 0, "1e-20", Fraction(-3, 2)):
         points.append(("K", order, 30, "1e-25"))
+    # orders the first working precision cannot tell from an integer: the
+    # retry is sized from their exact distance to it
+    for order in (mp.make_mpf((0, 2**200 + 1, -200, 201)), Fraction(10**60 + 1, 10**60)):
+        for kind in ("K", "H1", "H2"):
+            points.append((kind, order, "1.5", "1e-16"))
     return points
 
 
@@ -431,3 +460,12 @@ def test_series_boxes_enclose_the_referee(monkeypatch):
             assert got.err_estimate <= mp.mpf(target) * abs(value), case
     # the near-integer orders lose more bits than the guard holds
     assert retried >= 10
+    # near nu = 1 the -nu series seeds u_1 from Gamma(2 - nu), away from the
+    # pole of Gamma(1 - nu), so the box loses about -log2|sin(nu pi)| = 66
+    # bits (71 in all), not twice that (133 with the Gamma(1 - nu) seed)
+    order, arg = Fraction(10**20 + 1, 10**20), Fraction(13, 10)
+    for bits in (114, 200):
+        value, err = series_value("H1", order, arg, bits)
+        with mp.workprec(450):
+            assert abs(value - REFEREE["H1"](mp.mpmathify(order), mp.mpmathify(arg))) <= err
+            assert bits + mp.log(err / abs(value), 2) <= 75, bits

@@ -39,7 +39,6 @@ def _mpc(value):
 @pytest.mark.parametrize("quadrant", [1, 2, 3, 4])
 def test_polar_round_trip(quadrant):
     pt = QuadrantPoint.from_polar(quadrant, "1.7", "-0.45", lambda_val="0.2")
-    assert pt.round_trip_error() < mp.mpf("1e-14") * pt.rho
     back = quadrant_decompose(pt.z_plus, pt.z_minus, pt.lambda_val)
     assert back.quadrant == quadrant
     assert abs(back.rho - pt.rho) < mp.mpf("1e-20")
@@ -106,10 +105,11 @@ def test_cli_rejects_non_finite_or_complex_coordinates(capsys, argv, label):
 def test_nan_bound_is_never_certified(monkeypatch):
     # a bound that compares false against the target in both directions
     # must fail the check, not pass it
-    def nan_bound(quadrant, abar, x, bits, rel_target):
-        return mp.mpc(1), mp.nan, {}
+    def nan_bound(arg, drift, eps_abs):
+        return mp.mpc(1), mp.nan, mp.mpf(6)
 
-    monkeypatch.setattr(kernels, "_integral_core", nan_bound)
+    monkeypatch.setattr(kernels, "_contour_cosh_integral", nan_bound)
+    monkeypatch.setattr(kernels, "_J_CACHE", {})
     params = KernelParams(p=3, s=0, nu="0.3", mu=0, r=1)
     with pytest.raises(PrecisionError):
         kernel_eval(params, QuadrantPoint.from_polar(3, "1", "0.5"), "integral")
@@ -335,12 +335,70 @@ def test_decay_guard_trip_is_a_verification_failure(monkeypatch, capsys):
     assert "decay" in err
 
 
+def _starve_the_kernel_target(monkeypatch, target):
+    # 64 working bits for every value asked for at the kernel's target or
+    # looser, the usual bits for tighter ones
+    working_bits = bessel._working_bits
+
+    def starved(precision, arg):
+        return 64 if precision >= mp.mpf(target) / 2 else working_bits(precision, arg)
+
+    monkeypatch.setattr(bessel, "_working_bits", starved)
+
+
 def test_precision_shortfall_raises(monkeypatch):
-    monkeypatch.setattr(kernels, "_target_bits", lambda tgt: 64)
+    _starve_the_kernel_target(monkeypatch, "1e-40")
     params = KernelParams(p=3, s=0, nu="0.3", mu=0, r=1, precision="1e-40")
     pt = QuadrantPoint.from_polar(3, "1", "0.5")
     with pytest.raises(PrecisionError):
         kernel_eval(params, pt, "closed")
+
+
+def test_q_kernel_precision_shortfall_raises(monkeypatch, ctx3):
+    # the assembly's values meet the same target check as kernel_eval's
+    _starve_the_kernel_target(monkeypatch, "1e-40")
+    params = KernelParams(p=3, s=0, nu="1/5", mu=0, r=1, precision="1e-40")
+    pt = QuadrantPoint.from_polar(3, "1", "0.5")
+    with pytest.raises(PrecisionError):
+        q_kernel(0, 1, params, pt, ctx3)
+
+
+# -- kernel boxes against the referee --
+#
+# Every label nonzero: p = 3, s = 1, nu = 1/10, mu = -1/5, r = 3/2, so
+# abar = mu - nu - s/p = -19/30 and x = r*rho.  The referee is mpmath's
+# cylinder function at 450 bits times the closed prefactor, stated here
+# per quadrant as (cylinder, coefficient, sign of the i*pi/2 half-turn).
+# The far boosts +-(10^5 + 0.3) and +-(10^6 + 0.3) make the prefactor's
+# own rounding, not the series, the larger part of the radius.
+
+_KERNEL_REFEREE = {
+    1: (mp.hankel1, lambda: mp.mpf(1) / 2, 1),
+    2: (mp.besselk, lambda: 1 / (mp.pi * 1j), -1),
+    3: (mp.hankel2, lambda: -mp.mpf(1) / 2, -1),
+    4: (mp.besselk, lambda: 1 / (mp.pi * 1j), 1),
+}
+
+
+@pytest.mark.parametrize("beta", ["-0.2", "100000.3", "-100000.3", "1000000.3", "-1000000.3"])
+@pytest.mark.parametrize("target", ["1e-10", "1e-30", "1e-45"])
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+@pytest.mark.parametrize("quadrant", [1, 2, 3, 4])
+def test_kernel_boxes_enclose_the_referee(quadrant, mode, target, beta):
+    params = KernelParams(p=3, s=1, nu="1/10", mu="-1/5", r="3/2", precision=target)
+    pt = QuadrantPoint.from_polar(quadrant, "1.3", beta, lambda_val="0.4")
+    got = kernel_eval(params, pt, mode)
+    cylinder, coeff, turn = _KERNEL_REFEREE[quadrant]
+    with mp.workprec(450):
+        abar = mp.mpf(-19) / 30
+        want = (
+            coeff()
+            * mp.exp(abar * (pt.beta + turn * 1j * mp.pi / 2))
+            * cylinder(abar, mp.mpf(3) / 2 * pt.rho)
+            * mp.exp(-pt.lambda_val / 5)
+        )
+        assert abs(got.to_mpc() - want) <= got.err_estimate
+    assert got.err_estimate <= mp.mpf(target) * abs(want)
 
 
 def test_determinism():
@@ -363,13 +421,13 @@ def _conjugate_parts(value):
     return value.re._mpf_, mp.fneg(value.im, exact=True)._mpf_, value.err_estimate._mpf_
 
 
-# (bits, target) of the grid's closed route and of the ladder, with the
-# orders and arguments each asks the cylinder evaluator for
+# (bits the inputs are read at, relative target) of the grid and of the
+# ladder, with the orders and arguments each asks the series for
 _CONJUGATE_SETTINGS = {
-    "grid": (256, "6.25e-18", ("-0.3", "0", "0.3"), ("1/4", "1/2", "1", "2", "4")),
+    "grid": (256, "1e-16", ("-0.3", "0", "0.3"), ("1/4", "1/2", "1", "2", "4")),
     "ladder": (
         192,
-        "6.25e-20",
+        "1e-18",
         ("-23/15", "-6/5", "-8/15", "-1/5", "7/15", "4/5", "22/15"),
         ("4/5", "1"),
     ),
@@ -378,8 +436,8 @@ _CONJUGATE_SETTINGS = {
 
 @pytest.mark.parametrize("setting", sorted(_CONJUGATE_SETTINGS))
 def test_h2_is_the_exact_conjugate_of_h1(setting):
-    # the closed route serves H2 from the H1 entry; the values it hands
-    # out must be the ones bessel_eval("H2") computes
+    # bessel_eval, like the kernels' raw boxes, serves H2 as the exact
+    # conjugate of the H1 evaluation
     bits, target, orders, args = _CONJUGATE_SETTINGS[setting]
     with mp.workprec(bits):
         for order, arg in itertools.product(orders, args):
@@ -393,22 +451,22 @@ def test_h2_is_the_exact_conjugate_of_h1(setting):
 @pytest.mark.parametrize("family", ["cosh", "sinh"])
 def test_phase_minus_contour_is_the_exact_conjugate(monkeypatch, family, bits):
     # the integral route evaluates only phase +1 and conjugates for -1:
-    # each phase -1 quadrant, computed with the caches empty, is the exact
-    # conjugate of the phase +1 quadrant of its family
+    # each phase -1 quadrant's raw boxes, computed with the caches empty,
+    # are the exact conjugate of those of the phase +1 quadrant of its
+    # family
     plus_q, minus_q = (1, 3) if family == "cosh" else (4, 2)
+    target = mp.mpf("1e-16")
     for drift, arg in itertools.product(("-0.3", "0", "0.3"), ("1/4", "1", "4")):
-        with mp.workprec(bits):
-            a, x = mp.mpmathify(Fraction(drift)), mp.mpmathify(Fraction(arg))
+        a, x = Fraction(drift), Fraction(arg)
         got = {}
         for quadrant in (plus_q, minus_q):
             monkeypatch.setattr(kernels, "_J_CACHE", {})
-            got[quadrant] = kernels._integral_core(quadrant, a, x, bits, mp.mpf("1e-16"))
-        (plus, plus_err, plus_diag), (minus, minus_err, minus_diag) = got[plus_q], got[minus_q]
+            got[quadrant] = kernels._raw_boxes("integral", quadrant, a, x, bits, target)
+        (plus_re, plus_im, plus_diag), (minus_re, minus_im, minus_diag) = got[plus_q], got[minus_q]
         case = (drift, arg)
         assert (plus_diag["phase_sign"], minus_diag["phase_sign"]) == (1, -1), case
-        assert minus.real._mpf_ == plus.real._mpf_, case
-        assert minus.imag._mpf_ == mp.fneg(plus.imag, exact=True)._mpf_, case
-        assert minus_err._mpf_ == plus_err._mpf_, case
+        assert minus_re._mpi_ == plus_re._mpi_, case
+        assert minus_im._mpi_ == (-plus_im)._mpi_, case
         assert minus_diag["cutoff"] == plus_diag["cutoff"], case
 
 

@@ -165,7 +165,6 @@ def test_grading_matrix_diagonal(rep3):
     assert mk.is_diagonal()
     for j in range(3):
         assert mk.entry(j, j) == ctx.q(j)
-        assert mk.column_support(j) == 1
 
 
 def test_matrix_covariant_composition(rep3):

@@ -87,31 +87,6 @@ def test_qfact_nonzero_below_p(ctx):
         assert (f / f) == ctx.one()
 
 
-def test_qbinom_symmetry(ctx):
-    p = ctx.p
-    for a in range(p):
-        for b in range(a + 1):
-            m = ctx.qbinom_qminus2(a, b)
-            assert m == ctx.qbinom_qminus2(a, a - b)
-            assert ctx.qbinom_qplus2(a, b) == m * ctx.q(2 * b * (a - b))
-
-
-def test_qbinom_pascal(ctx):
-    # Gaussian Pascal rules at v = q^-2:
-    #   C(a,b) = v^b C(a-1,b) + C(a-1,b-1) = C(a-1,b) + v^(a-b) C(a-1,b-1)
-    for a in range(1, ctx.p):
-        for b in range(a + 1):
-            lhs = ctx.qbinom_qminus2(a, b)
-            assert lhs == ctx.q(-2 * b) * ctx.qbinom_qminus2(a - 1, b) + ctx.qbinom_qminus2(
-                a - 1, b - 1
-            )
-            assert lhs == ctx.qbinom_qminus2(a - 1, b) + ctx.q(
-                -2 * (a - b)
-            ) * ctx.qbinom_qminus2(a - 1, b - 1)
-    with pytest.raises(ValueError):
-        ctx.qbinom_qminus2(ctx.p, 1)
-
-
 # -- ring axioms on random elements --
 
 def test_ring_axioms_random(ctx):
@@ -287,14 +262,16 @@ _GOLDEN = [
     ),
     (
         "qbinom-p5",
-        lambda c5, c7, r23: c5.qbinom_qminus2(4, 2),
+        # the Gauss binomial [4 choose 2] at q^-2: q^-4 [4]! / ([2]! [2]!)
+        lambda c5, c7, r23: c5.qfact(4) * c5.q(-4) / (c5.qfact(2) * c5.qfact(2)),
         [[0, 0, ["0/1", "0/1", "0/1", "0/1", "1/1", "0/1", "0/1", "0/1"]]],
         "c0s0:0,0,0,0,1,0,0,0",
         "q",
     ),
     (
         "qbinom-p7",
-        lambda c5, c7, r23: c7.qbinom_qminus2(5, 2),
+        # [5 choose 2] at q^-2: q^-6 [5]! / ([2]! [3]!)
+        lambda c5, c7, r23: c7.qfact(5) * c7.q(-6) / (c7.qfact(2) * c7.qfact(3)),
         [[0, 0, ["-1/1", "0/1", "1/1", "0/1", "0/1", "0/1", "1/1", "0/1", "-1/1", "0/1", "0/1", "0/1"]]],
         "c0s0:-1,0,1,0,0,0,1,0,-1,0,0,0",
         "c0s0:-1,0,1,0,0,0,1,0,-1,0,0,0",
