@@ -35,11 +35,12 @@ generators, conjugates coefficients and reverses products.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
 
-from .report import NumericReport
+from .report import NumericReport, require_non_negative
 from .scalars import FieldContext
 from .sparse import Element, SparseAlgebra, Tensor, hopf_element_checks, hopf_pair_checks
 from .sparse import parse as parse_a
@@ -74,6 +75,7 @@ class AAlgebra(SparseAlgebra):
         self.kappa0 = self.ctx.from_fraction((-1) ** ((ctx.p + 1) // 2))
         self._cop_cache = {}
         self._zz_cop_cache = {}
+        self._cop_indexes = {}
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
@@ -219,42 +221,58 @@ class AAlgebra(SparseAlgebra):
         mon = (0, 0, 0, 0, 0, 1, 0)
         return ATensor(self, 2, {(mon, A_UNIT): one, (A_UNIT, mon): one})
 
+    def _relabelled(self, terms, k: int, pmu: int) -> list:
+        """Coproduct terms ((a, b), c) times g (x) g, g = d^k exp(u L) with
+        pmu = p u: g sits rightmost, picks up no phase and moves slots 2, 6."""
+        p = self.ctx.p
+
+        def move(a):
+            return (a[0], a[1], (a[2] + k) % p, a[3], a[4], a[5], a[6] + pmu)
+
+        return [((move(a), move(b)), c) for (a, b), c in terms]
+
+    def _cop_group(self, mon, leg: int, deg) -> list:
+        """The terms ((a, b), c) of Delta(mon) whose leg `leg` has the
+        multidegree deg: one lookup in the leg index of the cached (k, u)-free
+        coproduct, relabelling only the matched terms."""
+        n, m, k, t, s, l, pmu = mon
+        group = self._cop_index((n, m, 0, t, s, l, 0), (leg,)).get((deg,), ())
+        return self._relabelled(group, k, pmu) if k or pmu else group
+
     def _coproduct_mono(self, mon) -> ATensor:
         n, m, k, t, s, l, pmu = mon
         if k or pmu:
-            # g = d^k exp(u L) is group-like and sits rightmost, where it
-            # picks up no reordering phase: Delta(x g) = Delta(x) (g (x) g)
-            # only relabels both legs of the cached (k, u)-free coproduct
-            p = self.ctx.p
+            # Delta(x g) = Delta(x) (g (x) g) for the group-like part g
             base = self._coproduct_mono((n, m, 0, t, s, l, 0))
-            return ATensor(self, 2, {
-                (
-                    (a[0], a[1], (a[2] + k) % p, a[3], a[4], a[5], a[6] + pmu),
-                    (b[0], b[1], (b[2] + k) % p, b[3], b[4], b[5], b[6] + pmu),
-                ): c
-                for (a, b), c in base.terms.items()
-            })
+            return ATensor(self, 2, dict(self._relabelled(base.terms.items(), k, pmu)))
         got = self._cop_cache.get(mon)
         if got is not None:
             return got
-        out = None
-        for slot, e in ((0, n), (1, m)):
-            if e:
-                f = self._gen_cop_power(slot, e)
-                out = f if out is None else out * f
-        if t or s:
-            # the translation legs are the wide factor; share them across
-            # every monomial with the same (t, s)
-            zz = self._zz_cop_cache.get((t, s))
-            if zz is None:
-                zz = self._gen_cop_power(3, t) * self._gen_cop_power(4, s)
-                self._zz_cop_cache[(t, s)] = zz
-            out = zz if out is None else out * zz
         if l:
-            f = self._gen_cop_power(5, l)
-            out = f if out is None else out * f
-        if out is None:
-            out = self.tensor_one(2)
+            # L is central and primitive, and slot 5 is 0 on both legs for l = 0:
+            # Delta(x L^l) = sum_j C(l, j) Delta(x) (L^j (x) L^(l-j)) writes it
+            binom = [math.comb(l, j) for j in range(l + 1)]
+            out = {}
+            for (a, b), c in self._coproduct_mono((n, m, 0, t, s, 0, 0)).terms.items():
+                for j, f in enumerate(binom):
+                    out[(a[:5] + (j,) + a[6:], b[:5] + (l - j,) + b[6:])] = c if f == 1 else c * f
+            out = ATensor(self, 2, out)
+        else:
+            out = None
+            for slot, e in ((0, n), (1, m)):
+                if e:
+                    f = self._gen_cop_power(slot, e)
+                    out = f if out is None else out * f
+            if t or s:
+                # the translation legs are the wide factor; share them across
+                # every monomial with the same (t, s)
+                zz = self._zz_cop_cache.get((t, s))
+                if zz is None:
+                    zz = self._gen_cop_power(3, t) * self._gen_cop_power(4, s)
+                    self._zz_cop_cache[(t, s)] = zz
+                out = zz if out is None else out * zz
+            if out is None:
+                out = self.tensor_one(2)
         self._cop_cache[mon] = out
         return out
 
@@ -302,8 +320,7 @@ def a_axiom_suite(alg: AAlgebra, degree_bound: int = 2, samples: int = 100, seed
     """Exact verification of the Hopf axioms on the function algebra.  The
     antipode axiom on z+- is the sharpest check here: it exercises every
     coefficient of the long coproduct tail."""
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+    require_non_negative(degree_bound=degree_bound, samples=samples)
     rng = random.Random(seed)
     ctx = alg.ctx
     p = ctx.p

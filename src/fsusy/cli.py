@@ -14,6 +14,7 @@ precision target failed, 2 = usage error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -406,6 +407,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on the first call, shared after it
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=3, help="odd prime modulus (default 3)")

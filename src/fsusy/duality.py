@@ -23,6 +23,13 @@ function algebra,
 checks, the invariant integral on the nilpotent sector, and the Gaussian
 half-weight sector carrying the hermitian form used for the adjointness
 checks.
+
+A basis pairing value is cached under the inputs it depends on (see
+_pair_mono).  The actions and the contraction of Delta x against a and b
+read a leg index of each cached coproduct (SparseAlgebra._cop_index) only
+at the multidegrees the other side offers: on the function side by the
+contracted leg, once per (k, mu)-free monomial, relabelled on read; on the
+enveloping side by both legs.
 """
 
 from __future__ import annotations
@@ -30,15 +37,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .afalg import AAlgebra, AElement, random_a_element
-from .report import NumericReport
+from .report import NumericReport, require_non_negative
 from .scalars import FieldContext, FieldScalar
-from .sparse import Element, _accumulate, check_operand
+from .sparse import Element, _accumulate, _degree, check_operand
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -80,11 +86,6 @@ def _classical_terms(op, t: int, s: int, weighted: bool = False):
     return [term for term in terms if term[0]]
 
 
-# the multidegree (n, m, t, s) of a monomial of either side, in slots 0, 1,
-# 3 and 4: the pairing of two monomials vanishes unless they agree there
-_degree = operator.itemgetter(0, 1, 3, 4)
-
-
 def _by_degree(x) -> dict:
     """The terms of an element grouped by multidegree."""
     out = {}
@@ -111,41 +112,37 @@ class DualityContext:
         self.ualg = UAlgebra(ctx, h=convention.h)
         self.aalg = AAlgebra(ctx)
         self._sqrt_q = ctx.sqrt_q(1) * Fraction(convention.sqrt_q_sign)
-        self._pair_cache = {}
-        self._qfact_pair = {}
+        self._pair_values = {}
 
     # -- the pairing --
 
     def _pair_mono(self, u, a) -> FieldScalar:
         """<u, a> for basis monomials of the same multidegree (n, m, t, s),
-        which the callers guarantee by pairing through _by_degree."""
+        which the callers guarantee by pairing through _by_degree.  The value
+        is cached under exactly the inputs it depends on: the root-of-unity
+        power w mod 4p, n, m, t, s, l, l'' and p mu."""
         ctx = self.ctx
         n, m, k, t, s, l = u
         k2, l2, pmu = a[2], a[5], a[6]
         if l2 > l or (l > l2 and pmu == 0):
             return ctx._zero
-        key = (u, a)
-        got = self._pair_cache.get(key)
-        if got is not None:
-            return got
         p = ctx.p
-        kk = (k + n + m) % p
-        # i^(n+m+t+s+l) qs^(n-m) q^(k2 kk - nm) as one root-of-unity power
-        w = p * (n + m + t + s + l) + 4 * ((n - m) * ((p + 1) // 2) + k2 * kk - n * m)
-        frac = Fraction(
-            math.factorial(t) * math.factorial(s) * math.factorial(l),
-            math.factorial(l - l2),
-        ) * Fraction(pmu, p) ** (l - l2)
-        if self.convention.sqrt_q_sign < 0 and (n - m) % 2:
-            frac = -frac
-        val = ctx.zeta(w) * frac
-        if n > 1 or m > 1:
-            qf = self._qfact_pair.get((n, m))
-            if qf is None:
-                qf = ctx.qfact(n) * ctx.qfact(m)
-                self._qfact_pair[(n, m)] = qf
-            val = val * qf
-        self._pair_cache[key] = val
+        # i^(n+m+t+s+l) qs^(n-m) q^(k2 (k+n+m) - nm) as one root-of-unity power
+        e = (n - m) * ((p + 1) // 2) + k2 * ((k + n + m) % p) - n * m
+        w = (p * (n + m + t + s + l) + 4 * e) % (4 * p)
+        key = (w, n, m, t, s, l, l2, pmu)
+        val = self._pair_values.get(key)
+        if val is None:
+            frac = Fraction(
+                math.factorial(t) * math.factorial(s) * math.factorial(l),
+                math.factorial(l - l2),
+            ) * Fraction(pmu, p) ** (l - l2)
+            if self.convention.sqrt_q_sign < 0 and (n - m) % 2:
+                frac = -frac
+            val = ctx.zeta(w) * frac
+            if n > 1 or m > 1:
+                val = val * (ctx.qfact(n) * ctx.qfact(m))
+            self._pair_values[key] = val
         return val
 
     def _pair_terms(self, terms, mono, fixed_u=False) -> FieldScalar:
@@ -153,42 +150,32 @@ class DualityContext:
         _by_degree group of mono's multidegree: enveloping-side terms
         against a function-side mono, or the other way round if fixed_u."""
         pair_mono = self._pair_mono
-        acc = self.ctx._zero
+        acc = None
         for m, c in terms:
             v = pair_mono(mono, m) if fixed_u else pair_mono(m, mono)
             if v:
-                acc = acc + c * v
-        return acc
+                v = c * v
+                acc = v if acc is None else acc + v
+        return self.ctx._zero if acc is None else acc
 
     def pair(self, x: UElement, a: AElement) -> FieldScalar:
         """Bilinear extension of the basis pairing."""
         by_degree = _by_degree(x)
         acc = self.ctx.zero()
         for am, ac in a.terms.items():
-            uterms = by_degree.get(_degree(am))
-            if uterms is not None:
-                v = self._pair_terms(uterms, am)
-                if v:
-                    acc = acc + ac * v
+            v = self._pair_terms(by_degree.get(_degree(am), ()), am)
+            if v:
+                acc = acc + ac * v
         return acc
 
-    def _contract(self, tensor, first, second, fixed_u=False) -> FieldScalar:
-        """sum c <m1, first> <m2, second> over the terms ((m1, m2), c) of a
-        two-leg tensor, against the _by_degree groupings first and second of
-        the other side; fixed_u as in _pair_terms, for an enveloping-side
-        tensor."""
+    def _contract(self, tensor, first, second) -> FieldScalar:
+        """sum c <first, m1> <second, m2> over the terms ((m1, m2), c) of a
+        function-side two-leg tensor, against the _by_degree groupings first
+        and second of enveloping-side elements."""
         acc = self.ctx.zero()
         for (m1, m2), c in tensor.terms.items():
-            g1 = first.get(_degree(m1))
-            if g1 is None:
-                continue
-            g2 = second.get(_degree(m2))
-            if g2 is None:
-                continue
-            v1 = self._pair_terms(g1, m1, fixed_u)
-            if not v1:
-                continue
-            v2 = self._pair_terms(g2, m2, fixed_u)
+            v1 = self._pair_terms(first.get(_degree(m1), ()), m1)
+            v2 = v1 and self._pair_terms(second.get(_degree(m2), ()), m2)
             if v2:
                 acc = acc + c * v1 * v2
         return acc
@@ -212,16 +199,14 @@ class DualityContext:
     def _act(self, phi: UElement, x: AElement, leg: int) -> AElement:
         out = {}
         keep = 1 - leg
-        by_degree = _by_degree(phi)
+        cop_group = self.aalg._cop_group
+        groups = _by_degree(phi).items()
         for mon, c in x.terms.items():
-            for key, f in self.aalg._coproduct_mono(mon).terms.items():
-                am = key[leg]
-                uterms = by_degree.get(_degree(am))
-                if uterms is None:
-                    continue
-                v = self._pair_terms(uterms, am)
-                if v:
-                    _accumulate(out, key[keep], c * f * v)
+            for deg, uterms in groups:
+                for key, f in cop_group(mon, leg, deg):
+                    v = self._pair_terms(uterms, key[leg])
+                    if v:
+                        _accumulate(out, key[keep], c * f * v)
         return AElement(self.aalg, out)
 
     # -- closed-form right action (the conformance target) --
@@ -391,6 +376,25 @@ def _matched_a_monos(dual: DualityContext, umono, pmu_set):
                 yield (n, m, k2, t, s, l2, pmu)
 
 
+def _product_rule_checks(dual: DualityContext, u_monos) -> dict:
+    """{(a, generator name y): [(x, xy grouped by multidegree)]} for x in
+    u_monos and every a matching a term of xy, at the weights 0 and 1/p."""
+    ual, one = dual.ualg, dual.ctx.one()
+    gens = {g: ual.generator(g) for g in GEN_NAMES}
+    checks = {}
+    for um in u_monos:
+        x = UElement(ual, {um: one})
+        for g, y in gens.items():
+            xy = x * y
+            seen = set()
+            for xym in xy.terms:
+                seen.update(_matched_a_monos(dual, xym, (0, 1)))
+            xy = _by_degree(xy)
+            for am in seen:
+                checks.setdefault((am, g), []).append((um, xy))
+    return checks
+
+
 def duality_suite(
     ctx: FieldContext,
     exponent_bound: int = 2,
@@ -405,8 +409,7 @@ def duality_suite(
     other side), plus seeded random element triples.  Full bilinearity makes
     this spanning-set coverage equivalent to the identities on the bounded
     sector."""
-    if exponent_bound < 0:
-        raise ValueError(f"exponent_bound must be non-negative, got {exponent_bound}")
+    require_non_negative(exponent_bound=exponent_bound, samples=samples)
     dual = DualityContext(ctx)
     ual, aal = dual.ualg, dual.aalg
     rng = _random.Random(seed)
@@ -435,39 +438,29 @@ def duality_suite(
     )
     rep.check("pair_with_unit_u", ok_a)
 
-    # antipode compatibility <S(x), a> = <x, S(a)> on matched degrees
+    # antipode compatibility <S(x), a> = <x, S(a)> on matched degrees; S(x)
+    # is grouped once per x, and each a reads the group of its multidegree
     bad = 0
     for um in u_monos:
         x = UElement(ual, {um: ctx.one()})
-        sx = x.antipode()
+        sx = _by_degree(x.antipode())
         for am in _matched_a_monos(dual, um, pmu_set):
-            a = AElement(aal, {am: ctx.one()})
-            if dual.pair(sx, a) != dual.pair(x, a.antipode()):
+            lhs = dual._pair_terms(sx.get(_degree(am), ()), am)
+            if lhs != dual.pair(x, AElement(aal, {am: ctx.one()}).antipode()):
                 bad += 1
     rep.check("antipode_compat", bad == 0, f"{bad} mismatches")
 
-    # product rule <xy, a> = <x (x) y, Delta a> with generator second factors
-    gens = [ual.generator(g) for g in GEN_NAMES]
-    pmu_small = (0, 1)
-    # each a is checked against every (x, y) it matches, so Delta a is
-    # built once per a instead of once per check
-    checks = {}
-    for um in u_monos:
-        x = UElement(ual, {um: ctx.one()})
-        for y in gens:
-            xy = x * y
-            seen = set()
-            for xym in xy.terms:
-                for am in _matched_a_monos(dual, xym, pmu_small):
-                    seen.add(am)
-            for am in seen:
-                checks.setdefault(am, []).append((x, y, xy))
+    # product rule <xy, a> = <x (x) y, Delta a> with generator second factors,
+    # as <x, L(y) a>: L(y) a is built once per (a, y) and grouped by
+    # multidegree, so both sides of a check read one group
+    gens = {g: ual.generator(g) for g in GEN_NAMES}
     bad = 0
-    for am, pairs in checks.items():
-        a = AElement(aal, {am: ctx.one()})
-        cop = a.coproduct()
-        for x, y, xy in pairs:
-            if dual.pair(xy, a) != dual.pair_tensor(x, y, cop):
+    for (am, g), pairs in _product_rule_checks(dual, u_monos).items():
+        lya = _by_degree(dual.left_act(gens[g], AElement(aal, {am: ctx.one()})))
+        deg = _degree(am)
+        for um, xy in pairs:
+            lhs = dual._pair_terms(xy[deg], am)
+            if lhs != dual._pair_terms(lya.get(_degree(um), ()), um, True):
                 bad += 1
     rep.check("product_rule_gen", bad == 0, f"{bad} mismatches")
 
@@ -520,7 +513,7 @@ def duality_suite(
     for um in u_monos[:: max(1, len(u_monos) // 60)]:
         x = UElement(ual, {um: ctx.one()})
         xs = x.star()
-        for am in _matched_a_monos(dual, um, pmu_small):
+        for am in _matched_a_monos(dual, um, (0, 1)):
             a = AElement(aal, {am: ctx.one()})
             lhs = dual.pair(xs, a)
             variants["total"] += 1
@@ -547,7 +540,17 @@ def _matched_u_monos(dual: DualityContext, amono, bound: int):
 def _pair_cop_x(dual: DualityContext, x: UElement, a: AElement, b: AElement) -> FieldScalar:
     """sum <x_(1), a> <x_(2), b>, with the leg order of the convention."""
     first, second = (a, b) if dual.convention.left_first else (b, a)
-    return dual._contract(x.coproduct(), _by_degree(first), _by_degree(second), True)
+    first, second = _by_degree(first), _by_degree(second)
+    acc = dual.ctx.zero()
+    for mon, c in x.terms.items():
+        index = dual.ualg._cop_index(mon, (0, 1))
+        for d1, d2 in itertools.product(first, second):
+            for (m1, m2), f in index.get((d1, d2), ()):
+                v1 = dual._pair_terms(first[d1], m1, True)
+                v2 = v1 and dual._pair_terms(second[d2], m2, True)
+                if v2:
+                    acc = acc + c * f * v1 * v2
+    return acc
 
 
 # -- conformance of the printed closed forms -----------------------------------
@@ -618,8 +621,7 @@ def reo_conformance(ctx: FieldContext) -> NumericReport:
 def fractional_root_suite(ctx: FieldContext, degree_bound: int = 4) -> NumericReport:
     """R(p_pm)^p = R(P_pm) on every symbolic monomial of bounded degree, plus
     Casimir commutation and the twisted Leibniz rules on random pairs."""
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+    require_non_negative(degree_bound=degree_bound)
     dual = DualityContext(ctx)
     ual, aal = dual.ualg, dual.aalg
     rep = NumericReport(f"fractional_root p={ctx.p} degree<={degree_bound}")

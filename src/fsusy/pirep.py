@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .afalg import AAlgebra, AElement, _check_mu
 from .duality import DualityContext, determine_convention
-from .report import NumericReport
+from .report import NumericReport, require_non_negative
 from .scalars import FieldContext, FieldScalar
 from .sparse import Element, SparseAlgebra, _accumulate
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
@@ -607,6 +607,7 @@ def representation_suite(
     identities, the fractional root both in the calculus and pointwise on a
     chain window, formal self-adjointness of the star-fixed generators by two
     routes, the Gram signature, and the corepresentation reassembly."""
+    require_non_negative(samples=samples)
     rep = PiRepresentation(ctx)
     ual = rep.ualg
     p = ctx.p

@@ -5,6 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def require_non_negative(**counts) -> None:
+    """Raise ValueError for the first negative count: a window or sample set
+    it sizes would be empty, and every check over it would pass vacuously."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass
 class NumericReport:
     """Accumulates named pass/fail checks plus optional measured values.

@@ -20,8 +20,9 @@ such fact comes from the algebra object an element carries:
 
 From these SparseAlgebra derives the antipode and star of a monomial (both
 reverse the word; the star fixes every generator), its printed word and
-the grammar of parse, filling the caches _gen_cop_pows, _gen_anti_pows,
-_anti_cache and _star_cache each algebra creates.  Only the operations an
+the grammar of parse, and the index of a coproduct by the multidegrees of
+its legs, filling the caches _gen_cop_pows, _gen_anti_pows, _anti_cache,
+_star_cache and _cop_indexes each algebra creates.  Only the operations an
 element actually uses need to exist: the Gaussian sector is added and
 scaled, never multiplied, so it supplies ctx, key and _check alone; the
 operator calculus has no coproduct and brings its own star and printing.
@@ -33,9 +34,14 @@ degree see; slot 2 and any slot past 5 are group-like.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .scalars import FieldScalar
+
+# the multidegree (n, m, t, s) of a monomial of either side, in slots 0, 1,
+# 3 and 4: the dual pairing of two monomials vanishes unless they agree there
+_degree = operator.itemgetter(0, 1, 3, 4)
 
 
 def check_operand(alg, other):
@@ -104,6 +110,17 @@ class SparseAlgebra:
         while len(pows) <= n:
             pows.append(pows[-1] * self._gen_coproduct(slot))
         return pows[n]
+
+    def _cop_index(self, mon, legs: tuple) -> dict:
+        """{degrees of the legs numbered in legs: [(key, coefficient)]} over
+        the terms of Delta(mon), built once per (mon, legs)."""
+        got = self._cop_indexes.get((mon, legs))
+        if got is None:
+            got = {}
+            for key, c in self._coproduct_mono(mon).terms.items():
+                got.setdefault(tuple(_degree(key[i]) for i in legs), []).append((key, c))
+            self._cop_indexes[(mon, legs)] = got
+        return got
 
     def _gen_anti_power(self, slot: int, n: int):
         """S(generator)^n, cached per slot in self._gen_anti_pows."""

@@ -29,7 +29,7 @@ import math
 import random
 from fractions import Fraction
 
-from .report import NumericReport
+from .report import NumericReport, require_non_negative
 from .scalars import FieldContext
 from .sparse import Element, SparseAlgebra, Tensor, hopf_element_checks, hopf_pair_checks
 from .sparse import parse as parse_u
@@ -57,6 +57,7 @@ class UAlgebra(SparseAlgebra):
         self.key = (ctx.key, h)
         self._mono_cache = {}
         self._cop_cache = {}
+        self._cop_indexes = {}
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
@@ -222,8 +223,7 @@ def random_u_element(alg: UAlgebra, rng, degree: int = 3, nterms: int = 3) -> UE
 def u_axiom_suite(alg: UAlgebra, degree_bound: int = 3, samples: int = 100, seed: int = 1):
     """Exact verification of the Hopf axioms on generators and seeded random
     elements.  Returns a NumericReport, which passes when every check holds."""
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+    require_non_negative(degree_bound=degree_bound, samples=samples)
     rng = random.Random(seed)
     ctx = alg.ctx
     report = NumericReport(f"u_axiom_suite p={ctx.p} h={alg.h}")

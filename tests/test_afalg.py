@@ -204,6 +204,22 @@ def test_relabelled_coproduct_matches_generator_products(p):
     assert checked == p**3 * (zbound + 1) ** 2 * 2 * len(weights)
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_central_power_coproduct_matches_generator_products(p):
+    # for l > 0, _coproduct_mono writes Delta(L)^l into slot 5 of the l = 0
+    # coproduct; the reference multiplies Delta(L) in l times
+    aal = AAlgebra(FieldContext(p))
+    lam = aal._gen_coproduct(5)
+    for n, m, t, s in ((0, 0, 0, 0), (1, 2, 1, 0), (2, 1, 2, 2), (p - 1, 0, 0, 1)):
+        ref = aal._coproduct_mono((n, m, 0, t, s, 0, 0))
+        for l in range(1, 5):
+            ref = ref * lam
+            assert aal._coproduct_mono((n, m, 0, t, s, l, 0)) == ref, (n, m, t, s, l)
+            assert aal._coproduct_mono((n, m, 1, t, s, l, -1)) == ref * aal.tensor(
+                aal.monomial(k=1, mu=Fraction(-1, p)), aal.monomial(k=1, mu=Fraction(-1, p))
+            )
+
+
 def test_coproduct_eta_nilpotent(aal):
     # Delta(e+-)^p = 0: the mixed terms die through root-of-unity binomials
     p = aal.ctx.p

@@ -242,6 +242,9 @@ def test_unknown_token_message_is_shared(capsys, command, expr):
         (("pi-suite", "--root-degree", "-1"), "degree_bound must be non-negative, got -1"),
         (("pi-suite", "--chain", "0"), "chain_length must be at least 1, got 0"),
         (("hopf", "--degree", "-1"), "degree_bound must be non-negative, got -1"),
+        (("duality-suite", "--samples", "-1"), "samples must be non-negative, got -1"),
+        (("hopf", "--samples", "-1"), "samples must be non-negative, got -1"),
+        (("pi-suite", "--samples", "-1"), "samples must be non-negative, got -1"),
     ),
 )
 def test_empty_window_is_usage_error(capsys, argv, message):

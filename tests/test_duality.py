@@ -9,8 +9,11 @@ from fsusy.afalg import AElement, random_a_element
 from fsusy.duality import (
     DualityContext,
     PairingConvention,
+    _by_degree,
+    _matched_a_monos,
     _pair_cop_x,
     _probe_pass,
+    _product_rule_checks,
     classical_integral,
     default_conformance_monomials,
     determine_convention,
@@ -25,6 +28,7 @@ from fsusy.duality import (
     star_representation_suite,
 )
 from fsusy.scalars import FieldContext
+from fsusy.sparse import _degree
 from fsusy.ufalg import UElement, random_u_element
 
 
@@ -230,6 +234,85 @@ def test_indexed_pairing_matches_brute_force(p, left_first):
         nonzero_cop += bool(want)
     assert nonzero >= 18
     assert nonzero_cop >= 10
+
+
+@pytest.mark.parametrize("left_first", (True, False))
+def test_product_rule_left_action_matches_pair_tensor(ctx3, left_first):
+    # the suite checks <x (x) y, Delta a> as <x, L(y) a>, read from the group
+    # of L(y) a at x's multidegree; on every (x, y, a) it checks at bound 1
+    # both must agree with the two-leg contraction
+    dual = DualityContext(ctx3, PairingConvention(left_first, -1, 1))
+    ual, aal, one = dual.ualg, dual.aalg, dual.ctx.one()
+    window = itertools.product(range(2), repeat=6)  # p = 3, bound 1
+    checked = nonzero = 0
+    for (am, g), pairs in _product_rule_checks(dual, window).items():
+        a = AElement(aal, {am: one})
+        y = ual.generator(g)
+        lya = dual.left_act(y, a)
+        groups = _by_degree(lya)
+        cop = a.coproduct()
+        for um, _xy in pairs:
+            x = UElement(ual, {um: one})
+            got = dual.pair(x, lya)
+            assert got == dual.pair_tensor(x, y, cop), (um, g, am)
+            assert got == dual._pair_terms(groups.get(_degree(um), ()), um, True)
+            checked += 1
+            nonzero += bool(got)
+    assert checked == 6144
+    assert nonzero == (3360 if left_first else 3186)
+
+
+@pytest.mark.parametrize("left_first", (True, False))
+@pytest.mark.parametrize("sqrt_sign", (1, -1))
+def test_pair_values_independent_of_cache_order(ctx3, left_first, sqrt_sign):
+    # a cached pairing value depends only on its inputs: each pair of the
+    # bound-2 window, evaluated on a cold cache, gives the value it gives
+    # from a cache warmed in a shuffled order
+    dual = DualityContext(ctx3, PairingConvention(left_first, sqrt_sign, 1))
+    pairs = [
+        (um, am)
+        for um in itertools.product(range(3), repeat=6)
+        for am in _matched_a_monos(dual, um, (0, 1, -1, 3))
+    ]
+    cold = []
+    for um, am in pairs:
+        dual._pair_values.clear()
+        cold.append(dual._pair_mono(um, am))
+    order = list(range(len(pairs)))
+    random.Random(5).shuffle(order)
+    dual._pair_values.clear()
+    for i in order:
+        assert dual._pair_mono(*pairs[i]) == cold[i], pairs[i]
+    for pair, want in zip(pairs, cold):
+        assert dual._pair_mono(*pair) == want, pair
+    assert len(dual._pair_values) == 5103
+    assert sum(map(bool, cold)) == 15309
+
+
+def test_product_rule_builds_one_left_action_per_pair(ctx3, monkeypatch):
+    # a count, not a clock: the product-rule section calls left_act once per
+    # distinct (a, y), and only the random triples reach _contract
+    determine_convention(ctx3)
+    acts, contracts = [], []
+    left_act, contract = DualityContext.left_act, DualityContext._contract
+
+    def counted_left_act(self, phi, x):
+        acts.append((tuple(phi.terms), tuple(x.terms)))
+        return left_act(self, phi, x)
+
+    def counted_contract(self, *args):
+        contracts.append(args)
+        return contract(self, *args)
+
+    monkeypatch.setattr(DualityContext, "left_act", counted_left_act)
+    monkeypatch.setattr(DualityContext, "_contract", counted_contract)
+    rep = duality_suite(ctx3, exponent_bound=1, samples=8, seed=3)
+    assert rep.passed, rep.summary()
+    window = itertools.product(range(2), repeat=6)
+    checks = _product_rule_checks(DualityContext(ctx3), window)
+    assert len(acts) == len(set(acts)) == len(checks) == 1824
+    assert sum(map(len, checks.values())) == 6144
+    assert len(contracts) == 8
 
 
 def test_pair_normal_ordering_composition(dual3):
