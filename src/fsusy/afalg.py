@@ -62,7 +62,10 @@ def _check_mu(mu, p: int) -> int:
 
 
 class AAlgebra(SparseAlgebra):
-    """Factory and rewrite engine for the function algebra at one (p, r)."""
+    """Factory and rewrite engine for the function algebra at one (p, r).
+
+    _cop_cache holds Delta of each monomial with k = u = 0, the translation
+    factor Delta(z+^t z-^s) among them; sparse lists the other caches."""
 
     UNIT = A_UNIT
     SHORT_MINUS = False
@@ -74,7 +77,6 @@ class AAlgebra(SparseAlgebra):
         self.key = ctx.key
         self.kappa0 = self.ctx.from_fraction((-1) ** ((ctx.p + 1) // 2))
         self._cop_cache = {}
-        self._zz_cop_cache = {}
         self._cop_indexes = {}
         self._anti_cache = {}
         self._star_cache = {}
@@ -264,13 +266,12 @@ class AAlgebra(SparseAlgebra):
                     f = self._gen_cop_power(slot, e)
                     out = f if out is None else out * f
             if t or s:
-                # the translation legs are the wide factor; share them across
-                # every monomial with the same (t, s)
-                zz = self._zz_cop_cache.get((t, s))
-                if zz is None:
-                    zz = self._gen_cop_power(3, t) * self._gen_cop_power(4, s)
-                    self._zz_cop_cache[(t, s)] = zz
-                out = zz if out is None else out * zz
+                # the translation legs are the wide factor: Delta(z+^t z-^s)
+                # is cached under its own key and shared by every (n, m)
+                if out is None:
+                    out = self._gen_cop_power(3, t) * self._gen_cop_power(4, s)
+                else:
+                    out = out * self._coproduct_mono((0, 0, 0, t, s, 0, 0))
             if out is None:
                 out = self.tensor_one(2)
         self._cop_cache[mon] = out

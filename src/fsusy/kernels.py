@@ -690,23 +690,6 @@ def _eval_terms(terms, zp, zm, env: _LadderEnv, prec_scalars):
     return out
 
 
-def _dict_gap(lhs, rhs):
-    """(max coefficient difference, max coefficient magnitude) across the
-    union of monomials."""
-    gap = mp.mpf(0)
-    scale = mp.mpf(0)
-    for mon in set(lhs) | set(rhs):
-        lv = lhs.get(mon, mp.mpc(0))
-        rv = rhs.get(mon, mp.mpc(0))
-        gap = max(gap, abs(lv - rv))
-        scale = max(scale, abs(lv), abs(rv))
-    return gap, scale
-
-
-def _scaled(values, factor):
-    return {mon: factor * v for mon, v in values.items()}
-
-
 def d_ladder_suite(
     n: int,
     nu,
@@ -786,100 +769,92 @@ def d_ladder_suite(
         tol_fd = mp.mpf("1e-4")
         tol_mixed = mp.mpf("1e-3")
 
-        targets = {
-            "P+": _d_terms(n, nuF + 1, dual),
-            "P-": _d_terms(n, nuF - 1, dual),
-            "p+": _d_terms((n - 1) % p, nuF + Fraction(1, p), dual),
-            "p-": _d_terms((n + 1) % p, nuF - Fraction(1, p), dual),
-        }
         acted = {gen: _act(gen, base, dual) for gen in ("H", "P+", "P-", "p+", "p-")}
-        composed = _act("p-", acted["p+"], dual)
+        # the swap of readings is invisible on the p+ step out of
+        # n = 0 (the rescaling factors cancel between the source and
+        # target polynomials there), so discriminate at n >= 1
+        n_lit = n if n != 0 else 1
+        step = Fraction(1, p)
+        # each ladder relation once, as label -> (acted terms, target terms,
+        # factor, normaliser).  Its residual at a point is the largest
+        # |acted - factor * target| over the monomials, relative to the
+        # largest coefficient of either side or the normaliser if that is
+        # larger: max |D_n| at the point for None, else a fixed floor.
+        rows = {
+            "H": (acted["H"], base, -1j * nu_num, None),
+            "H-alt": (acted["H"], base, -1j * (nu_num + mp.mpf(n) / p), None),
+            "P+": (acted["P+"], _d_terms(n, nuF + 1, dual), -r_num, None),
+            "P-": (acted["P-"], _d_terms(n, nuF - 1, dual), -r_num, None),
+            "p+": (acted["p+"], _d_terms((n - 1) % p, nuF + step, dual), -chat, None),
+            "p-": (acted["p-"], _d_terms((n + 1) % p, nuF - step, dual), -chat, None),
+            "C": (_act("p-", acted["p+"], dual), base, chat * chat, None),
+            "literal": (
+                _act("p+", _d_terms(n_lit, nuF, dual, literal=True), dual),
+                _d_terms((n_lit - 1) % p, nuF + step, dual, literal=True),
+                -chat,
+                mp.mpf("1e-30"),
+            ),
+        }
+        term_lists = {id(terms): terms for row in rows.values() for terms in row[:2]}
 
-        worst = {label: mp.mpf(0) for label in ("H", "H-alt", "P+", "P-", "p+", "p-", "C")}
+        worst = dict.fromkeys(rows, mp.mpf(0))
         ratio_samples = []
         for point in grid:
-            zp, zm = point.z_plus, point.z_minus
-            d_num = _eval_terms(base, zp, zm, env, bits)
-            scale_d = max(abs(v) for v in d_num.values())
+            values = {
+                key: _eval_terms(terms, point.z_plus, point.z_minus, env, bits)
+                for key, terms in term_lists.items()
+            }
+            scale_d = max(abs(v) for v in values[id(base)].values())
+            for label, (acted_terms, target_terms, factor, norm) in rows.items():
+                lhs = values[id(acted_terms)]
+                rhs = {mon: factor * v for mon, v in values[id(target_terms)].items()}
+                gap = scale = mp.mpf(0)
+                for mon in set(lhs) | set(rhs):
+                    lv = lhs.get(mon, mp.mpc(0))
+                    rv = rhs.get(mon, mp.mpc(0))
+                    gap = max(gap, abs(lv - rv))
+                    scale = max(scale, abs(lv), abs(rv))
+                floor = scale_d if norm is None else norm
+                worst[label] = max(worst[label], gap / max(scale, floor))
+            lhs, tgt = (values[id(terms)] for terms in rows["p+"][:2])
+            mon = max(tgt, key=lambda mm: abs(tgt[mm]))
+            if mon in lhs:
+                ratio_samples.append(lhs[mon] / tgt[mon])
 
-            lhs_h = _eval_terms(acted["H"], zp, zm, env, bits)
-            gap, scale = _dict_gap(lhs_h, _scaled(d_num, -1j * nu_num))
-            worst["H"] = max(worst["H"], gap / max(scale, scale_d))
-            gap_alt, _ = _dict_gap(
-                lhs_h, _scaled(d_num, -1j * (nu_num + mp.mpf(n) / p))
+        for title, labels, tol in (
+            ("H scales D_n by -i*nu", ("H",), tol_fd),
+            ("translation steps: P+/- send nu to nu +/- 1 with factor -r", ("P+", "P-"), tol_fd),
+            (
+                "root steps: p+/- shift (n, nu) by (-1, +1/p) / (+1, -1/p) with factor -chat",
+                ("p+", "p-"),
+                tol_mixed,
+            ),
+            ("composition p- after p+ scales D_n by chat^2", ("C",), tol_mixed),
+        ):
+            shown = {label: mp.nstr(worst[label], 4) for label in labels}
+            if len(labels) == 1:
+                detail = f"worst rel residual {shown[labels[0]]}"
+            else:
+                detail = ", ".join(f"{label} {s}" for label, s in shown.items())
+            report.check(
+                title,
+                all(worst[label] < tol for label in labels),
+                detail=detail,
+                residual=float(max(worst[label] for label in labels)),
             )
-            worst["H-alt"] = max(worst["H-alt"], gap_alt / max(scale, scale_d))
-
-            for gen, factor in (("P+", -r_num), ("P-", -r_num), ("p+", -chat), ("p-", -chat)):
-                lhs = _eval_terms(acted[gen], zp, zm, env, bits)
-                tgt_num = _eval_terms(targets[gen], zp, zm, env, bits)
-                gap, scale = _dict_gap(lhs, _scaled(tgt_num, factor))
-                worst[gen] = max(worst[gen], gap / max(scale, scale_d))
-                if gen == "p+":
-                    mon = max(tgt_num, key=lambda mm: abs(tgt_num[mm]))
-                    if mon in lhs:
-                        ratio_samples.append(lhs[mon] / tgt_num[mon])
-
-            lhs_c = _eval_terms(composed, zp, zm, env, bits)
-            gap, scale = _dict_gap(lhs_c, _scaled(d_num, chat * chat))
-            worst["C"] = max(worst["C"], gap / max(scale, scale_d))
-
-        report.check(
-            "H scales D_n by -i*nu",
-            worst["H"] < tol_fd,
-            detail=f"worst rel residual {mp.nstr(worst['H'], 4)}",
-            residual=float(worst["H"]),
-        )
         report.measure("H_alt_eigenvalue_residual", float(worst["H-alt"]))
-        report.check(
-            "translation steps: P+/- send nu to nu +/- 1 with factor -r",
-            worst["P+"] < tol_fd and worst["P-"] < tol_fd,
-            detail=(
-                f"P+ {mp.nstr(worst['P+'], 4)}, P- {mp.nstr(worst['P-'], 4)}"
-            ),
-            residual=float(max(worst["P+"], worst["P-"])),
-        )
-        report.check(
-            "root steps: p+/- shift (n, nu) by (-1, +1/p) / (+1, -1/p) with factor -chat",
-            worst["p+"] < tol_mixed and worst["p-"] < tol_mixed,
-            detail=(
-                f"p+ {mp.nstr(worst['p+'], 4)}, p- {mp.nstr(worst['p-'], 4)}"
-            ),
-            residual=float(max(worst["p+"], worst["p-"])),
-        )
-        report.check(
-            "composition p- after p+ scales D_n by chat^2",
-            worst["C"] < tol_mixed,
-            detail=f"worst rel residual {mp.nstr(worst['C'], 4)}",
-            residual=float(worst["C"]),
-        )
         if ratio_samples:
             avg = sum(ratio_samples) / len(ratio_samples)
             report.measure(
                 "p+_empirical_ratio",
                 f"{mp.nstr(avg, 10)} (expected -chat = {mp.nstr(-chat, 10)})",
             )
-
-        # the swap of readings is invisible on the p+ step out of
-        # n = 0 (the rescaling factors cancel between the source and
-        # target polynomials there), so discriminate at n >= 1
-        n_lit = n if n != 0 else 1
-        base_lit = _d_terms(n_lit, nuF, dual, literal=True)
-        target_lit = _d_terms((n_lit - 1) % p, nuF + Fraction(1, p), dual, literal=True)
-        acted_lit = _act("p+", base_lit, dual)
-        worst_lit = mp.mpf(0)
-        for point in grid:
-            zp, zm = point.z_plus, point.z_minus
-            lhs = _eval_terms(acted_lit, zp, zm, env, bits)
-            tgt_num = _eval_terms(target_lit, zp, zm, env, bits)
-            gap, scale = _dict_gap(lhs, _scaled(tgt_num, -chat))
-            worst_lit = max(worst_lit, gap / max(scale, mp.mpf("1e-30")))
-        report.measure("p+_residual_literal_omega", float(worst_lit))
+        report.measure("p+_residual_literal_omega", float(worst["literal"]))
         report.check(
             f"alternative omega denominator breaks the p+ step at n = {n_lit}",
-            worst_lit > mp.mpf("1e-2") and worst["p+"] < tol_mixed,
+            worst["literal"] > mp.mpf("1e-2") and worst["p+"] < tol_mixed,
             detail=(
-                f"literal-reading residual {mp.nstr(worst_lit, 4)} vs "
+                f"literal-reading residual {mp.nstr(worst['literal'], 4)} vs "
                 f"{mp.nstr(worst['p+'], 4)} for the factorial-pair reading"
             ),
         )

@@ -18,18 +18,19 @@ such fact comes from the algebra object an element carries:
     _parse_weight(name)            optional: claims a group-like weight token
     SHORT_MINUS                    a leading -1 prints as "- word" when true
 
-From these SparseAlgebra derives the antipode and star of a monomial (both
-reverse the word; the star fixes every generator), its printed word and
-the grammar of parse, and the index of a coproduct by the multidegrees of
-its legs, filling the caches _gen_cop_pows, _gen_anti_pows, _anti_cache,
-_star_cache and _cop_indexes each algebra creates.  Only the operations an
-element actually uses need to exist: the Gaussian sector is added and
-scaled, never multiplied, so it supplies ctx, key and _check alone; the
-operator calculus has no coproduct and brings its own star and printing.
-Sums, negation and products keep the class of their left operand, so an
-Element subclass survives its own arithmetic.  In every Hopf-algebra
-monomial, slots 0, 1, 3, 4 and 5 carry the exponents the counit and the
-degree see; slot 2 and any slot past 5 are group-like.
+From these SparseAlgebra derives the antipode and star of a monomial (one
+word reversal that puts the group-like part g in front, as g^-1 or g, of
+the image of the g-free part), its printed word and the grammar of parse,
+and the index of a coproduct by the multidegrees of its legs, filling the
+caches _gen_cop_pows, _gen_anti_pows, _anti_cache, _star_cache (g-free
+parts included) and _cop_indexes each algebra creates.  Only the
+operations an element actually uses need to exist: the Gaussian sector is
+added and scaled, never multiplied, so it supplies ctx, key and _check
+alone; the operator calculus has no coproduct and brings its own star and
+printing.  Sums, negation and products keep the class of their left
+operand, so an Element subclass survives its own arithmetic.  In every
+Hopf-algebra monomial, slots 0, 1, 3, 4 and 5 carry the exponents the
+counit and the degree see; slot 2 and any slot past 5 are group-like.
 """
 
 from __future__ import annotations
@@ -129,32 +130,31 @@ class SparseAlgebra:
             pows.append(pows[-1] * self._gen_antipode(slot))
         return pows[n]
 
+    def _reversed(self, mon, cache, image, sign: int):
+        """mon under the word reversal sending a power e of slot 0, 1, 3-5 to
+        image(slot, e) and g to g**sign in front: g commutes with slots 3-5."""
+        got = cache.get(mon)
+        if got is None:
+            free = mon[:2] + (0,) + mon[3:6] + (0,) * len(mon[6:])
+            if free == mon:
+                got = self.one()
+                for slot in (5, 4, 3, 1, 0):
+                    if mon[slot]:
+                        got = got * image(slot, mon[slot])
+            else:
+                g = (0, 0, sign * mon[2] % self.ctx.p, 0, 0, 0) + tuple(sign * w for w in mon[6:])
+                got = Element(self, {g: self.ctx._one}) * self._reversed(free, cache, image, sign)
+            cache[mon] = got
+        return got
+
     def _antipode_mono(self, mon):
-        got = self._anti_cache.get(mon)
-        if got is not None:
-            return got
-        # S reverses the word: the inverted weights, then the generator
-        # images in the opposite slot order
-        out = Element(self, {(0,) * 6 + tuple(-w for w in mon[6:]): self.ctx.one()})
-        for slot in range(5, -1, -1):
-            if mon[slot]:
-                out = out * self._gen_anti_power(slot, mon[slot])
-        self._anti_cache[mon] = out
-        return out
+        return self._reversed(mon, self._anti_cache, self._gen_anti_power, -1)
 
     def _star_mono(self, mon):
-        got = self._star_cache.get(mon)
-        if got is not None:
-            return got
-        # every generator and weight is *-fixed, so only the word reverses
-        one = self.ctx.one()
-        out = Element(self, {(0,) * 6 + mon[6:]: one})
-        for slot in range(5, -1, -1):
-            if mon[slot]:
-                power = self.UNIT[:slot] + (mon[slot],) + self.UNIT[slot + 1 :]
-                out = out * Element(self, {power: one})
-        self._star_cache[mon] = out
-        return out
+        def power(slot, e):  # every generator and weight is *-fixed
+            return Element(self, {self.UNIT[:slot] + (e,) + self.UNIT[slot + 1 :]: self.ctx._one})
+
+        return self._reversed(mon, self._star_cache, power, 1)
 
     def _format_mono(self, mon) -> str:
         parts = []

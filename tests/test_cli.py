@@ -414,3 +414,26 @@ def test_kernel_verify_csv_digest(capsys):
         hashlib.sha256(kept.encode()).hexdigest()
         == "39687e3ad927e9434e662ea23b1ab73d8e5de557e47a1ee3c03656a746882abd"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--n", "0"), "8047c89d4bc4dfcd0e495cd03f8e81953463a53c0446b41cdde79a7f57230925"),
+        (("--n", "1"), "1497ff973385948a4823583b1a9e895b397c51144e2b14b4a6058a3a2f5784f8"),
+        (
+            ("--p", "5", "--n", "3"),
+            "a01374aca4aaf1c4e8d1976b2b7b0358a48e7fe6949b01dd3ca06ad4dc457bd7",
+        ),
+    ],
+    ids=["p3-n0", "p3-n1", "p5-n3"],
+)
+def test_ladder_suite_digest(capsys, argv, digest):
+    """Every ladder residual, detail string and measurement, pinned by the
+    sha256 of the JSON report with the timestamp line left out."""
+    code, out, err = run(capsys, "ladder-suite", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    kept = "".join(
+        ln for ln in out.splitlines(keepends=True) if not ln.startswith('  "timestamp":')
+    )
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
