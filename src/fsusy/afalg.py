@@ -50,7 +50,8 @@ AElement = Element
 ATensor = Tensor
 
 A_UNIT = (0, 0, 0, 0, 0, 0, 0)
-_EXP_RE = re.compile(r"^exp\((-?\d+(?:/\d+)?)L\)$")
+# a weight token exp(uL), u an integer or a fraction with non-zero denominator
+_EXP_RE = re.compile(r"^exp\((-?\d+(?:/0*[1-9]\d*)?)L\)$")
 
 
 def _check_mu(mu, p: int) -> int:

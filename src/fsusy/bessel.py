@@ -56,6 +56,9 @@ KINDS = ("K", "H1", "H2")
 # needs more and the series bookkeeping below assumes it
 ORDER_LIMIT = 2
 
+# the tilt theta of both tilted contours, in units of pi
+_TILT = 0.25
+
 
 class PrecisionError(ArithmeticError):
     """The requested relative error could not be certified.
@@ -108,8 +111,8 @@ class ComplexValue:
 # -- trapezoid engine --
 
 
-def doubling_trapezoid(f, lo, hi, eps, nodes: int = 16):
-    """Trapezoid value of integral_lo^hi f, starting from `nodes` steps and
+def doubling_trapezoid(f, lo, hi, eps):
+    """Trapezoid value of integral_lo^hi f, starting from 8 steps and
     halving the step, at least 3 and at most 12 times, until the last
     refinement moves the value by less than eps in absolute terms.
 
@@ -120,7 +123,7 @@ def doubling_trapezoid(f, lo, hi, eps, nodes: int = 16):
     """
     lo = mp.mpf(lo)
     hi = mp.mpf(hi)
-    n = nodes
+    n = 8
     h = (hi - lo) / n
     total = (f(lo) + f(hi)) / 2
     for k in range(1, n):
@@ -197,7 +200,7 @@ def _tilted_quadrature(pair, decay_scale, drift, spread, eps_abs):
 
     # the t = 0 node carries f(0) + f(-0) at the endpoint weight 1/2,
     # which is f(0) at weight one, as on the full line
-    value, change = doubling_trapezoid(folded, 0, cutoff, eps_abs / 4, nodes=8)
+    value, change = doubling_trapezoid(folded, 0, cutoff, eps_abs / 4)
     tail = 2 * spread * _tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
     return value, change + tail, cutoff
 
@@ -211,7 +214,7 @@ def _cosh_sinh(t):
 
 def _contour_cosh_integral(arg, drift, eps_abs):
     """integral exp(i*arg*cosh u + drift*u) du on the tilted contour
-    u(t) = t + i*theta*tanh(t), theta = pi/4.
+    u(t) = t + i*theta*tanh(t), theta = _TILT*pi.
 
     The tilt turns the oscillation into exp(-arg*sin(theta tanh t)*|sinh t|)
     decay; the opposite tilt would make the same factor grow.  Returns
@@ -223,7 +226,7 @@ def _contour_cosh_integral(arg, drift, eps_abs):
     """
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    theta = mp.pi / 4
+    theta = _TILT * mp.pi
 
     def pair(t):
         ch, sh = _cosh_sinh(t)
@@ -249,7 +252,7 @@ def _contour_cosh_integral(arg, drift, eps_abs):
 
 def _contour_sinh_integral(arg, drift, eps_abs):
     """integral exp(i*arg*sinh u + drift*u) du on the constant tilt
-    u = t + i*theta, theta = pi/4.
+    u = t + i*theta, theta = _TILT*pi.
 
     The tilt makes the integrand decay like exp(-arg*sin(theta)*cosh t);
     the opposite tilt would make it grow like exp(+arg*sin(theta)*cosh t).
@@ -261,7 +264,7 @@ def _contour_sinh_integral(arg, drift, eps_abs):
     with the drift factors exp(+-drift*t)."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    theta = mp.pi / 4
+    theta = _TILT * mp.pi
     c_psi, s_psi = mp.cos_sin(theta)
     turn = mp.expj(a * theta)
 

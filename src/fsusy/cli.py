@@ -139,6 +139,8 @@ def _fraction(text):
 def _context(args) -> FieldContext:
     if not is_odd_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
+    if args.prec < 1:
+        raise UsageError(f"--prec must be at least 1, got {args.prec}")
     r = _fraction(args.r)
     if r <= 0:
         raise UsageError("--r must be positive")
@@ -304,7 +306,7 @@ def _cmd_omega(args):
 
 
 def _cmd_kernel_eval(args):
-    _context(args)  # validates p and r
+    _context(args)  # validates p, r and prec
     params = KernelParams(
         p=args.p, s=args.s, nu=args.nu, mu=args.mu, r=args.r, precision=args.tol
     )

@@ -20,9 +20,11 @@ function algebra,
     R(phi) X = <phi, X_(1)> X_(2)        L(phi) X = X_(1) <phi, X_(2)>
 
 (R is an anti-homomorphism, L a homomorphism), the closed-form conformance
-checks, the invariant integral on the nilpotent sector, and the Gaussian
-half-weight sector carrying the hermitian form used for the adjointness
-checks.
+checks, the invariant integral on the nilpotent sector, and the hermitian
+form of the adjointness checks on the Gaussian half-weight sector: the
+lambda-free, d-free slice of the function algebra, each term carrying an
+implicit half weight, multiplied, starred and integrated by the algebra's
+own monomial rules.
 
 A basis pairing value is cached under the inputs it depends on (see
 _pair_mono).  The actions and the contraction of Delta x against a and b
@@ -44,7 +46,7 @@ from fractions import Fraction
 from .afalg import AAlgebra, AElement, random_a_element
 from .report import NumericReport, require_non_negative
 from .scalars import FieldContext, FieldScalar
-from .sparse import Element, _accumulate, _degree, check_operand
+from .sparse import _accumulate, _degree
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -70,7 +72,7 @@ class ConventionError(RuntimeError):
     pass
 
 
-def _classical_terms(op, t: int, s: int, weighted: bool = False):
+def _classical_terms(op, t: int, s: int, weighted: bool):
     """op of a right-action step (see DualityContext.right_steps) applied
     to z+^t z-^s, as [(integer factor, t', s')] without zero factors.
     weighted: the monomial silently carries the half-weight Gaussian w,
@@ -100,12 +102,8 @@ class DualityContext:
     The convention is determined once per construction (or injected, for
     tests that want to watch the wrong ones fail)."""
 
-    # the algebra of the Gaussian half-weight sector (see below)
-    _check = check_operand
-
     def __init__(self, ctx: FieldContext, convention: PairingConvention | None = None):
         self.ctx = ctx
-        self.key = ("gaussian", ctx.key)
         if convention is None:
             convention = determine_convention(ctx)
         self.convention = convention
@@ -258,14 +256,17 @@ class DualityContext:
         canonical_sqrt the textbook square root q^((p+1)/2) is used instead
         of the empirically signed one, so the conformance ratio becomes
         visible instead of being absorbed."""
-        qs = self.ctx.sqrt_q(1) if canonical_sqrt else None
+        return self._closed_act(gen, x, self.ctx.sqrt_q(1) if canonical_sqrt else None, False)
+
+    def _closed_act(self, gen: str, x: AElement, qs, weighted: bool) -> AElement:
+        """The one loop of closed_right_act and gaussian_right_act: right_steps, then op."""
         out = {}
         for (n, m, k, t, s, l, mu), c in x.terms.items():
             if l != 0 or mu != 0:
                 raise ValueError("closed forms cover the lambda-free sector only")
             for (n2, m2), coeff, op in self.right_steps(gen, n, m, k, qs):
                 cc = c * coeff
-                for f, t2, s2 in _classical_terms(op, t, s):
+                for f, t2, s2 in _classical_terms(op, t, s, weighted):
                     _accumulate(out, (n2, m2, k, t2, s2, l, mu), cc if f == 1 else cc * f)
         return AElement(self.aalg, out)
 
@@ -277,17 +278,10 @@ class DualityContext:
         for mon, c in x.terms.items():
             if any(mon[3:]):
                 raise ValueError("integrand outside the nilpotent sector")
-            v = self._integral_mono(mon)
+            v = _integral_mono(self.ctx, mon)
             if v:
                 acc = acc + c * v
         return acc
-
-    def _integral_mono(self, mon) -> FieldScalar:
-        """The integral of one basis monomial: q^{-1} on the top monomial
-        e+^{p-1} e-^{p-1}, zero on every other one (coproduct legs may carry
-        group-like classical factors, which integrate to zero)."""
-        top = self.ctx.p - 1
-        return self.ctx.q(-1) if mon == (top, top, 0, 0, 0, 0, 0) else self.ctx.zero()
 
     def integral_invariance(self, a: AElement):
         """Both one-sided invariance contractions of the integral on a.
@@ -295,13 +289,21 @@ class DualityContext:
         right = (I (x) id) Delta(a), both as elements to compare to I(a) 1."""
         left, right = {}, {}
         for (a1, a2), c in a.coproduct().terms.items():
-            v = self._integral_mono(a2)
+            v = _integral_mono(self.ctx, a2)
             if v:
                 _accumulate(left, a1, c * v)
-            w = self._integral_mono(a1)
+            w = _integral_mono(self.ctx, a1)
             if w:
                 _accumulate(right, a2, c * w)
         return AElement(self.aalg, left), AElement(self.aalg, right)
+
+
+def _integral_mono(ctx: FieldContext, mon) -> FieldScalar:
+    """The integral of one basis monomial: q^{-1} on the top monomial
+    e+^{p-1} e-^{p-1}, zero on every other one (coproduct legs may carry
+    group-like classical factors, which integrate to zero)."""
+    top = ctx.p - 1
+    return ctx.q(-1) if mon == (top, top, 0, 0, 0, 0, 0) else ctx.zero()
 
 
 # -- convention determination -------------------------------------------------
@@ -697,18 +699,13 @@ def fractional_root_suite(ctx: FieldContext, degree_bound: int = 4) -> NumericRe
 
 # -- Gaussian half-weight sector -----------------------------------------------
 #
-# Nilpotent coordinates times z-polynomials, each term silently carrying one
-# factor of exp(-(z+^2 + z-^2)/2).  Products of two such carry the full
-# Gaussian, which is what the classical integral is defined on; keeping a
-# half weight per element is what makes all moments land in Q(zeta) sqrt(pi)
-# powers instead of needing sqrt(2).  The elements are sparse Elements whose
-# algebra is the DualityContext, keyed (n, m, a, b) for e+^n e-^m z+^a z-^b.
+# The lambda-free, d-free slice of the function algebra, each term silently
+# carrying exp(-(z+^2 + z-^2)/2): a product of two carries the full Gaussian
+# the classical integral is defined on, and keeping a half weight per element
+# lands all moments in Q(zeta) sqrt(pi) powers instead of needing sqrt(2).
 
-def gaussian_monomial(dual: DualityContext, n=0, m=0, a=0, b=0, coeff=1) -> Element:
-    if n >= dual.ctx.p or m >= dual.ctx.p:
-        return Element(dual, {})
-    c = dual.ctx.from_fraction(coeff) if isinstance(coeff, (int, Fraction)) else coeff
-    return Element(dual, {(n, m, a, b): c} if c else {})
+def gaussian_monomial(dual: DualityContext, n=0, m=0, a=0, b=0, coeff=1) -> AElement:
+    return dual.aalg.monomial(n=n, m=m, t=a, s=b, coeff=coeff)
 
 
 def gaussian_moment(ctx: FieldContext, k: int) -> FieldScalar:
@@ -732,36 +729,32 @@ def classical_integral(ctx: FieldContext, zpoly: dict) -> FieldScalar:
     return acc
 
 
-def hermitian_form(x: Element, y: Element) -> FieldScalar:
-    """(X, Y) = I_E(X Y*): nilpotent integral times Gaussian moments.  The
-    half weights of the two factors combine into the full Gaussian."""
-    ctx = x.alg.ctx
-    p = ctx.p
+def hermitian_form(x: AElement, y: AElement) -> FieldScalar:
+    """(X, Y) = I(X Y*): per product monomial (_reorder, the rule of _mono_mul)
+    the integral of its nilpotent part times the classical integral of its
+    z-part, where the two half weights make the full Gaussian.  Scalars are
+    multiplied only for products on the top monomial with a non-zero moment."""
+    alg = x.alg
+    ctx = alg.ctx
     acc = ctx.zero()
-    for (n1, m1, a1, b1), c1 in x.terms.items():
-        for (n2, m2, a2, b2), c2 in y.terms.items():
-            # y* term: conj coefficient, eta-part reversal phase q^{2 n2 m2}
-            if n1 + n2 != p - 1 or m1 + m2 != p - 1:
-                continue
-            # e+^{n1} e-^{m1} e+^{n2} e-^{m2}: crossing e-^{m1} past e+^{n2}
-            phase = ctx.q(2 * n2 * m2 + 2 * m1 * n2)
-            mom = gaussian_moment(ctx, a1 + a2) * gaussian_moment(ctx, b1 + b2)
-            if not mom:
-                continue
-            acc = acc + c1 * c2.conjugate() * phase * mom * ctx.q(-1)
+    for my, cy in y.terms.items():
+        for ys, fy in alg._star_mono(my).terms.items():
+            for mx, cx in x.terms.items():
+                hit = alg._reorder(mx, ys)
+                if hit is None:
+                    continue
+                (n, m, k, t, s, l, pmu), e = hit
+                v = _integral_mono(ctx, (n, m, k, 0, 0, l, pmu))
+                v = v and classical_integral(ctx, {(t, s): v})
+                if v:
+                    acc = acc + cx * cy.conjugate() * fy * ctx.q(e) * v
     return acc
 
 
-def gaussian_right_act(dual: DualityContext, gen: str, x: Element) -> Element:
-    """The right action transported to the half-weight sector.  Derivatives
-    see the carried weight: d/dz (z^a w) = (a z^{a-1} - z^{a+1}) w."""
-    out = {}
-    for (n, m, a, b), c in x.terms.items():
-        for (n2, m2), coeff, op in dual.right_steps(gen, n, m, 0):
-            cc = c * coeff
-            for f, a2, b2 in _classical_terms(op, a, b, weighted=True):
-                _accumulate(out, (n2, m2, a2, b2), cc if f == 1 else cc * f)
-    return Element(dual, out)
+def gaussian_right_act(dual: DualityContext, gen: str, x: AElement) -> AElement:
+    """The closed right action on the half-weight sector: derivatives see
+    the carried weight, d/dz (z^a w) = (a z^{a-1} - z^{a+1}) w."""
+    return dual._closed_act(gen, x, None, True)
 
 
 def star_representation_suite(ctx: FieldContext, zbound: int = 1) -> NumericReport:
@@ -769,13 +762,12 @@ def star_representation_suite(ctx: FieldContext, zbound: int = 1) -> NumericRepo
     classical generators and the grading unit must be exactly self-adjoint
     (all generators are star-fixed); the fractional pair is measured against
     both natural candidates and the outcome recorded, not asserted."""
+    require_non_negative(zbound=zbound)
     dual = DualityContext(ctx)
     rep = NumericReport(f"star_representation p={ctx.p} zbound={zbound}")
     p = ctx.p
-    window = [
-        gaussian_monomial(dual, n, m, a, b)
-        for n, m, a, b in itertools.product(range(p), range(p), range(zbound + 1), range(zbound + 1))
-    ]
+    zs = range(zbound + 1)
+    window = [gaussian_monomial(dual, *nmab) for nmab in itertools.product(range(p), range(p), zs, zs)]
     acted = {g: [gaussian_right_act(dual, g, x) for x in window] for g in ("k", "H", "P+", "P-", "p+", "p-")}
 
     for g in ("k", "H", "P+", "P-"):

@@ -50,6 +50,7 @@ from .bessel import (
     _exact,
     _series_boxes,
     _target,
+    _TILT,
 )
 from .duality import DualityContext
 from .report import NumericReport
@@ -242,7 +243,7 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
             _J_CACHE[key] = (disc + raw.real, disc + raw.imag, float(cutoff))
         re, im, cutoff = _J_CACHE[key]
         diag = {"route": "integral", "family": family, "phase_sign": s2,
-                "theta": float(mp.pi / 4), "cutoff": cutoff}
+                "theta": float(_TILT * mp.pi), "cutoff": cutoff}
     return re, (-im if s2 < 0 else im), diag
 
 

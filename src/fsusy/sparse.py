@@ -1,6 +1,6 @@
 """Sparse linear combinations of ordered monomials: the element and tensor
-arithmetic shared by both sides of the dual pair, the Gaussian sector and
-the weight-basis operator calculus of pirep.
+arithmetic shared by both sides of the dual pair (the Gaussian sector of
+duality among them) and the weight-basis operator calculus of pirep.
 
 An element stores {monomial: FieldScalar}, a tensor {(monomial, ...):
 FieldScalar} with one monomial per leg; zero coefficients are never
@@ -24,13 +24,12 @@ the image of the g-free part), its printed word and the grammar of parse,
 and the index of a coproduct by the multidegrees of its legs, filling the
 caches _gen_cop_pows, _gen_anti_pows, _anti_cache, _star_cache (g-free
 parts included) and _cop_indexes each algebra creates.  Only the
-operations an element actually uses need to exist: the Gaussian sector is
-added and scaled, never multiplied, so it supplies ctx, key and _check
-alone; the operator calculus has no coproduct and brings its own star and
-printing.  Sums, negation and products keep the class of their left
-operand, so an Element subclass survives its own arithmetic.  In every
-Hopf-algebra monomial, slots 0, 1, 3, 4 and 5 carry the exponents the
-counit and the degree see; slot 2 and any slot past 5 are group-like.
+operations an element actually uses need to exist: the operator calculus
+has no coproduct and brings its own star and printing.  Sums, negation
+and products keep the class of their left operand, so an Element
+subclass survives its own arithmetic.  In every Hopf-algebra monomial,
+slots 0, 1, 3, 4 and 5 carry the exponents the counit and the degree
+see; slot 2 and any slot past 5 are group-like.
 """
 
 from __future__ import annotations

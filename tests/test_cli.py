@@ -255,6 +255,37 @@ def test_empty_window_is_usage_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("normalize-a", "exp(1/0L)"),
+        ("mul", "--alg", "a", "e+", "exp(1/0L)^2"),
+        ("pair", "p+", "exp(1/0L)"),
+        ("right-act", "p+", "exp(1/0L)"),
+    ),
+)
+def test_zero_denominator_weight_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown generator token 'exp(1/0L)'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, prec",
+    (
+        (("omega", "1", "--prec", "-40", "--format", "text"), -40),
+        (("pair", "--prec", "-100", "p+", "e+"), -100),
+        (("kernel-eval", "--prec", "0"), 0),
+    ),
+)
+def test_prec_below_one_is_usage_error(capsys, argv, prec):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --prec must be at least 1, got {prec}\n"
+
+
 def test_bad_grid_is_usage_error(capsys):
     # kernel-verify has one grid and no --grid option
     with pytest.raises(SystemExit) as exc:

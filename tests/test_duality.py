@@ -537,6 +537,31 @@ def test_gaussian_monomial_cap(dual3):
     assert gaussian_monomial(dual3, dual3.ctx.p, 0).is_zero()
 
 
+# a Gaussian element is a function-algebra element: printed, multiplied
+# and validated by the function algebra
+
+
+def test_gaussian_element_prints_as_function_word(dual3):
+    assert str(gaussian_monomial(dual3, 1, 0, 1, 0)) == "e+ z+"
+
+
+def test_gaussian_elements_multiply(dual3):
+    product = gaussian_monomial(dual3, 0, 1) * gaussian_monomial(dual3, 1, 0)
+    assert product == gaussian_monomial(dual3, 1, 1, coeff=dual3.ctx.q(2))
+
+
+def test_gaussian_monomial_rejects_negative_exponent(dual3):
+    # z^-2 has no Gaussian moment, so the sector must not hold it
+    with pytest.raises(ValueError, match="negative exponent"):
+        gaussian_monomial(dual3, 2, 2, -2, 0)
+
+
+def test_star_representation_rejects_negative_zbound(ctx3):
+    # an empty window would pass every check vacuously
+    with pytest.raises(ValueError, match="zbound must be non-negative, got -1"):
+        star_representation_suite(ctx3, zbound=-1)
+
+
 def test_star_representation_suite(ctx3):
     rep = star_representation_suite(ctx3, zbound=1)
     assert rep.passed, rep.summary()
