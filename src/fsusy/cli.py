@@ -462,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("reo-conformance", parents=[common], help="closed actions vs the duality oracle")
 
     sp = sub.add_parser("pi-suite", parents=[common], help="weight-basis representation checks")
-    sp.add_argument("--chain", type=int, default=None)
+    sp.add_argument(
+        "--chain", type=int, default=None, help="pointwise fractional-root window length (default 3p)"
+    )
     sp.add_argument("--samples", type=int, default=15)
     sp.add_argument("--root-degree", type=int, default=4, dest="root_degree")
 

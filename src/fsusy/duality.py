@@ -708,14 +708,17 @@ def gaussian_monomial(dual: DualityContext, n=0, m=0, a=0, b=0, coeff=1) -> AEle
     return dual.aalg.monomial(n=n, m=m, t=a, s=b, coeff=coeff)
 
 
+_MOMENT_CACHE: dict = {}  # (ctx.key, k) -> the moment
+
+
 def gaussian_moment(ctx: FieldContext, k: int) -> FieldScalar:
     """integral of z^k exp(-z^2) dz: (k-1)!! 2^{-k/2} sqrt(pi) for even k."""
-    if k % 2:
-        return ctx.zero()
-    acc = Fraction(1)
-    for j in range(k - 1, 0, -2):
-        acc *= j
-    return ctx.sqrt_pi(1) * (acc / Fraction(2) ** (k // 2))
+    got = _MOMENT_CACHE.get((ctx.key, k))
+    if got is None:
+        odd_fact = math.prod(range(k - 1, 0, -2))
+        got = ctx.zero() if k % 2 else ctx.sqrt_pi(1) * Fraction(odd_fact, 2 ** (k // 2))
+        _MOMENT_CACHE[(ctx.key, k)] = got
+    return got
 
 
 def classical_integral(ctx: FieldContext, zpoly: dict) -> FieldScalar:

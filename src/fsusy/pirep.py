@@ -29,9 +29,14 @@ self-adjoint, differentiation is skew).  On a single term it reads
 
 with (mu + sigma)^d expanded back into the monomials (sigma, tau, e, a).
 
-Matrices on finite windows are provided for display and spot checks; windows
-are never closed under the weight shifts, so escaping actions raise with the
-list of missing vectors rather than truncating silently.
+Every key of every operator the enveloping side maps here has
+tau = p sigma (mod p), so c = j - p mu (mod p) is preserved and the carrier
+splits into p invariant sectors, the chains {(b/p, b + c)} over integer b.
+Each sector is irreducible, for all b at once: H is the single key
+(0, 0, 0, 1), so its eigenvalues i h mu are pairwise distinct on a sector
+and a commuting operator is diagonal there; p+ is the single key
+(1/p, 1, 0, 0) with a constant coefficient, so that diagonal is constant
+along the chain.  sector_certificate reads both facts from the keys.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .afalg import AAlgebra, AElement, _check_mu
+from .afalg import AElement, _check_mu
 from .duality import DualityContext, determine_convention
 from .report import NumericReport, require_non_negative
 from .scalars import FieldContext, FieldScalar
@@ -57,15 +62,6 @@ class BasisVector(NamedTuple):
 
     def pretty(self) -> str:
         return f"(mu={self.mu}, j={self.j})"
-
-
-class WindowEscape(ValueError):
-    """An action left the window; carries the vectors that would be needed."""
-
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        names = ", ".join(v.pretty() for v in self.missing)
-        super().__init__(f"action leaves the window; missing {names}")
 
 
 class PiOperator(Element):
@@ -153,70 +149,6 @@ class PiAlgebra(SparseAlgebra):
         return f"shift(mu+{sig}, j+{tau}) q^({e}j) mu^{d}"
 
 
-class OperatorMatrix:
-    """Square matrix of an operator on an ordered window of basis vectors.
-
-    Column convention: entries[i][j] is the coefficient of window[i] in the
-    image of window[j], so matrices compose covariantly with composition:
-    matrix(x compose y) = matrix(x) matrix(y)."""
-
-    __slots__ = ("ctx", "window", "entries")
-
-    def __init__(self, ctx: FieldContext, window, entries):
-        self.ctx = ctx
-        self.window = tuple(window)
-        self.entries = tuple(tuple(row) for row in entries)
-
-    def __mul__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        if self.window != other.window:
-            raise ValueError("matrix windows differ")
-        n = len(self.window)
-        zero = self.ctx.zero()
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    if a:
-                        b = other.entries[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return OperatorMatrix(self.ctx, self.window, rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self.window == other.window and self.entries == other.entries
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def entry(self, i: int, j: int) -> FieldScalar:
-        return self.entries[i][j]
-
-    def is_diagonal(self) -> bool:
-        return all(
-            not self.entries[i][j]
-            for i in range(len(self.window))
-            for j in range(len(self.window))
-            if i != j
-        )
-
-    def pretty(self) -> str:
-        labels = [v.pretty() for v in self.window]
-        rows = [f"window: {', '.join(labels)}"]
-        for i, row in enumerate(self.entries):
-            cells = ", ".join(c.pretty() if c else "0" for c in row)
-            rows.append(f"[{i}] {cells}")
-        return "\n".join(rows)
-
-
 @dataclass(frozen=True)
 class CorepTerm:
     """One term of the universal corepresentation sum: the function-side
@@ -254,10 +186,6 @@ class PiRepresentation:
         p = self.ctx.p
         return [self.vector(Fraction(b, p), b) for b in range(length)]
 
-    def weight_window(self, mu=0):
-        """All cyclic powers at one weight; closed for the diagonal actions."""
-        return [self.vector(mu, j) for j in range(self.ctx.p)]
-
     # -- operators --
 
     def generator(self, name: str) -> PiOperator:
@@ -290,26 +218,6 @@ class PiRepresentation:
             return self.ctx.zero(), v
         (w, c), = out.items()
         return c, w
-
-    def matrix(self, x, window) -> OperatorMatrix:
-        """Square matrix on the window; raises WindowEscape when the action
-        needs vectors outside it."""
-        op = self.operator(x) if isinstance(x, UElement) else x
-        window = tuple(window)
-        index = {v: i for i, v in enumerate(window)}
-        zero = self.ctx.zero()
-        entries = [[zero] * len(window) for _ in window]
-        missing = []
-        for col, v in enumerate(window):
-            for w, val in op.apply(v).items():
-                row = index.get(w)
-                if row is None:
-                    missing.append(w)
-                else:
-                    entries[row][col] = val
-        if missing:
-            raise WindowEscape(sorted(set(missing)))
-        return OperatorMatrix(self.ctx, window, entries)
 
     # -- corepresentation terms --
 
@@ -548,53 +456,35 @@ def _apply_adjoint_word(rep: PiRepresentation, word, v: BasisVector):
     return {BasisVector(mu, j): c for (mu, j), c in state.items()}
 
 
-# -- the commutant spot check ----------------------------------------------------
+# -- sectors and irreducibility ---------------------------------------------------
+
+
+def sector_certificate(rep: PiRepresentation, ops=()) -> tuple[bool, bool]:
+    """(sectors, irreducible) from the operator keys, for all b at once.
+
+    sectors: every key of the six generators and of ops has tau = p sigma
+    (mod p), so each chain {(b/p, b + c)} is invariant.  irreducible: H is
+    the single key (0, 0, 0, 1), whose eigenvalues i h mu are distinct on a
+    sector, and p+ the single key (1/p, 1, 0, 0), which steps along it with
+    a constant nonzero coefficient; a commuting operator is then scalar."""
+    p = rep.ctx.p
+    gens = {g: list(rep.generator(g).terms) for g in GEN_NAMES}
+    keys = itertools.chain(*gens.values(), *(op.terms for op in ops))
+    sectors = all((p * sig - tau) % p == 0 for sig, tau, _, _ in keys)
+    irreducible = gens["H"] == [(0, 0, 0, 1)] and gens["p+"] == [(Fraction(1, p), 1, 0, 0)]
+    return sectors, irreducible
+
+
+# -- the verification suite -------------------------------------------------------
 
 
 def _chain_length(p: int, chain_length: int | None) -> int:
-    """The raising-chain window length, 3p unless given."""
+    """The pointwise-root window length, 3p unless given."""
     if chain_length is None:
         return 3 * p
     if chain_length < 1:
         raise ValueError(f"chain_length must be at least 1, got {chain_length}")
     return chain_length
-
-
-def commutant_dimension(rep: PiRepresentation, chain_length: int | None = None) -> int:
-    """Dimension of the commutant restricted to a raising chain, by exact
-    structured elimination: the boost eigenvalues are pairwise distinct, so a
-    commuting operator is diagonal there; the chain coefficients of the
-    raising action are nonzero, so the diagonal is constant."""
-    length = _chain_length(rep.ctx.p, chain_length)
-    window = rep.chain_window(length)
-    eigs = []
-    for v in window:
-        out = rep.generator("H").apply(v)
-        if out and (len(out) > 1 or v not in out):
-            raise RuntimeError("boost action is not diagonal")
-        eigs.append(out.get(v, rep.ctx.zero()))
-    for a, b in itertools.combinations(range(length), 2):
-        if eigs[a] == eigs[b]:
-            raise RuntimeError("boost eigenvalues collide; elimination invalid")
-    # distinct diagonal forces X diagonal; the raising chain then chains the
-    # diagonal entries together wherever its coefficient is nonzero
-    classes = list(range(length))
-
-    def find(i):
-        while classes[i] != i:
-            classes[i] = classes[classes[i]]
-            i = classes[i]
-        return i
-
-    raise_op = rep.generator("p+")
-    for b in range(length - 1):
-        out = raise_op.apply(window[b])
-        if out.get(window[b + 1]):
-            classes[find(b + 1)] = find(b)
-    return sum(1 for i in range(length) if find(i) == i)
-
-
-# -- the verification suite -------------------------------------------------------
 
 
 def representation_suite(
@@ -606,7 +496,8 @@ def representation_suite(
     """Exact checks of the representation: the defining relations as operator
     identities, the fractional root both in the calculus and pointwise on a
     chain window, formal self-adjointness of the star-fixed generators by two
-    routes, the Gram signature, and the corepresentation reassembly."""
+    routes, the Gram signature, the sector certificate, and the
+    corepresentation reassembly."""
     require_non_negative(samples=samples)
     rep = PiRepresentation(ctx)
     ual = rep.ualg
@@ -629,10 +520,12 @@ def representation_suite(
     rrep.check("generator_pair_products", bad == 0, f"{bad} of 36 mismatch")
 
     bad = 0
+    sampled = []
     for _ in range(samples):
         x = random_u_element(ual, rng, degree=3)
         y = random_u_element(ual, rng, degree=3)
-        if rep.operator(x * y) != rep.operator(x).compose(rep.operator(y)):
+        sampled += [rep.operator(x), rep.operator(y)]
+        if rep.operator(x * y) != sampled[-2].compose(sampled[-1]):
             bad += 1
     rrep.check("homomorphism_random", bad == 0, f"{bad} mismatches")
 
@@ -733,35 +626,12 @@ def representation_suite(
     )
     rrep.check("casimir_central", bad == 0, f"{bad} mismatches")
 
-    # matrices on closed windows
-    wnd = rep.weight_window(mu=Fraction(1, p))
-    mk = rep.matrix(ual.kappa(), wnd)
-    rrep.check(
-        "matrix_grading_diagonal",
-        mk.is_diagonal() and all(mk.entry(j, j) == ctx.q(j) for j in range(p)),
-    )
-    rrep.check("matrix_identity", rep.matrix(ual.one(), wnd).is_diagonal())
-    rrep.check("matrix_covariant", mk * rep.matrix(ual.boost(), wnd) == rep.matrix(ual.kappa() * ual.boost(), wnd))
-    mc = rep.matrix(ual.casimir(), wnd)
-    rrep.check(
-        "matrix_casimir_scalar",
-        mc.is_diagonal() and all(mc.entry(j, j) == ctx.c_hat(2) for j in range(p)),
-    )
-    bad = 0
-    for g in GEN_NAMES:
-        for v in rep.chain_window(length):
-            if len(gens[g].apply(v)) > 1:
-                bad += 1
-    rrep.check("monomial_columns", bad == 0, f"{bad} multi-target images")
-    try:
-        rep.matrix(ual.p_plus(), wnd)
-        rrep.check("window_escape_raises", False, "no escape raised")
-    except WindowEscape as exc:
-        rrep.check(
-            "window_escape_raises",
-            len(exc.missing) == p
-            and all(w.mu == Fraction(1, p) + Fraction(1, p) for w in exc.missing),
-        )
+    # the grading is one key, the unit the identity, each generator one term
+    grading = PiOperator(rep.pialg, {(Fraction(0), 0, 1, 0): ctx.one()})
+    rrep.check("grading_key", gens["k"] == grading)
+    rrep.check("identity_operator", rep.operator(ual.one()) == PiOperator.identity(ctx))
+    bad = sum(1 for g in GEN_NAMES if len(gens[g].terms) != 1)
+    rrep.check("monomial_generators", bad == 0, f"{bad} multi-term generators")
 
     sig = gram_signature(ctx)
     rrep.check(
@@ -780,7 +650,10 @@ def representation_suite(
         poly = nxt
     rrep.check("gram_char_poly_closed_form", tuple(poly) == gram_char_poly(p))
 
-    rrep.check("commutant_dimension", commutant_dimension(rep, length) == 1, "expected 1")
+    sectors, irreducible = sector_certificate(rep, sampled)
+    detail = f"tau = p sigma (mod p) on generators and {len(sampled)} sampled operators"
+    rrep.check("sector_invariance", sectors, detail)
+    rrep.check("irreducible_per_sector", irreducible, "H on (0, 0, 0, 1), p+ on (1/p, 1, 0, 0)")
 
     # group-like sector of the corepresentation reassembles the cyclic basis
     bad = 0

@@ -150,10 +150,11 @@ class SparseAlgebra:
         return self._reversed(mon, self._anti_cache, self._gen_anti_power, -1)
 
     def _star_mono(self, mon):
-        def power(slot, e):  # every generator and weight is *-fixed
-            return Element(self, {self.UNIT[:slot] + (e,) + self.UNIT[slot + 1 :]: self.ctx._one})
+        got = self._star_cache.get(mon)
+        return got if got is not None else self._reversed(mon, self._star_cache, self._star_power, 1)
 
-        return self._reversed(mon, self._star_cache, power, 1)
+    def _star_power(self, slot, e):  # every generator and weight is *-fixed
+        return Element(self, {self.UNIT[:slot] + (e,) + self.UNIT[slot + 1 :]: self.ctx._one})
 
     def _format_mono(self, mon) -> str:
         parts = []

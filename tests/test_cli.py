@@ -468,3 +468,25 @@ def test_ladder_suite_digest(capsys, argv, digest):
         ln for ln in out.splitlines(keepends=True) if not ln.startswith('  "timestamp":')
     )
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ((), "1da087f1158559ec15adac685da42fc922366cac2a7a59d7ff2d989b9d15ea8e"),
+        (
+            ("--p", "5", "--samples", "3"),
+            "9d3cd65d406a9efb17fdf8c2504a023b3fba4f2055cdd5178becff3c800a5396",
+        ),
+    ],
+    ids=["p3", "p5-samples3"],
+)
+def test_pi_suite_digest(capsys, argv, digest):
+    """Every representation and fractional-root row and measurement, pinned
+    by the sha256 of the JSON report with the timestamp line left out."""
+    code, out, err = run(capsys, "pi-suite", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    kept = "".join(
+        ln for ln in out.splitlines(keepends=True) if not ln.startswith('  "timestamp":')
+    )
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest

@@ -7,19 +7,17 @@ import pytest
 from fsusy.afalg import AAlgebra
 from fsusy.pirep import (
     BasisVector,
-    OperatorMatrix,
     PiOperator,
     PiRepresentation,
-    WindowEscape,
     _inertia,
-    commutant_dimension,
     gram_char_poly,
     gram_matrix,
     gram_signature,
     representation_suite,
+    sector_certificate,
 )
 from fsusy.scalars import FieldContext
-from fsusy.ufalg import random_u_element
+from fsusy.ufalg import GEN_NAMES, random_u_element
 
 
 @pytest.fixture(scope="session")
@@ -155,32 +153,9 @@ def test_operator_linearity(rep3):
         assert got == want
 
 
-# -- matrices ---------------------------------------------------------------------
-
-
-def test_grading_matrix_diagonal(rep3):
-    ctx = rep3.ctx
-    wnd = rep3.weight_window(mu=Fraction(1, 3))
-    mk = rep3.matrix(rep3.ualg.kappa(), wnd)
-    assert mk.is_diagonal()
-    for j in range(3):
-        assert mk.entry(j, j) == ctx.q(j)
-
-
-def test_matrix_covariant_composition(rep3):
-    ual = rep3.ualg
-    wnd = rep3.weight_window(mu=Fraction(1, 3))
-    mk = rep3.matrix(ual.kappa(), wnd)
-    mh = rep3.matrix(ual.boost(), wnd)
-    assert mk * mh == rep3.matrix(ual.kappa() * ual.boost(), wnd)
-
-
-def test_window_escape(rep3):
-    wnd = rep3.weight_window(mu=0)
-    with pytest.raises(WindowEscape) as exc:
-        rep3.matrix(rep3.ualg.p_plus(), wnd)
-    assert len(exc.value.missing) == 3
-    assert all(w.mu == Fraction(1, 3) for w in exc.value.missing)
+def test_grading_operator_key(rep3):
+    # k acts by q^j on (mu, j): one key (0, 0, 1, 0) with coefficient 1
+    assert rep3.generator("k").terms == {(0, 0, 1, 0): rep3.ctx.one()}
 
 
 # -- the Gram form ------------------------------------------------------------------
@@ -214,9 +189,52 @@ def test_inertia_helper():
     assert _inertia([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
-def test_commutant_dimension(rep3):
-    assert commutant_dimension(rep3) == 1
-    assert commutant_dimension(rep3, chain_length=12) == 1
+# -- sectors and irreducibility -----------------------------------------------------
+
+
+def _mutant(ctx, name, terms):
+    """A representation whose generator `name` is replaced by terms(old terms)."""
+    rep = PiRepresentation(ctx)
+    rep._gen_ops[name] = PiOperator(rep.pialg, terms(rep.generator(name).terms))
+    return rep
+
+
+def test_sector_certificate(ctx):
+    rep = PiRepresentation(ctx)
+    rng = random.Random(ctx.p)
+    ops = [rep.operator(random_u_element(rep.ualg, rng, degree=3)) for _ in range(4)]
+    assert sector_certificate(rep, ops) == (True, True)
+    off = PiOperator(rep.pialg, {(Fraction(1, ctx.p), 2, 0, 0): ctx.one()})
+    assert sector_certificate(rep, [*ops, off]) == (False, True)
+
+
+@pytest.mark.parametrize("name", GEN_NAMES)
+def test_sector_certificate_rejects_shifted_tau(ctx3, name):
+    rep = _mutant(ctx3, name, lambda t: {(s, (tau + 1) % 3, e, d): c for (s, tau, e, d), c in t.items()})
+    assert not sector_certificate(rep)[0]
+
+
+def test_sector_certificate_rejects_zero_raising(ctx3):
+    rep = _mutant(ctx3, "p+", lambda t: {})
+    assert sector_certificate(rep) == (True, False)
+
+
+def test_sector_certificate_rejects_constant_boost(ctx3):
+    # H without its mu factor (d = 0) acts by a constant: no distinct eigenvalues
+    rep = _mutant(ctx3, "H", lambda t: {(s, tau, e, 0): c for (s, tau, e, d), c in t.items()})
+    assert sector_certificate(rep) == (True, False)
+
+
+def test_suite_fails_zero_raising_at_one_vector(ctx3, monkeypatch):
+    # the certificate holds for all b, so even a one-vector root window catches it
+    real = PiRepresentation.generator
+
+    def generator(self, name):
+        return self.pialg.zero() if name == "p+" else real(self, name)
+
+    monkeypatch.setattr(PiRepresentation, "generator", generator)
+    report = representation_suite(ctx3, chain_length=1, samples=0)
+    assert "irreducible_per_sector" in {label for label, _ in report.failures()}
 
 
 # -- corepresentation terms ----------------------------------------------------------
@@ -287,8 +305,6 @@ def test_operator_rejects_function_side_elements(rep3, ctx3):
     x = AAlgebra(ctx3).eta_plus()
     with pytest.raises(TypeError):
         rep3.operator(x)
-    with pytest.raises(TypeError):
-        rep3.matrix(x, rep3.weight_window())
 
 
 def test_operator_context_checks():
