@@ -26,7 +26,8 @@ for quadrant in (1, 2, 3, 4):
         gap = abs(cv - iv) / abs(cv)
     print(
         f"  {str(point):22s} {mp.nstr(cv, 12):>34s} {mp.nstr(gap, 3):>10s}"
-        f"  {diag['family']}-contour, cutoff {diag['cutoff']}"
+        f"  {diag['family']}-contour, cutoff {diag['cutoff']:.4f},"
+        f" step {diag['step']:.4f}, {diag['node_pairs']} node pairs"
     )
 print()
 

@@ -28,15 +28,19 @@ route: the Hankel cosh kernel on u(t) = t + i theta tanh(t),
     H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du,
 
 and its sinh companion on a constant tilt.  There the oscillation turns
-into double-exponential decay, so the plain trapezoid rule converges
-geometrically; the step is halved until the value settles, and the
-truncation tail is bounded analytically.  Both contours share that
-scaffold, run at phase +1 only, and sum each trapezoid node pair +-t from
-one evaluation.
+into double-exponential decay, and the integrand stays analytic and
+decaying in a strip |Im t| < a around the real axis, so the plain
+trapezoid rule converges geometrically.  One pass of nodes runs at a step
+fixed beforehand by the strip bound 2M/(exp(2 pi a/h) - 1) (Trefethen
+and Weideman 2014) and to a cutoff fixed by an analytic tail bound, and
+the returned error is the sum of three stated terms: discretisation,
+tail and rounding.  Both contours share that scaffold, run at phase +1
+only, and sum each trapezoid node pair +-t from one evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -47,7 +51,6 @@ __all__ = [
     "ComplexValue",
     "PrecisionError",
     "bessel_eval",
-    "doubling_trapezoid",
 ]
 
 KINDS = ("K", "H1", "H2")
@@ -109,100 +112,132 @@ class ComplexValue:
 
 
 # -- trapezoid engine --
+#
+# Both contours run the full-line trapezoid rule h * sum_{|k| <= N} f(kh)
+# in one pass, at a step and cutoff fixed before any node is evaluated.
+# Its error is the sum of three stated terms:
+#
+#   discretisation  2M/(exp(2 pi a/h) - 1), where f is analytic in the strip
+#                   |Im t| < a and integral |f(t + iy)| dt <= M there
+#                   (Trefethen and Weideman, "The exponentially convergent
+#                   trapezoidal rule", SIAM Review 56 (2014), Thm 5.1);
+#   tail            h * sum_{|k| > N} |f(kh)|, at most the integral of a
+#                   falling envelope of |f| beyond the cutoff T = Nh;
+#   rounding        the working precision's unit times h * sum |f| over the
+#                   nodes taken, scaled by the summation's length and by
+#                   each node's sensitivity to the rounding of t and of the
+#                   phase, |f'/f| <= 2*(x cosh t + 3).
+#
+# The absolute target eps splits as eps/2 to the discretisation, which
+# sizes h, eps/4 to the tail, which sizes T, and the rest to rounding.
+
+# the strip half-width a of both contours, as a share of the tilt theta
+_STRIP = 0.9
+
+# widening of the bound terms, far above the rounding of the few
+# operations that compute them
+_PAD = 1 + mp.mpf(2) ** -30
 
 
-def doubling_trapezoid(f, lo, hi, eps):
-    """Trapezoid value of integral_lo^hi f, starting from 8 steps and
-    halving the step, at least 3 and at most 12 times, until the last
-    refinement moves the value by less than eps in absolute terms.
+def _cosh_tail(c, b, start):
+    """Bound on integral_start^inf exp(-c cosh v + b v) dv, for c > 0 and
+    start >= 0.
 
-    Returns (value, change_at_last_level).  The caller is responsible for
-    choosing [lo, hi] so the integrand is negligible outside; for the
-    analytic, strip-decaying integrands used here each halving roughly
-    squares the accuracy, so the final change is a sound error proxy.
-    """
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    n = 8
-    h = (hi - lo) / n
-    total = (f(lo) + f(hi)) / 2
-    for k in range(1, n):
-        total += f(lo + k * h)
-    value = total * h
-    change = mp.inf
-    for level in range(1, 13):
-        mid = mp.mpc(0)
-        for k in range(n):
-            mid += f(lo + (k + mp.mpf("0.5")) * h)
-        new_value = value / 2 + mid * h / 2
-        change = abs(new_value - value)
-        value = new_value
-        n *= 2
-        h /= 2
-        if level >= 3 and change <= eps:
-            break
-    return value, change
+    Up to v1, where the exponent's slope c sinh v - b reaches 1,
+    cosh v >= cosh(start) bounds the integrand by exp(-c cosh(start) + b v);
+    from v1 on, convexity puts cosh v above its tangent line at v1."""
+    v1 = max(start, mp.asinh((b + 1) / c))
+    width = v1 - start
+    head = mp.exp(b * start - c * mp.cosh(start)) * (mp.expm1(b * width) / b if b else width)
+    return head + mp.exp(b * v1 - c * mp.cosh(v1)) / (c * mp.sinh(v1) - b)
 
 
-def _tail_cutoff(decay_scale, drift, log_target):
-    """Smallest T with decay_scale*cosh(T) - drift*T >= log_target, padded.
+def _tail_cutoff(decay_scale, growth, spread, start, share):
+    """The cutoff T >= start past which both tails of the envelope
+    spread*exp(-decay_scale*cosh t + growth*|t|) hold at most `share`.
 
-    decay_scale > 0, drift >= 0.  Used to truncate integrands bounded by
-    exp(-decay_scale*cosh t + drift*t); three rounds of the fixed point
-    T = acosh((log_target + drift*T)/decay_scale) overshoot enough.
-    """
-    t = mp.mpf(2)
-    for _ in range(3):
-        inner = (log_target + drift * t + 4) / decay_scale
-        if inner < 2:
-            inner = mp.mpf(2)
-        t = mp.acosh(inner)
+    T also lies where the envelope falls with slope at least 1, so each
+    node past T weighs less than the envelope's integral over the step
+    before it.  Four rounds of the fixed point
+    T = acosh((log(2*spread/share) + growth*T - log(slope))/decay_scale)
+    settle on the edge to rounding; steps of 2^-10 T take up that rounding."""
+    c, b = decay_scale, growth
+    t = start = max(start, mp.asinh((b + 1) / c))
+    log_target = mp.log(2 * spread * _PAD / share)
+    for _ in range(4):
+        inner = (log_target + b * t - mp.log(c * mp.sinh(t) - b)) / c
+        t = max(start, mp.acosh(max(1, inner)))
+    while 2 * spread * _PAD * _cosh_tail(c, b, t) > share:
+        t += t / 1024
     return t
 
 
-def _tangent_tail_bound(decay_scale, drift, cutoff):
-    """Bound on integral_cutoff^inf exp(-decay_scale*cosh t + drift*t) dt.
+def _trapezoid_rule(pair, strip, mass, cutoff, eps_abs):
+    """One pass of the full-line trapezoid rule h * sum_{|k| <= N} f(kh)
+    for f analytic in the strip |Im t| < strip, where integral
+    |f(t + iy)| dt <= mass: h is the widest step that divides the cutoff
+    and keeps the discretisation term 2*mass/(exp(2*pi*strip/h) - 1)
+    within eps_abs.  Raises ArithmeticError if f fails to decay at the
+    cutoff (wrong tilt for the data).
 
-    Convexity of cosh gives cosh t >= cosh T + sinh(T)(t - T), so the tail
-    is dominated by a single exponential whenever the slope is positive.
-    """
-    slope = decay_scale * mp.sinh(cutoff) - drift
-    if slope <= 0:
-        return mp.inf
-    return mp.exp(-(decay_scale * mp.cosh(cutoff) - drift * cutoff)) / slope
-
-
-# -- the tilted contours --
-
-
-def _tilted_quadrature(pair, decay_scale, drift, spread, eps_abs):
-    """integral of f over the real line for an integrand on a tilted
-    contour whose tails are bounded by spread*exp(-decay_scale*cosh t +
-    |drift|*t): truncated at the tail cutoff, summed by the doubling
-    trapezoid, plus the tangent-line bound on both tails.  Returns
-    (value, error_bound, cutoff).  Raises ArithmeticError if f fails to
-    decay at the cutoff (wrong tilt for the data).
+    Returns (value, size, terms): size bounds h * sum |f| over the nodes
+    taken, and terms records the "cutoff" N*h, the "step" h, the
+    "node_pairs" N + 1, the "strip" and the "discretisation" term.
 
     The integrand arrives as its node pair, pair(t) = (f(t), f(-t)) for
-    t >= 0, so the rule sums f(t) + f(-t) over [0, cutoff] with the
-    full-line step 2*cutoff/16: the same nodes and the same sums as the
-    full-line rule, with one pair evaluation per two nodes."""
-    log_target = -mp.log(eps_abs) if eps_abs > 0 else mp.mpf(80)
-    cutoff = _tail_cutoff(decay_scale, abs(drift), log_target) + 1
-    anchor = abs(pair(mp.mpf(0))[0])
-    edge = max(abs(v) for v in pair(cutoff))
-    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
+    t >= 0, so the rule sums f(0) + sum_{k=1..N} (f(kh) + f(-kh)): the
+    full-line rule's nodes and sums, with one pair evaluation per two
+    nodes."""
+    n = int(mp.ceil(cutoff * mp.log1p(2 * mass / eps_abs) / (2 * mp.pi * strip)))
+    step = cutoff / n
+    cutoff = n * step
+    first, last = pair(mp.mpf(0)), pair(cutoff)
+    if not max(abs(v) for v in last) < abs(first[0]) * mp.mpf("1e-6") + eps_abs:
         raise ArithmeticError("tilted integrand fails to decay at the cutoff")
 
-    def folded(t):
-        plus, minus = pair(t)
-        return plus + minus
+    # the t = 0 pair is the one node f(0) = f(-0); |re| + |im| >= |z|
+    total = (first[0] + first[1]) / 2
+    size = abs(first[0].real) + abs(first[0].imag)
+    for k in range(1, n + 1):
+        plus, minus = pair(k * step) if k < n else last
+        total += plus + minus
+        size += abs(plus.real) + abs(plus.imag) + abs(minus.real) + abs(minus.imag)
+    terms = {
+        "cutoff": cutoff,
+        "step": step,
+        "node_pairs": n + 1,
+        "strip": strip,
+        "discretisation": 2 * mass / mp.expm1(2 * mp.pi * strip / step),
+    }
+    return total * step, size * step, terms
 
-    # the t = 0 node carries f(0) + f(-0) at the endpoint weight 1/2,
-    # which is f(0) at weight one, as on the full line
-    value, change = doubling_trapezoid(folded, 0, cutoff, eps_abs / 4)
-    tail = 2 * spread * _tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
-    return value, change + tail, cutoff
+
+def _tilted_quadrature(pair, bounds, eps_abs):
+    """integral of f over the real line for an analytic integrand on a
+    tilted contour: `_trapezoid_rule` in the strip |Im t| < _STRIP*theta,
+    truncated at the shortest cutoff whose tails stay within eps_abs/4,
+    with the discretisation term held within eps_abs/2.  Returns (value,
+    error_bound, terms); the bound is the sum of terms' "discretisation",
+    "tail" and "rounding" (see above), and terms also records the
+    cutoff, step, node pairs and strip.  Raises ArithmeticError if f
+    fails to decay at the cutoff.
+
+    bounds = (arg, decay_scale, growth, spread, start, mass) states what
+    is known of f: the phase scale arg, so |f'/f| <= 2*(arg*cosh t + 3);
+    the envelope |f(t)| <= spread*exp(-decay_scale*cosh t + growth*|t|)
+    for |t| >= start; and integral |f(t + iy)| dt <= mass in the strip."""
+    arg, decay_scale, growth, spread, start, mass = bounds
+    cutoff = _tail_cutoff(decay_scale, growth, spread, start, eps_abs / 4)
+    value, size, terms = _trapezoid_rule(
+        pair, _STRIP * _TILT * mp.pi, mass * _PAD, cutoff, eps_abs / 2
+    )
+    cutoff = terms["cutoff"]
+    # summation adds one unit per node; each node's rounding of t and of
+    # the phase moves it by |f'/f| times about (t + 8) units
+    sensitivity = 2 * terms["node_pairs"] + 2 * (cutoff + 8) * (arg * mp.cosh(cutoff) + 3)
+    terms["tail"] = 2 * spread * _PAD * _cosh_tail(decay_scale, growth, cutoff)
+    terms["rounding"] = mp.eps * _PAD * sensitivity * size
+    return value, terms["discretisation"] + terms["tail"] + terms["rounding"], terms
 
 
 def _cosh_sinh(t):
@@ -212,13 +247,102 @@ def _cosh_sinh(t):
     return ch, e - ch
 
 
+# the cosh contour's strip geometry is enclosed on cells of this width in
+# Re t out to _FAR, and by one closed form beyond
+_CELL = 0.125
+_FAR = 3
+
+
+@functools.cache
+def _cosh_strip_cells():
+    """The geometry of the cosh contour u(t) = t + i*theta*tanh(t) over
+    the strip t = s + iy, |y| <= a = _STRIP*theta, which depends on
+    neither the argument nor the drift.
+
+    With tanh t = (sinh 2s + i sin 2y)/(cosh 2s + cos 2y), cos 2y > 0:
+    Re u = s - theta*Im tanh t lies within delta = theta*sin 2a/(cosh 2s
+    + cos 2a) of s; Im u = y + theta*Re tanh t lies in
+    [theta*tanh s - a, a + theta*sinh 2s/(cosh 2s + cos 2a)], inside
+    (-pi/2, pi/2); and |u'| = |1 + i*theta*sech^2 t| <= 1 + 2*theta/(cosh
+    2s + cos 2y).  |exp(i*x*cosh u)| = exp(-x*G), G = sinh(Re u)*sin(Im u).
+
+    Returns (cells, far): per cell [s0, s0 + _CELL] of s >= 0, the tuple
+    (least G, least Re u, greatest Re u, greatest |u'|); and for s >= _FAR
+    the tuple (delta, sigma, greatest |u'|) with G >= sigma*sinh(s - delta).
+    u(-t) = -u(t) mirrors both to s <= 0 with Re u negated.  Computed
+    once, at 53 bits, and widened by 2^-40 over that rounding."""
+    slack = mp.mpf(2) ** -40
+    with mp.workprec(53):
+        theta = _TILT * mp.pi
+        a = _STRIP * theta
+        c2a, s2a = mp.cos_sin(2 * a)
+        cells = []
+        for j in range(int(_FAR / _CELL)):
+            lo, hi = j * _CELL, (j + 1) * _CELL
+            den = mp.cosh(2 * lo) + c2a
+            delta = theta * s2a / den
+            re_lo, re_hi = lo - delta, hi + delta
+            im_lo = theta * mp.tanh(lo) - a
+            im_hi = a + theta * mp.sinh(2 * hi) / (mp.cosh(2 * hi) + c2a)
+            g_lo = min(
+                p * q
+                for p in (mp.sinh(re_lo), mp.sinh(re_hi))
+                for q in (mp.sin(im_lo), mp.sin(im_hi))
+            )
+            cells.append((g_lo - slack, re_lo - slack, re_hi + slack, 1 + 2 * theta / den + slack))
+        den = mp.cosh(2 * _FAR) + c2a
+        sigma = mp.sin(theta * mp.tanh(_FAR) - a) - slack
+        far = (theta * s2a / den + slack, sigma, 1 + 2 * theta / den + slack)
+    return tuple(cells), far
+
+
+def _cosh_bounds(x, a):
+    """The trapezoid bounds (see _tilted_quadrature) of the cosh contour
+    integrand at argument x and drift a.
+
+    On the real line |f(t)| = exp(-x*sinh|t|*sin(theta*tanh|t|) + a*t)*|u'|;
+    past |t| = 2 the tilt is within 4% of theta, |u'| <= 1 + theta, and
+    sinh t >= cosh t - exp(-2) turns the decay into the cosh envelope.
+    In the strip, the enclosed geometry bounds sup_y |f(s + iy)| by
+    exp(-x*G + |a|*|Re u|)*|u'| on each cell, and past _FAR by
+    exp(-x*sigma*sinh(s - delta) + |a|*(s + delta))*|u'|, integrated as a
+    cosh tail from v0 = _FAR - delta on after sinh v >= cosh v - exp(-v0)."""
+    theta = _TILT * mp.pi
+    b = abs(a)
+    cells, (delta, sigma, du) = _cosh_strip_cells()
+    mass = 0
+    for g_lo, re_lo, re_hi, d_hi in cells:
+        mass += d_hi * mp.exp(-x * g_lo) * (mp.exp(b * re_hi) + mp.exp(-b * re_lo))
+    mass *= _CELL
+    c = x * sigma
+    start = _FAR - delta
+    for drift in (b, -b):
+        mass += du * mp.exp(2 * b * delta + c * mp.exp(-start)) * _cosh_tail(c, drift, start)
+    decay = x * mp.sin(theta * mp.tanh(2))
+    return x, decay, b, (1 + theta) * mp.exp(decay * mp.exp(-2)), 2, mass
+
+
+def _sinh_bounds(x, a):
+    """The trapezoid bounds (see _tilted_quadrature) of the sinh contour
+    integrand at argument x and drift a.  At height y in the strip,
+    |f(t + iy)| = exp(-x*sin(theta + y)*cosh t + a*t) exactly, and
+    sin(theta + y) >= sin(theta - a_s), so mass bounds
+    2*K_a(x*sin(theta - a_s)), and y = 0 gives the envelope."""
+    theta = _TILT * mp.pi
+    z = x * mp.sin((1 - _STRIP) * theta)
+    return x, x * mp.sin(theta), abs(a), 1, 0, _cosh_tail(z, a, 0) + _cosh_tail(z, -a, 0)
+
+
+# -- the tilted contours --
+
+
 def _contour_cosh_integral(arg, drift, eps_abs):
     """integral exp(i*arg*cosh u + drift*u) du on the tilted contour
     u(t) = t + i*theta*tanh(t), theta = _TILT*pi.
 
     The tilt turns the oscillation into exp(-arg*sin(theta tanh t)*|sinh t|)
     decay; the opposite tilt would make the same factor grow.  Returns
-    (value, error_bound, cutoff); see _tilted_quadrature.
+    (value, error_bound, terms); see _tilted_quadrature and _cosh_bounds.
 
     u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair
     shares exp(i*arg*cosh u)*du and differs only in the factor
@@ -245,9 +369,7 @@ def _contour_cosh_integral(arg, drift, eps_abs):
             shared * mp.mpc(c_a / grow, -s_a / grow),
         )
 
-    # past |t| = 2 the tilt is within 4% of theta; use that slack in the
-    # bound, and |du| <= 1 + theta
-    return _tilted_quadrature(pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs)
+    return _tilted_quadrature(pair, _cosh_bounds(x, a), eps_abs)
 
 
 def _contour_sinh_integral(arg, drift, eps_abs):
@@ -256,7 +378,8 @@ def _contour_sinh_integral(arg, drift, eps_abs):
 
     The tilt makes the integrand decay like exp(-arg*sin(theta)*cosh t);
     the opposite tilt would make it grow like exp(+arg*sin(theta)*cosh t).
-    Returns (value, error_bound, cutoff); see _tilted_quadrature.
+    Returns (value, error_bound, terms); see _tilted_quadrature and
+    _sinh_bounds.
 
     sinh(u(-t)) = -conj(sinh u(t)), so the node pair shares the decay
     exp(-arg*cosh(t)*sin(theta)) and the constant exp(i*drift*theta) of
@@ -278,7 +401,7 @@ def _contour_sinh_integral(arg, drift, eps_abs):
             shared * mp.mpc(c / grow, -s / grow),
         )
 
-    return _tilted_quadrature(pair, x * mp.sin(theta), a, 1, eps_abs)
+    return _tilted_quadrature(pair, _sinh_bounds(x, a), eps_abs)
 
 
 # -- the series on intervals --

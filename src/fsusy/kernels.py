@@ -41,6 +41,7 @@ from mpmath import iv, mp
 from .afalg import AAlgebra, AElement
 from .bessel import (
     ComplexValue,
+    PrecisionError,
     bessel_eval,
     _box_value,
     _certified,
@@ -207,22 +208,27 @@ class KernelParams:
 
 # -- evaluation --
 
-# the beta-independent raw values, each cached once per conjugate pair
+# the beta-independent raw values, each cached once per conjugate pair,
+# and per route the keys read since kernel_verify last began
 _BESSEL_CACHE = {}
 _J_CACHE = {}
+_READ_KEYS = {"closed": set(), "integral": set()}
 
 
 def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
     """Either route's raw value as boxes (real part, imaginary part) at
     iv.prec = bits, and its diagnostics: the cylinder function's series
-    boxes, or the tilted-path integral plus or minus its quadrature bound
-    at absolute tolerance rel_target/16 * exp(-x), the integral route's
-    share of the target (K decays like exp(-x)).  A contour that fails
-    the decay guard raises ArithmeticError.  H2 = conj(H1) and the phase
-    -1 contour mirrors phase +1 (DLMF 10.11), so only s2 = +1 is
-    evaluated and s2 = -1 negates the imaginary box.  Each cache key holds
-    all a box depends on: family, abar, x, bits, and the integral's
-    target."""
+    boxes, or the tilted-path integral plus or minus its certified
+    quadrature bound, the sum of the discretisation, tail and rounding
+    terms, at absolute tolerance rel_target/16 * exp(-x), the integral
+    route's share of the target (K decays like exp(-x)).  The integral's
+    diagnostics add the cutoff, step, node pairs, strip and the three
+    terms.  A contour that fails the decay guard raises ArithmeticError,
+    and one without a finite bound PrecisionError.  H2 = conj(H1) and
+    the phase -1 contour mirrors phase +1 (DLMF 10.11), so only s2 = +1
+    is evaluated and s2 = -1 negates the imaginary box.  Each cache key
+    holds all a box depends on: family, abar, x, bits, and the
+    integral's target."""
     _, s2, cylinder = _QUADRANTS[quadrant]
     if mode == "closed":
         family = "K" if cylinder == "K" else "H1"
@@ -238,12 +244,16 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
             fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
             with mp.workprec(bits):
                 arg = mp.mpmathify(x)
-                raw, jerr, cutoff = fn(arg, mp.mpmathify(abar), rel_target / 16 * mp.exp(-arg))
+                raw, jerr, terms = fn(arg, mp.mpmathify(abar), rel_target / 16 * mp.exp(-arg))
+            if not mp.isfinite(jerr):
+                raise PrecisionError("tilted contour: no finite quadrature bound", achieved=mp.inf)
             disc = iv.mpf([-jerr, jerr])
-            _J_CACHE[key] = (disc + raw.real, disc + raw.imag, float(cutoff))
-        re, im, cutoff = _J_CACHE[key]
+            terms = {name: v if isinstance(v, int) else float(v) for name, v in terms.items()}
+            _J_CACHE[key] = (disc + raw.real, disc + raw.imag, terms)
+        re, im, terms = _J_CACHE[key]
         diag = {"route": "integral", "family": family, "phase_sign": s2,
-                "theta": float(_TILT * mp.pi), "cutoff": cutoff}
+                "theta": float(_TILT * mp.pi), **terms}
+    _READ_KEYS[mode].add(key)
     return re, (-im if s2 < 0 else im), diag
 
 
@@ -501,10 +511,13 @@ def kernel_verify(
     Also checks the boost-reflection symmetry
     K[a](beta) = K[-a, swapped quadrant](-beta), the two fixed pointwise
     oracle values in quadrants 1 and 2, and that a mu = 0 kernel ignores
-    the lambda coordinate."""
+    the lambda coordinate.  The cache counts are the distinct raw values
+    this call read, whatever the process evaluated before."""
     precision = "1e-16"
     tol = mp.mpf("1e-8")
     report = NumericReport("kernel-verify")
+    for keys in _READ_KEYS.values():
+        keys.clear()
     report.measure("p", p)
     report.measure("precision", precision)
     t0 = time.perf_counter()
@@ -602,8 +615,8 @@ def kernel_verify(
 
     report.measure("elapsed_seconds", round(time.perf_counter() - t0, 3))
     report.measure("rows", rows)
-    report.measure("bessel_cache_entries", len(_BESSEL_CACHE))
-    report.measure("contour_cache_entries", len(_J_CACHE))
+    report.measure("bessel_cache_entries", len(_READ_KEYS["closed"]))
+    report.measure("contour_cache_entries", len(_READ_KEYS["integral"]))
     return report
 
 

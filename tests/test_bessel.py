@@ -17,7 +17,6 @@ from fsusy.bessel import (
     ComplexValue,
     PrecisionError,
     bessel_eval,
-    doubling_trapezoid,
 )
 
 
@@ -160,12 +159,27 @@ def test_precision_error_carries_achieved_bound(monkeypatch):
 
 
 def test_trapezoid_engine_on_gaussian():
-    with mp.workprec(160):
-        val, change = doubling_trapezoid(
-            lambda t: mp.exp(-t * t), mp.mpf("-10.5"), mp.mpf("10.5"), mp.mpf(2) ** -140
-        )
-        assert abs(val - mp.sqrt(mp.pi)) < mp.mpf(2) ** -120
-        assert change < mp.mpf(2) ** -120
+    # exp(-t^2) is entire and integral |exp(-(t + iy)^2)| dt = sqrt(pi)*exp(y^2),
+    # so the strip bound's M is exact at every half-width; past the cutoff
+    # the nodes weigh at most sqrt(pi)*erfc(11) < 2^-170 in all
+    def gauss(t):
+        f = mp.exp(-t * t)
+        return f, f
+
+    with mp.workprec(200):
+        target = mp.mpf(2) ** -120
+        cutoff = mp.mpf(11)
+        tail = mp.sqrt(mp.pi) * mp.erfc(cutoff)
+        for strip in ("0.5", "2", "4", "8"):
+            a = mp.mpf(strip)
+            value, size, terms = bessel._trapezoid_rule(
+                gauss, a, mp.sqrt(mp.pi) * mp.exp(a * a), cutoff, target
+            )
+            bound = terms["discretisation"]
+            assert abs(value - mp.sqrt(mp.pi)) <= bound + tail + mp.mpf(2) ** -190, strip
+            assert bound <= target, strip
+            assert terms["cutoff"] == (terms["node_pairs"] - 1) * terms["step"] <= cutoff
+            assert size <= 2 * mp.sqrt(mp.pi)
 
 
 @pytest.mark.parametrize("kind", ["K", "H1", "H2"])
@@ -228,56 +242,24 @@ def test_hankel_bound_covers_the_true_error(kind, order, arg, target):
         assert got.err_estimate <= mp.mpf(target) * abs(value)
 
 
-# -- the full-line tilted quadrature the paired-node path replaced --
+# -- the full-line rule the paired nodes stand for --
 #
 # The reference keeps one complex integrand per node and sums the
-# trapezoid over [-cutoff, cutoff] from 16 steps; the library folds each
-# +-t node pair into one evaluation over [0, cutoff] from 8 steps.  Same
-# nodes, same sums: the two must agree to rounding, with the same cutoff
-# and the same number of levels.
+# full-line trapezoid rule over k = -N..N at the library's a-priori step
+# h and cutoff N*h; the library folds each +-t node pair into one
+# evaluation over k = 0..N.  Same nodes, same sums: the two must agree to
+# rounding, with 2N + 1 full-line nodes against N + 1 pairs.
 
 
-def _full_line_trapezoid(f, lo, hi, eps):
-    """doubling_trapezoid's rule from 16 steps instead of 8."""
-    n = 16
-    h = (hi - lo) / n
-    total = (f(lo) + f(hi)) / 2
-    for k in range(1, n):
-        total += f(lo + k * h)
-    value = total * h
-    change = mp.inf
-    for level in range(1, 13):
-        mid = mp.mpc(0)
-        for k in range(n):
-            mid += f(lo + (k + mp.mpf("0.5")) * h)
-        new_value = value / 2 + mid * h / 2
-        change = abs(new_value - value)
-        value = new_value
-        n *= 2
-        h /= 2
-        if level >= 3 and change <= eps:
-            break
-    return value, change
+def _full_line_rule(f, step, n, calls):
+    total = mp.mpc(0)
+    for k in range(-n, n + 1):
+        calls.append(k)
+        total += f(k * step)
+    return total * step
 
 
-def _reference_tilted(f, decay_scale, drift, spread, eps_abs, calls):
-    log_target = -mp.log(eps_abs)
-    cutoff = bessel._tail_cutoff(decay_scale, abs(drift), log_target) + 1
-    anchor = abs(f(mp.mpf(0)))
-    edge = max(abs(f(cutoff)), abs(f(-cutoff)))
-    if not edge < anchor * mp.mpf("1e-6") + eps_abs:
-        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-
-    def counted(t):
-        calls.append(t)
-        return f(t)
-
-    value, change = _full_line_trapezoid(counted, -cutoff, cutoff, eps_abs / 4)
-    tail = 2 * spread * bessel._tangent_tail_bound(decay_scale, abs(drift), cutoff - 1)
-    return value, change + tail, cutoff
-
-
-def _reference_cosh(x, a, sgn, eps_abs, calls):
+def _reference_cosh(x, a, sgn):
     theta = mp.pi / 4
 
     def f(t):
@@ -285,20 +267,17 @@ def _reference_cosh(x, a, sgn, eps_abs, calls):
         du = 1 + 1j * sgn * theta / mp.cosh(t) ** 2
         return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
 
-    return _reference_tilted(
-        f, x * mp.sin(theta * mp.tanh(mp.mpf(2))), a, 1 + theta, eps_abs, calls
-    )
+    return f
 
 
-def _reference_sinh(x, a, sgn, eps_abs, calls):
-    theta = mp.pi / 4
-    shift = 1j * sgn * theta
+def _reference_sinh(x, a, sgn):
+    shift = 1j * sgn * mp.pi / 4
 
     def f(t):
         u = t + shift
         return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
 
-    return _reference_tilted(f, x * mp.sin(theta), a, 1, eps_abs, calls)
+    return f
 
 
 _CONTOURS = {
@@ -311,16 +290,15 @@ _CONTOURS = {
 @pytest.mark.parametrize("phase", [1, -1])
 @pytest.mark.parametrize("family", ["cosh", "sinh"])
 def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits):
-    folded_calls = []
+    # each pair evaluation takes cosh and sinh of its node once
+    pair_calls = []
+    cosh_sinh = bessel._cosh_sinh
 
-    def counting(f, *args, **kwargs):
-        def counted(t):
-            folded_calls.append(t)
-            return f(t)
+    def counted(t):
+        pair_calls.append(t)
+        return cosh_sinh(t)
 
-        return doubling_trapezoid(counted, *args, **kwargs)
-
-    monkeypatch.setattr(bessel, "doubling_trapezoid", counting)
+    monkeypatch.setattr(bessel, "_cosh_sinh", counted)
     paired, reference = _CONTOURS[family]
     with mp.workprec(bits):
         eps = mp.mpf(2) ** -(bits // 2)
@@ -328,19 +306,20 @@ def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits)
         for drift in ("-1.9", "-0.3", "0", "0.7", "1.9"):
             for arg in ("0.5", "1.3", "4"):
                 x, a = mp.mpf(arg), mp.mpf(drift)
-                ref_calls = []
-                want, want_err, want_cut = reference(x, a, phase, eps, ref_calls)
-                del folded_calls[:]
+                del pair_calls[:]
                 # the library runs phase +1 only; phase -1 is its conjugate
-                got, got_err, got_cut = paired(x, a, eps)
+                got, got_err, terms = paired(x, a, eps)
                 if phase < 0:
                     got = mp.conj(got)
+                n = terms["node_pairs"] - 1
+                ref_calls = []
+                want = _full_line_rule(reference(x, a, phase), terms["step"], n, ref_calls)
                 case = f"{family} phase={phase} drift={drift} arg={arg} bits={bits}"
-                assert got_cut == want_cut, case
+                assert terms["cutoff"] == n * terms["step"], case
                 assert abs(got - want) <= rounding * abs(want), case
-                assert abs(got_err - want_err) <= rounding * abs(want), case
-                # full line: 16*2^L + 1 nodes; folded: 8*2^L + 1 pairs
-                assert 2 * len(folded_calls) - 1 == len(ref_calls), case
+                assert got_err <= eps, case
+                assert len(pair_calls) == terms["node_pairs"], case
+                assert 2 * len(pair_calls) - 1 == len(ref_calls), case
 
 
 def _h_quadrature(order, arg, eps_abs):
@@ -362,6 +341,48 @@ def test_hankel_quadrature_against_mpmath(kind, order, arg):
             got = mp.conj(got)
         assert err <= mp.mpf("1e-49") * abs(want)
         assert abs(got - want) <= err + mp.mpf("1e-57") * abs(want)
+
+
+# -- the certified quadrature bound against the referee --
+#
+# Each contour integral has a closed form, 2*exp(i*a*pi/2)*K_a(x) for the
+# sinh contour and pi*i*exp(i*a*pi/2)*H1_a(x) for the cosh one.  At the
+# kernels' working precision and absolute target, the one-pass rule's
+# value must lie within its returned bound of mpmath at 600 bits, and the
+# bound within the target.  A strip overstated 2x or M understated 1000x
+# in `_tilted_quadrature` fails this.
+
+
+def _quadrature_gate_cases(seed=29):
+    rng = random.Random(seed)
+    cases = []
+    for family in ("cosh", "sinh"):
+        for arg in ("0.05", "0.4", "2", "7", "12"):
+            for i, target in enumerate(("1e-10", "1e-16", "1e-30", "1e-45")):
+                drift = ("-0.999", "0.999", f"{rng.randint(-998, 998) / 1000}")[i % 3]
+                cases.append((family, arg, drift, target))
+    return cases
+
+
+_QUADRATURE_GATE = _quadrature_gate_cases()
+
+
+@pytest.mark.parametrize("family, arg, drift, target", _QUADRATURE_GATE)
+def test_quadrature_bound_encloses_the_referee(family, arg, drift, target):
+    contour = getattr(bessel, f"_contour_{family}_integral")
+    with mp.workprec(bessel._working_bits(mp.mpf(target), float(arg))):
+        x, a = mp.mpf(arg), mp.mpf(drift)
+        eps_abs = mp.mpf(target) / 16 * mp.exp(-x)
+        value, bound, terms = contour(x, a, eps_abs)
+        assert bound == terms["discretisation"] + terms["tail"] + terms["rounding"]
+    with mp.workprec(600):
+        x, a = mp.mpf(arg), mp.mpf(drift)
+        if family == "sinh":
+            want = 2 * mp.expjpi(a / 2) * mp.besselk(a, x)
+        else:
+            want = mp.pi * 1j * mp.expjpi(a / 2) * mp.hankel1(a, x)
+        assert abs(value - want) <= bound
+    assert bound <= eps_abs
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from mpmath import mp
 
 from fsusy.cli import CONVENTIONS, _join_negative_values, main
 
@@ -185,7 +186,10 @@ def test_kernel_eval_both_routes(capsys):
     gap = float(doc["result"]["relative_gap"])
     assert gap < 1e-12
     diag = doc["result"]["integral"]["diagnostics"]
-    assert set(diag) == {"route", "family", "phase_sign", "theta", "cutoff"}
+    assert set(diag) == {
+        "route", "family", "phase_sign", "theta", "cutoff", "step", "node_pairs",
+        "strip", "discretisation", "tail", "rounding",
+    }
 
 
 def test_kernel_eval_single_route_text(capsys):
@@ -349,8 +353,24 @@ _KERNEL_EVAL_BOTH = (
 )
 
 
-def _both_routes(value, gap):
-    return f"closed: {value}\nintegral: {value}\nrelative gap: {gap}"
+def _both_routes(closed, integral, gap):
+    return f"closed: {closed}\nintegral: {integral}\nrelative gap: {gap}"
+
+
+@pytest.mark.parametrize("quad", ["1", "2", "3", "4"])
+def test_kernel_eval_both_routes_agree_within_their_errors(capsys, quad):
+    # the golden values below differ past the target's digits; each route
+    # is certified, so they differ by at most the sum of their errors
+    code, doc = run_json(capsys, *_KERNEL_EVAL_BOTH, "--quad", quad)
+    assert code == 0
+    with mp.workprec(256):
+        closed, integral = (
+            (mp.mpmathify(doc["result"][mode]["value"].replace(" ", "")),
+             mp.mpf(doc["result"][mode]["err_estimate"]))
+            for mode in ("closed", "integral")
+        )
+        assert abs(closed[0] - integral[0]) <= closed[1] + integral[1]
+        assert closed[1] + integral[1] <= mp.mpf("2e-30") * abs(closed[0])
 
 
 @pytest.mark.parametrize(
@@ -393,7 +413,9 @@ def _both_routes(value, gap):
             _both_routes(
                 "(0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "6.4352e-44",
+                "(0.10931712273283368316980078571288170329"
+                " + 0.28121060145560038578641385956593796478j)",
+                "1.0913e-36",
             ),
             id="kernel-eval-both-q1",
         ),
@@ -402,7 +424,9 @@ def _both_routes(value, gap):
             _both_routes(
                 "(0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "4.035e-43",
+                "(0.036871578164220718308261465290757108528"
+                " - 0.023944682833020462074753576249924321336j)",
+                "1.6082e-34",
             ),
             id="kernel-eval-both-q2",
         ),
@@ -411,7 +435,9 @@ def _both_routes(value, gap):
             _both_routes(
                 "(-0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "6.4352e-44",
+                "(-0.10931712273283368316980078571288170329"
+                " + 0.28121060145560038578641385956593796478j)",
+                "1.0913e-36",
             ),
             id="kernel-eval-both-q3",
         ),
@@ -420,7 +446,9 @@ def _both_routes(value, gap):
             _both_routes(
                 "(-0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "4.035e-43",
+                "(-0.036871578164220718308261465290757108528"
+                " - 0.023944682833020462074753576249924321336j)",
+                "1.6082e-34",
             ),
             id="kernel-eval-both-q4",
         ),
@@ -443,7 +471,7 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "39687e3ad927e9434e662ea23b1ab73d8e5de557e47a1ee3c03656a746882abd"
+        == "ad1393fbf2a19909116e466e189e6e21834e78bbf09f6b21e3dce21c1bdcd462"
     )
 
 

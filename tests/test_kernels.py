@@ -226,10 +226,16 @@ def test_routes_agree(quadrant):
     params = KernelParams(p=3, s=1, nu="0.1", mu="0.05", r="3/2", precision="1e-14")
     pt = QuadrantPoint.from_polar(quadrant, "0.8", "-0.6", lambda_val="0.3")
     closed = _mpc(kernel_eval(params, pt, "closed"))
+    closed_err = kernel_eval(params, pt, "closed").err_estimate
     integral, diag = kernel_eval_detailed(params, pt, "integral")
-    rel = abs(closed - _mpc(integral)) / abs(closed)
-    assert rel < mp.mpf("1e-20")  # far below the 1e-8 grid gate
-    assert set(diag) == {"route", "family", "phase_sign", "theta", "cutoff"}
+    # both certified to 1e-14, far below the 1e-8 grid gate
+    assert abs(closed - _mpc(integral)) <= closed_err + integral.err_estimate
+    assert closed_err + integral.err_estimate <= mp.mpf("2e-14") * abs(closed)
+    assert set(diag) == {
+        "route", "family", "phase_sign", "theta", "cutoff", "step", "node_pairs",
+        "strip", "discretisation", "tail", "rounding",
+    }
+    assert diag["discretisation"] + diag["tail"] + diag["rounding"] > 0
     assert diag["family"] == ("cosh" if quadrant in (1, 3) else "sinh")
 
 
@@ -289,8 +295,8 @@ def _tilted_pairs(x, a, sgn, tilt):
         return f(t), f(-t)
 
     return {
-        "cosh": (cosh_pair, x * mp.sin(theta * mp.tanh(mp.mpf(2))), 1 + theta),
-        "sinh": (sinh_pair, x * mp.sin(theta), 1),
+        "cosh": (cosh_pair, bessel._cosh_bounds(x, a)),
+        "sinh": (sinh_pair, bessel._sinh_bounds(x, a)),
     }
 
 
@@ -303,16 +309,16 @@ def test_wrong_tilt_grows():
         x, a, eps = mp.mpf(1), mp.mpf("0.3"), mp.mpf("1e-20")
         for family, sgn in itertools.product(("cosh", "sinh"), (1, -1)):
             case = f"{family} phase={sgn}"
-            pair, decay, spread = _tilted_pairs(x, a, sgn, -sgn)[family]
+            pair, bounds = _tilted_pairs(x, a, sgn, -sgn)[family]
             with pytest.raises(ArithmeticError, match="decay"):
-                bessel._tilted_quadrature(pair, decay, a, spread, eps)
-            pair, decay, spread = _tilted_pairs(x, a, sgn, sgn)[family]
-            got, _, cutoff = bessel._tilted_quadrature(pair, decay, a, spread, eps)
+                bessel._tilted_quadrature(pair, bounds, eps)
+            pair, bounds = _tilted_pairs(x, a, sgn, sgn)[family]
+            got, _, terms = bessel._tilted_quadrature(pair, bounds, eps)
             contour = getattr(bessel, f"_contour_{family}_integral")
-            want, want_err, want_cutoff = contour(x, a, eps)
+            want, want_err, want_terms = contour(x, a, eps)
             if sgn < 0:
                 want = mp.conj(want)
-            assert cutoff == want_cutoff, case
+            assert terms["cutoff"] == want_terms["cutoff"], case
             assert abs(got - want) <= want_err, case
 
 
@@ -615,6 +621,18 @@ def test_kernel_verify_trimmed():
     assert len(report.measurements["rows"]) == 8
 
 
+def test_kernel_verify_cache_counts_ignore_process_history():
+    # a fresh interpreter reads 34 series boxes and 30 contour integrals;
+    # an unrelated kernel evaluated first must not change the counts
+    params = KernelParams(p=3, s=0, nu="0.37", mu=0, r=1, precision="1e-12")
+    point = QuadrantPoint.from_polar(1, "2.7", "0.1")
+    for mode in ("closed", "integral"):
+        kernel_eval(params, point, mode)
+    report = kernel_verify()
+    counts = [report.measurements[f"{c}_cache_entries"] for c in ("bessel", "contour")]
+    assert counts == [34, 30]
+
+
 @pytest.mark.parametrize("mode", ["closed", "integral"])
 @pytest.mark.parametrize(
     "targets, rho", [(("1e-10", "1e-45"), "1.37"), (("1e-45", "1e-10"), "1.41")]
@@ -716,10 +734,10 @@ def test_deferred_action_matches_the_duality_route(ctx3):
 
 
 @pytest.mark.parametrize(
-    "quadrant, cutoff", [(1, 6.166107662402496), (2, 6.136961111737485)]
+    "quadrant, cutoff, node_pairs", [(1, 5.097920023905136, 90), (2, 5.059154615117215, 89)]
 )
-def test_integral_cutoff_golden(quadrant, cutoff):
+def test_integral_cutoff_golden(quadrant, cutoff, node_pairs):
     params = KernelParams(p=3, s=0, nu="0.21", mu=0, r=1, precision="1e-30")
     pt = QuadrantPoint.from_polar(quadrant, "1.3", "0.2")
     _, diag = kernel_eval_detailed(params, pt, "integral")
-    assert diag["cutoff"] == cutoff
+    assert (diag["cutoff"], diag["node_pairs"]) == (cutoff, node_pairs)
