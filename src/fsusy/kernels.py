@@ -356,22 +356,13 @@ def omega_poly(s: int, ctx: FieldContext, literal: bool = False) -> OmegaPolynom
     ichat = ctx.i() * ctx.c_hat(1)
     top = p - 1 - s
 
-    # route one: ratio recursion from the m = 0 seed
+    # ratio recursion from the m = 0 seed
     seed = ichat**s / ctx.qfact(s)
     ratio_step = ichat * ichat * ctx.q(s)
     rec = [seed]
     for m in range(top):
         denom = ctx.qint(m + 1) * (ctx.one() if literal else ctx.qint(m + s + 1))
         rec.append(rec[-1] * ratio_step / denom)
-
-    # route two: each coefficient from scratch
-    direct = []
-    for m in range(top + 1):
-        denom = ctx.qfact(m) * (ctx.qfact(s) if literal else ctx.qfact(m + s))
-        direct.append(ichat ** (2 * m + s) * ctx.q(s * m) / denom)
-
-    if rec != direct:
-        raise AssertionError("omega coefficient routes disagree")
     return OmegaPolynomial(s, tuple(rec), literal)
 
 

@@ -20,10 +20,15 @@ makes operator identities decidable exactly and globally, with no window.
 PiAlgebra makes it a sparse algebra (fsusy.sparse) on these flat keys: the
 product is composition, the star is the adjoint.
 
-The adjoint combines the cyclic-part conjugation through the Gram matrix
-G_jk = [j + k = 0 mod p] of the pseudo-Euclidean form on t-polynomials with
-the formal rules on the weight part (multiplication by a real exponential is
-self-adjoint, differentiation is skew).  On a single term it reads
+The adjoint is taken against the pseudo-Euclidean form on t-polynomials,
+G_jk = [j + k = 0 mod p]: the permutation matrix of the involution j -> -j,
+whose fixed point j = 0 and (p-1)/2 transpositions give the signature
+((p+1)/2, (p-1)/2, 0) (gram_signature).  Conjugation A -> G^-1 A^+ G fixes
+both cyclic atoms, the shift t^j -> t^(j+tau) and the diagonal q^(e j), so
+the adjoint is a map on the keys: reverse the order of the atoms, conjugate
+the coefficient, and take the formal rules on the weight part (multiplication
+by a real exponential is self-adjoint, differentiation is skew).  On a single
+term it reads
 
     (c (sigma, tau, e, d))^adj = conj(c) (-1)^d q^(e tau) (mu + sigma)^d (sigma, tau, e, 0)
 
@@ -36,7 +41,10 @@ Each sector is irreducible, for all b at once: H is the single key
 (0, 0, 0, 1), so its eigenvalues i h mu are pairwise distinct on a sector
 and a commuting operator is diagonal there; p+ is the single key
 (1/p, 1, 0, 0) with a constant coefficient, so that diagonal is constant
-along the chain.  sector_certificate reads both facts from the keys.
+along the chain.  sector_certificate reads both facts from the keys.  The
+sectors are pairwise inequivalent: k is the single key (0, 0, 1, 0) and q a
+primitive p-th root, so an intertwiner, commuting with H and k, keeps mu and
+j mod p, hence c (sectors_inequivalent).
 """
 
 from __future__ import annotations
@@ -131,6 +139,13 @@ class PiAlgebra(SparseAlgebra):
         return out
 
     def _star_mono(self, mon) -> PiOperator:
+        """Adjoint of one key, (-1)^d q^(e tau) (mu + sigma)^d (sigma, tau, e, 0).
+
+        The key applies mu^d, then q^(e j), then the shift; the adjoint applies
+        the atoms' adjoints in reverse.  G^-1 A^+ G fixes the shift and the
+        diagonal, so reversing them costs the phase q^(e tau); mu^d is the d-th
+        derivative's symbol, skew, hence (-1)^d, and is read at the shifted
+        weight.  Element.star conjugates the coefficient."""
         got = self._star_cache.get(mon)
         if got is not None:
             return got
@@ -261,199 +276,15 @@ class SignatureResult:
     n_zero: int
 
 
-def gram_matrix(p: int):
-    """G_jk = [j + k = 0 mod p] on the basis t^0 .. t^(p-1)."""
-    return tuple(
-        tuple(1 if (j + k) % p == 0 else 0 for k in range(p)) for j in range(p)
-    )
-
-
-def gram_char_poly(p: int):
-    """Characteristic polynomial of the Gram matrix by the trace recursion,
-    exact over the rationals; coefficients from x^p down to x^0."""
-    M = [[Fraction(x) for x in row] for row in gram_matrix(p)]
-    n = len(M)
-    coeffs = [Fraction(1)]
-    A = [row[:] for row in M]
-    for k in range(1, n + 1):
-        ck = -sum(A[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            A[i][i] += ck
-        A = [
-            [sum(M[i][t] * A[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return tuple(coeffs)
-
-
-def _root_multiplicity(coeffs, root: Fraction):
-    """Multiplicity of a rational root by repeated synthetic division."""
-    coeffs = list(coeffs)
-    mult = 0
-    while len(coeffs) > 1:
-        out = [coeffs[0]]
-        for c in coeffs[1:]:
-            out.append(c + root * out[-1])
-        if out[-1] != 0:
-            break
-        coeffs = out[:-1]
-        mult += 1
-    return mult, coeffs
-
-
-def _inertia(M):
-    """Sylvester inertia of a symmetric rational matrix by congruence
-    elimination with symmetric pivoting."""
-    M = [[Fraction(x) for x in row] for row in M]
-    n = len(M)
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if M[i][i] != 0), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j] != 0),
-                None,
-            )
-            if off is None:
-                zero += n - k
-                break
-            i, j = off
-            # symmetric congruence: push the off-diagonal onto the diagonal
-            for c in range(n):
-                M[i][c] += M[j][c]
-            for r in range(n):
-                M[r][i] += M[r][j]
-            pivot = i
-        if pivot != k:
-            M[k], M[pivot] = M[pivot], M[k]
-            for r in range(n):
-                M[r][k], M[r][pivot] = M[r][pivot], M[r][k]
-        d = M[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = M[i][k] / d
-            if f:
-                for c in range(k, n):
-                    M[i][c] -= f * M[k][c]
-        for j in range(k + 1, n):
-            M[k][j] = Fraction(0)
-            M[j][k] = Fraction(0)
-        k += 1
-    return pos, neg, zero
-
-
 def gram_signature(ctx_or_p) -> SignatureResult:
-    """Signature of the Gram form by two independent exact routes: root
-    counting on the characteristic polynomial, and congruence inertia."""
+    """Signature of the Gram form G_jk = [j + k = 0 mod p], the permutation
+    matrix of the involution j -> -j, counted on its cycles: a fixed point
+    t^j is a +1 eigenvector, and a transposition {j, -j} spans one +1
+    (t^j + t^-j) and one -1 (t^j - t^-j)."""
     p = ctx_or_p if isinstance(ctx_or_p, int) else ctx_or_p.p
-    coeffs = gram_char_poly(p)
-    m_plus, rest = _root_multiplicity(coeffs, Fraction(1))
-    m_minus, rest = _root_multiplicity(rest, Fraction(-1))
-    m_zero, rest = _root_multiplicity(rest, Fraction(0))
-    if len(rest) != 1:
-        raise RuntimeError("Gram spectrum is not supported on {1, -1, 0}")
-    inertia = _inertia(gram_matrix(p))
-    if inertia != (m_plus, m_minus, m_zero):
-        raise RuntimeError(f"signature routes disagree: {inertia} vs char poly")
-    return SignatureResult(m_plus, m_minus, m_zero)
-
-
-# -- the mechanical adjoint route ------------------------------------------------
-
-
-def _gram_conjugate(ctx: FieldContext, N):
-    """A -> G^-1 conj(A)^T G on the cyclic factor, entrywise exact."""
-    p = ctx.p
-    return [
-        [N[(-j) % p][(-i) % p].conjugate() for j in range(p)] for i in range(p)
-    ]
-
-
-def _tshift_matrix(ctx: FieldContext, tau: int):
-    p = ctx.p
-    one, zero = ctx.one(), ctx.zero()
-    return [[one if i == (j + tau) % p else zero for j in range(p)] for i in range(p)]
-
-
-def _tdiag_matrix(ctx: FieldContext, e: int):
-    p = ctx.p
-    zero = ctx.zero()
-    return [[ctx.q(e * j) if i == j else zero for j in range(p)] for i in range(p)]
-
-
-def _apply_t_matrix(ctx, M, state):
-    """state: {(mu, j): coeff} -> matrix acting on the cyclic index."""
-    p = ctx.p
-    out = {}
-    for (mu, j), c in state.items():
-        for i in range(p):
-            v = M[i][j]
-            if v:
-                _accumulate(out, (mu, i), c * v)
-    return out
-
-
-def _monomial_word(rep: PiRepresentation, mono):
-    """The atomic word of one monomial action, in application order."""
-    n, m, k, t, s, l = mono
-    ctx = rep.ctx
-    p = ctx.p
-    word = []
-    if l:
-        word.append(("scalar", (ctx.i() * Fraction(rep.h)) ** l))
-        word.append(("ddx", l))
-    if s:
-        word.append(("scalar", ctx.from_fraction(Fraction(-ctx.r) ** s)))
-        word.append(("xshift", Fraction(-s)))
-    if t:
-        word.append(("scalar", ctx.from_fraction(Fraction(-ctx.r) ** t)))
-        word.append(("xshift", Fraction(t)))
-    if k:
-        word.append(("tdiag", k % p))
-    if m:
-        word.append(("scalar", (-ctx.c_hat(1)) ** m))
-        word.append(("xshift", Fraction(-m, p)))
-        word.append(("tshift", (-m) % p))
-    if n:
-        word.append(("scalar", (-ctx.c_hat(1)) ** n))
-        word.append(("xshift", Fraction(n, p)))
-        word.append(("tshift", n % p))
-    return word
-
-
-def _apply_adjoint_word(rep: PiRepresentation, word, v: BasisVector):
-    """Mechanical adjoint: reverse the word, conjugate the scalars, flip the
-    derivative sign, and conjugate the cyclic atoms through the Gram matrix."""
-    ctx = rep.ctx
-    state = {(v.mu, v.j): ctx.one()}
-    for kind, arg in reversed(word):
-        if kind == "scalar":
-            state = {key: c * arg.conjugate() for key, c in state.items()}
-        elif kind == "ddx":
-            out = {}
-            for (mu, j), c in state.items():
-                val = c * ((-mu) ** arg)
-                if val:
-                    out[(mu, j)] = val
-            state = out
-        elif kind == "xshift":
-            state = {(mu + arg, j): c for (mu, j), c in state.items()}
-        elif kind == "tshift":
-            M = _gram_conjugate(ctx, _tshift_matrix(ctx, arg))
-            state = _apply_t_matrix(ctx, M, state)
-        elif kind == "tdiag":
-            M = _gram_conjugate(ctx, _tdiag_matrix(ctx, arg))
-            state = _apply_t_matrix(ctx, M, state)
-        else:
-            raise ValueError(kind)
-    return {BasisVector(mu, j): c for (mu, j), c in state.items()}
+    fixed = sum(1 for j in range(p) if (-j) % p == j)
+    swaps = sum(1 for j in range(p) if j < (-j) % p)
+    return SignatureResult(fixed + swaps, swaps, 0)
 
 
 # -- sectors and irreducibility ---------------------------------------------------
@@ -475,7 +306,37 @@ def sector_certificate(rep: PiRepresentation, ops=()) -> tuple[bool, bool]:
     return sectors, irreducible
 
 
+def sectors_inequivalent(rep: PiRepresentation) -> bool:
+    """Whether the p sectors are pairwise inequivalent, read from the keys.
+
+    H is the single key (0, 0, 0, 1), eigenvalue i h mu, and k the single key
+    (0, 0, 1, 0), eigenvalue q^j with q a primitive p-th root, so an
+    intertwiner keeps mu and j mod p, hence c = j - p mu: two different
+    sectors admit only the zero intertwiner."""
+    ctx = rep.ctx
+    primitive = all(ctx.q(j) != ctx.one() for j in range(1, ctx.p))
+    return (
+        primitive
+        and list(rep.generator("H").terms) == [(0, 0, 0, 1)]
+        and list(rep.generator("k").terms) == [(0, 0, 1, 0)]
+    )
+
+
 # -- the verification suite -------------------------------------------------------
+
+# Enveloping monomials (n, m, k, t, s, l) whose adjoints the suite checks:
+# each generator alone, then mixed words with every atom kind.
+_ADJOINT_MONOS = (
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1),
+    (1, 0, 2, 0, 0, 1),
+    (2, 1, 1, 1, 0, 0),
+    (0, 2, 0, 0, 1, 2),
+)
 
 
 def _chain_length(p: int, chain_length: int | None) -> int:
@@ -495,8 +356,9 @@ def representation_suite(
 ) -> NumericReport:
     """Exact checks of the representation: the defining relations as operator
     identities, the fractional root both in the calculus and pointwise on a
-    chain window, formal self-adjointness of the star-fixed generators by two
-    routes, the Gram signature, the sector certificate, and the
+    chain window, the adjoint key map against the star and the self-adjoint
+    generators, the Gram signature counted on the cycles of j -> -j, the
+    sector certificate and the sectors' inequivalence, and the
     corepresentation reassembly."""
     require_non_negative(samples=samples)
     rep = PiRepresentation(ctx)
@@ -575,30 +437,13 @@ def representation_suite(
         w == rep.vector(Fraction(1, p), 1) and c == -ctx.c_hat(1),
     )
 
-    # adjoints: closed formula, star element, and the mechanical word route
-    bad_closed = bad_word = 0
-    word_monos = [
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 0, 1),
-        (1, 0, 2, 0, 0, 1),
-        (2, 1, 1, 1, 0, 0),
-        (0, 2, 0, 0, 1, 2),
-    ]
-    probe_vectors = [rep.vector(Fraction(b, p), j) for b in (-1, 0, 2) for j in range(p)]
-    for mono in word_monos:
+    # adjoints: the key map against the star element
+    bad = 0
+    for mono in _ADJOINT_MONOS:
         x = ual.monomial(*mono)
-        adj = rep.operator(x).adjoint()
-        if adj != rep.operator(x.star()):
-            bad_closed += 1
-        word = _monomial_word(rep, mono)
-        if any(_apply_adjoint_word(rep, word, v) != adj.apply(v) for v in probe_vectors):
-            bad_word += 1
-    rrep.check("adjoint_matches_star", bad_closed == 0, f"{bad_closed} mismatches")
-    rrep.check("adjoint_word_gram_route", bad_word == 0, f"{bad_word} mismatches")
+        if rep.operator(x).adjoint() != rep.operator(x.star()):
+            bad += 1
+    rrep.check("adjoint_matches_star", bad == 0, f"{bad} mismatches")
 
     for g in GEN_NAMES:
         rrep.check(f"self_adjoint[{g}]", gens[g].adjoint() == gens[g])
@@ -640,20 +485,16 @@ def representation_suite(
         f"{sig}",
     )
     rrep.measure("signature", f"(+{sig.n_plus}, -{sig.n_minus}, 0x{sig.n_zero})")
-    # multiply out (x - 1)^((p+1)/2) (x + 1)^((p-1)/2) and compare
-    poly = [Fraction(1)]
-    for root in [Fraction(1)] * ((p + 1) // 2) + [Fraction(-1)] * ((p - 1) // 2):
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for idx, cc in enumerate(poly):
-            nxt[idx] += cc
-            nxt[idx + 1] -= cc * root
-        poly = nxt
-    rrep.check("gram_char_poly_closed_form", tuple(poly) == gram_char_poly(p))
 
     sectors, irreducible = sector_certificate(rep, sampled)
     detail = f"tau = p sigma (mod p) on generators and {len(sampled)} sampled operators"
     rrep.check("sector_invariance", sectors, detail)
     rrep.check("irreducible_per_sector", irreducible, "H on (0, 0, 0, 1), p+ on (1/p, 1, 0, 0)")
+    rrep.check(
+        "sectors_inequivalent",
+        sectors_inequivalent(rep),
+        "H on (0, 0, 0, 1), k on (0, 0, 1, 0), q primitive",
+    )
 
     # group-like sector of the corepresentation reassembles the cyclic basis
     bad = 0

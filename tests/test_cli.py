@@ -501,10 +501,10 @@ def test_ladder_suite_digest(capsys, argv, digest):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        ((), "1da087f1158559ec15adac685da42fc922366cac2a7a59d7ff2d989b9d15ea8e"),
+        ((), "c363c2f339a148f6cad76d1954d2e03131675fcf4ce025d02c8dae48feb0524b"),
         (
             ("--p", "5", "--samples", "3"),
-            "9d3cd65d406a9efb17fdf8c2504a023b3fba4f2055cdd5178becff3c800a5396",
+            "15c85dfab490dc3dc0816fdf4ad39b577a530ecb3989a5a0295a12a1c0ef223e",
         ),
     ],
     ids=["p3", "p5-samples3"],

@@ -26,6 +26,7 @@ from fsusy.kernels import (
     q_kernel,
     quadrant_decompose,
 )
+from fsusy.scalars import FieldContext
 
 
 def _mpc(value):
@@ -505,6 +506,23 @@ def test_omega_constant_term(ctx):
         want = (ctx.i() * ctx.c_hat(1)) ** s / ctx.qfact(s)
         assert om.coeffs[0] == want
     assert omega_poly(0, ctx).coeffs[0] == ctx.one()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_omega_recursion_matches_closed_form(p, r):
+    # each coefficient from scratch: (i chat)^(2m+s) q^(sm) / ([m]! [m+s]!),
+    # or / ([m]! [s]!) in the literal reading
+    ctx = FieldContext(p, r=Fraction(r))
+    ichat = ctx.i() * ctx.c_hat(1)
+    for literal in (False, True):
+        for s in range(p):
+            want = tuple(
+                ichat ** (2 * m + s) * ctx.q(s * m)
+                / (ctx.qfact(m) * (ctx.qfact(s) if literal else ctx.qfact(m + s)))
+                for m in range(p - s)
+            )
+            assert omega_poly(s, ctx, literal).coeffs == want, (literal, s)
 
 
 def test_omega_shift_out_of_range(ctx3):

@@ -9,14 +9,14 @@ from fsusy.pirep import (
     BasisVector,
     PiOperator,
     PiRepresentation,
-    _inertia,
-    gram_char_poly,
-    gram_matrix,
+    _ADJOINT_MONOS,
     gram_signature,
     representation_suite,
     sector_certificate,
+    sectors_inequivalent,
 )
 from fsusy.scalars import FieldContext
+from fsusy.sparse import _accumulate
 from fsusy.ufalg import GEN_NAMES, random_u_element
 
 
@@ -159,6 +159,107 @@ def test_grading_operator_key(rep3):
 
 
 # -- the Gram form ------------------------------------------------------------------
+#
+# Reference: the dense p x p routes the signature was once proved by, the trace
+# recursion for the characteristic polynomial with root counting, and the
+# congruence inertia, both exact over the rationals.
+
+
+def gram_matrix(p: int):
+    """G_jk = [j + k = 0 mod p] on the basis t^0 .. t^(p-1)."""
+    return tuple(
+        tuple(1 if (j + k) % p == 0 else 0 for k in range(p)) for j in range(p)
+    )
+
+
+def gram_char_poly(p: int):
+    """Characteristic polynomial of the Gram matrix by the trace recursion,
+    exact over the rationals; coefficients from x^p down to x^0."""
+    M = [[Fraction(x) for x in row] for row in gram_matrix(p)]
+    n = len(M)
+    coeffs = [Fraction(1)]
+    A = [row[:] for row in M]
+    for k in range(1, n + 1):
+        ck = -sum(A[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k == n:
+            break
+        for i in range(n):
+            A[i][i] += ck
+        A = [
+            [sum(M[i][t] * A[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return tuple(coeffs)
+
+
+def _root_multiplicity(coeffs, root: Fraction):
+    """Multiplicity of a rational root by repeated synthetic division."""
+    coeffs = list(coeffs)
+    mult = 0
+    while len(coeffs) > 1:
+        out = [coeffs[0]]
+        for c in coeffs[1:]:
+            out.append(c + root * out[-1])
+        if out[-1] != 0:
+            break
+        coeffs = out[:-1]
+        mult += 1
+    return mult, coeffs
+
+
+def _inertia(M):
+    """Sylvester inertia of a symmetric rational matrix by congruence
+    elimination with symmetric pivoting."""
+    M = [[Fraction(x) for x in row] for row in M]
+    n = len(M)
+    pos = neg = zero = 0
+    k = 0
+    while k < n:
+        pivot = next((i for i in range(k, n) if M[i][i] != 0), None)
+        if pivot is None:
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j] != 0),
+                None,
+            )
+            if off is None:
+                zero += n - k
+                break
+            i, j = off
+            # symmetric congruence: push the off-diagonal onto the diagonal
+            for c in range(n):
+                M[i][c] += M[j][c]
+            for r in range(n):
+                M[r][i] += M[r][j]
+            pivot = i
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
+            for r in range(n):
+                M[r][k], M[r][pivot] = M[r][pivot], M[r][k]
+        d = M[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = M[i][k] / d
+            if f:
+                for c in range(k, n):
+                    M[i][c] -= f * M[k][c]
+        for j in range(k + 1, n):
+            M[k][j] = Fraction(0)
+            M[j][k] = Fraction(0)
+        k += 1
+    return pos, neg, zero
+
+
+def _char_poly_signature(p: int):
+    coeffs = gram_char_poly(p)
+    m_plus, rest = _root_multiplicity(coeffs, Fraction(1))
+    m_minus, rest = _root_multiplicity(rest, Fraction(-1))
+    m_zero, rest = _root_multiplicity(rest, Fraction(0))
+    assert len(rest) == 1, "Gram spectrum is not supported on {1, -1, 0}"
+    return m_plus, m_minus, m_zero
 
 
 def test_gram_matrix_shape(ctx):
@@ -173,9 +274,14 @@ def test_gram_matrix_shape(ctx):
     assert all(sq[i][j] == (1 if i == j else 0) for i in range(p) for j in range(p))
 
 
-def test_gram_signature(ctx):
-    sig = gram_signature(ctx)
-    assert (sig.n_plus, sig.n_minus, sig.n_zero) == ((ctx.p + 1) // 2, (ctx.p - 1) // 2, 0)
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gram_signature(p):
+    sig = gram_signature(p)
+    got = (sig.n_plus, sig.n_minus, sig.n_zero)
+    assert got == ((p + 1) // 2, (p - 1) // 2, 0)
+    assert got == _char_poly_signature(p)
+    assert got == _inertia(gram_matrix(p))
+    assert gram_signature(FieldContext(p)) == sig
 
 
 def test_gram_char_poly_pinned():
@@ -187,6 +293,117 @@ def test_inertia_helper():
     assert _inertia([[2, 0, 0], [0, -3, 0], [0, 0, 0]]) == (1, 1, 1)
     # zero diagonal, handled by the congruence push
     assert _inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+
+
+# Reference: the mechanical adjoint.  A monomial's action is a word of atoms;
+# its adjoint reverses the word, conjugates the scalars, flips the derivative
+# sign and conjugates each cyclic atom through the Gram matrix as p x p
+# matrices, A -> G^-1 conj(A)^T G.
+
+
+def _gram_conjugate(ctx, N):
+    p = ctx.p
+    return [
+        [N[(-j) % p][(-i) % p].conjugate() for j in range(p)] for i in range(p)
+    ]
+
+
+def _tshift_matrix(ctx, tau: int):
+    p = ctx.p
+    one, zero = ctx.one(), ctx.zero()
+    return [[one if i == (j + tau) % p else zero for j in range(p)] for i in range(p)]
+
+
+def _tdiag_matrix(ctx, e: int):
+    p = ctx.p
+    zero = ctx.zero()
+    return [[ctx.q(e * j) if i == j else zero for j in range(p)] for i in range(p)]
+
+
+def _apply_t_matrix(ctx, M, state):
+    """state: {(mu, j): coeff} -> matrix acting on the cyclic index."""
+    p = ctx.p
+    out = {}
+    for (mu, j), c in state.items():
+        for i in range(p):
+            v = M[i][j]
+            if v:
+                _accumulate(out, (mu, i), c * v)
+    return out
+
+
+def _monomial_word(rep, mono):
+    """The atomic word of one monomial action, in application order."""
+    n, m, k, t, s, l = mono
+    ctx = rep.ctx
+    p = ctx.p
+    word = []
+    if l:
+        word.append(("scalar", (ctx.i() * Fraction(rep.h)) ** l))
+        word.append(("ddx", l))
+    if s:
+        word.append(("scalar", ctx.from_fraction(Fraction(-ctx.r) ** s)))
+        word.append(("xshift", Fraction(-s)))
+    if t:
+        word.append(("scalar", ctx.from_fraction(Fraction(-ctx.r) ** t)))
+        word.append(("xshift", Fraction(t)))
+    if k:
+        word.append(("tdiag", k % p))
+    if m:
+        word.append(("scalar", (-ctx.c_hat(1)) ** m))
+        word.append(("xshift", Fraction(-m, p)))
+        word.append(("tshift", (-m) % p))
+    if n:
+        word.append(("scalar", (-ctx.c_hat(1)) ** n))
+        word.append(("xshift", Fraction(n, p)))
+        word.append(("tshift", n % p))
+    return word
+
+
+def _apply_adjoint_word(rep, word, v):
+    ctx = rep.ctx
+    state = {(v.mu, v.j): ctx.one()}
+    for kind, arg in reversed(word):
+        if kind == "scalar":
+            state = {key: c * arg.conjugate() for key, c in state.items()}
+        elif kind == "ddx":
+            out = {}
+            for (mu, j), c in state.items():
+                val = c * ((-mu) ** arg)
+                if val:
+                    out[(mu, j)] = val
+            state = out
+        elif kind == "xshift":
+            state = {(mu + arg, j): c for (mu, j), c in state.items()}
+        elif kind == "tshift":
+            M = _gram_conjugate(ctx, _tshift_matrix(ctx, arg))
+            state = _apply_t_matrix(ctx, M, state)
+        elif kind == "tdiag":
+            M = _gram_conjugate(ctx, _tdiag_matrix(ctx, arg))
+            state = _apply_t_matrix(ctx, M, state)
+        else:
+            raise ValueError(kind)
+    return {BasisVector(mu, j): c for (mu, j), c in state.items()}
+
+
+def test_adjoint_matches_word_gram_route(ctx):
+    # the key map of the star against the mechanical adjoint, on the suite's
+    # monomials and 3p probe vectors
+    rep = PiRepresentation(ctx)
+    p = ctx.p
+    probe_vectors = [rep.vector(Fraction(b, p), j) for b in (-1, 0, 2) for j in range(p)]
+    for mono in _ADJOINT_MONOS:
+        adj = rep.operator(rep.ualg.monomial(*mono)).adjoint()
+        word = _monomial_word(rep, mono)
+        for v in probe_vectors:
+            assert _apply_adjoint_word(rep, word, v) == adj.apply(v), (mono, v)
+
+
+def test_gram_conjugation_fixes_the_cyclic_atoms(ctx):
+    # G^-1 A^+ G = A for the shift and the diagonal: the key map needs no matrix
+    for a in range(ctx.p):
+        for M in (_tshift_matrix(ctx, a), _tdiag_matrix(ctx, a)):
+            assert _gram_conjugate(ctx, M) == M
 
 
 # -- sectors and irreducibility -----------------------------------------------------
@@ -204,6 +421,7 @@ def test_sector_certificate(ctx):
     rng = random.Random(ctx.p)
     ops = [rep.operator(random_u_element(rep.ualg, rng, degree=3)) for _ in range(4)]
     assert sector_certificate(rep, ops) == (True, True)
+    assert sectors_inequivalent(rep)
     off = PiOperator(rep.pialg, {(Fraction(1, ctx.p), 2, 0, 0): ctx.one()})
     assert sector_certificate(rep, [*ops, off]) == (False, True)
 
@@ -223,6 +441,13 @@ def test_sector_certificate_rejects_constant_boost(ctx3):
     # H without its mu factor (d = 0) acts by a constant: no distinct eigenvalues
     rep = _mutant(ctx3, "H", lambda t: {(s, tau, e, 0): c for (s, tau, e, d), c in t.items()})
     assert sector_certificate(rep) == (True, False)
+
+
+def test_sectors_inequivalent_rejects_trivial_grading(ctx3):
+    # k on the key (0, 0, 0, 0) acts as the identity and no longer tells j mod p
+    rep = _mutant(ctx3, "k", lambda t: {(Fraction(0), 0, 0, 0): c for c in t.values()})
+    assert not sectors_inequivalent(rep)
+    assert sector_certificate(rep) == (True, True)
 
 
 def test_suite_fails_zero_raising_at_one_vector(ctx3, monkeypatch):
