@@ -23,19 +23,24 @@ lost, and reports the box's radius as the error bound, which the target
 check reads directly.
 
 The tilted contour integrals are the kernels' independent integral
-route: the Hankel cosh kernel on u(t) = t + i theta tanh(t),
+route: the Hankel cosh kernel on u(t) = t + i theta tanh(t), theta =
+0.35 pi,
 
     H1_nu(x) = exp(-i nu pi/2)/(pi i) * integral exp(i x cosh u + nu u) du,
 
-and its sinh companion on a constant tilt.  There the oscillation turns
-into double-exponential decay, and the integrand stays analytic and
-decaying in a strip |Im t| < a around the real axis, so the plain
-trapezoid rule converges geometrically.  One pass of nodes runs at a step
-fixed beforehand by the strip bound 2M/(exp(2 pi a/h) - 1) (Trefethen
-and Weideman 2014) and to a cutoff fixed by an analytic tail bound, and
-the returned error is the sum of three stated terms: discretisation,
-tail and rounding.  Both contours share that scaffold, run at phase +1
-only, and sum each trapezoid node pair +-t from one evaluation.
+and its sinh companion on the constant tilt theta = pi/2, where the
+integrand is the real exp(-x cosh t + nu t) times the constant
+exp(i nu pi/2) (DLMF 10.32.9).  There the oscillation turns into
+double-exponential decay, and the integrand stays analytic and decaying
+in a strip |Im t| < a around the real axis, so the plain trapezoid rule
+converges geometrically.  Each family states its tilt and strip next to
+its contour function.  One pass of nodes runs at a step fixed beforehand
+by the strip bound 2M/(exp(2 pi a/h) - 1) (Trefethen and Weideman 2014)
+and to a cutoff fixed by an analytic tail bound, and the returned error
+is the sum of three stated terms: discretisation, tail and rounding.
+Both contours share that engine, run at phase +1 only, and sum each
+trapezoid node pair +-t from one evaluation, which the engine hands
+exp(kh) and exp(|nu| kh), each one multiplication from the node before.
 """
 
 from __future__ import annotations
@@ -58,9 +63,6 @@ KINDS = ("K", "H1", "H2")
 # orders are kept inside the open interval (-2, 2); the artifact never
 # needs more and the series bookkeeping below assumes it
 ORDER_LIMIT = 2
-
-# the tilt theta of both tilted contours, in units of pi
-_TILT = 0.25
 
 
 class PrecisionError(ArithmeticError):
@@ -124,15 +126,14 @@ class ComplexValue:
 #   tail            h * sum_{|k| > N} |f(kh)|, at most the integral of a
 #                   falling envelope of |f| beyond the cutoff T = Nh;
 #   rounding        the working precision's unit times h * sum |f| over the
-#                   nodes taken, scaled by the summation's length and by
-#                   each node's sensitivity to the rounding of t and of the
-#                   phase, |f'/f| <= 2*(x cosh t + 3).
+#                   nodes taken, scaled by the summation's length, by the
+#                   k-fold products that form node k's exponentials, and by
+#                   each node's sensitivity to a shift of t and to the
+#                   rounding of its phase, |f'/f| <= du*(x cosh t + 3) with
+#                   |u'| <= du on the contour.
 #
 # The absolute target eps splits as eps/2 to the discretisation, which
 # sizes h, eps/4 to the tail, which sizes T, and the rest to rounding.
-
-# the strip half-width a of both contours, as a share of the tilt theta
-_STRIP = 0.9
 
 # widening of the bound terms, far above the rounding of the few
 # operations that compute them
@@ -172,7 +173,7 @@ def _tail_cutoff(decay_scale, growth, spread, start, share):
     return t
 
 
-def _trapezoid_rule(pair, strip, mass, cutoff, eps_abs):
+def _trapezoid_rule(pair, growth, strip, mass, cutoff, eps_abs):
     """One pass of the full-line trapezoid rule h * sum_{|k| <= N} f(kh)
     for f analytic in the strip |Im t| < strip, where integral
     |f(t + iy)| dt <= mass: h is the widest step that divides the cutoff
@@ -184,24 +185,30 @@ def _trapezoid_rule(pair, strip, mass, cutoff, eps_abs):
     taken, and terms records the "cutoff" N*h, the "step" h, the
     "node_pairs" N + 1, the "strip" and the "discretisation" term.
 
-    The integrand arrives as its node pair, pair(t) = (f(t), f(-t)) for
-    t >= 0, so the rule sums f(0) + sum_{k=1..N} (f(kh) + f(-kh)): the
-    full-line rule's nodes and sums, with one pair evaluation per two
-    nodes."""
+    The integrand arrives as its node pair: pair(t, e, g) at t = kh >= 0
+    returns f(t) + f(-t) and a bound on |f(t)| + |f(-t)|, where e = exp(t)
+    and g = exp(growth*t) are each one multiplication from the node
+    before, so a node costs no exp of the engine's own.  The rule sums
+    f(0) + sum_{k=1..N} (f(kh) + f(-kh)): the full-line rule's nodes and
+    sums, with one pair evaluation per two nodes."""
     n = int(mp.ceil(cutoff * mp.log1p(2 * mass / eps_abs) / (2 * mp.pi * strip)))
     step = cutoff / n
     cutoff = n * step
-    first, last = pair(mp.mpf(0)), pair(cutoff)
-    if not max(abs(v) for v in last) < abs(first[0]) * mp.mpf("1e-6") + eps_abs:
-        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
-
-    # the t = 0 pair is the one node f(0) = f(-0); |re| + |im| >= |z|
-    total = (first[0] + first[1]) / 2
-    size = abs(first[0].real) + abs(first[0].imag)
+    e_step, g_step = mp.exp(step), mp.exp(growth * step)
+    e = g = mp.mpf(1)
+    # the t = 0 pair is the one node f(0) = f(-0), counted twice
+    total, size = pair(mp.mpf(0), e, g)
+    total, size = total / 2, size / 2
+    head = size
     for k in range(1, n + 1):
-        plus, minus = pair(k * step) if k < n else last
-        total += plus + minus
-        size += abs(plus.real) + abs(plus.imag) + abs(minus.real) + abs(minus.imag)
+        e *= e_step
+        g *= g_step
+        value, bound = pair(k * step, e, g)
+        total += value
+        size += bound
+    # the last pair, at the cutoff, must have fallen far below the first
+    if not bound < head * mp.mpf("2e-6") + eps_abs:
+        raise ArithmeticError("tilted integrand fails to decay at the cutoff")
     terms = {
         "cutoff": cutoff,
         "step": step,
@@ -212,9 +219,9 @@ def _trapezoid_rule(pair, strip, mass, cutoff, eps_abs):
     return total * step, size * step, terms
 
 
-def _tilted_quadrature(pair, bounds, eps_abs):
+def _tilted_quadrature(pair, bounds, strip, eps_abs):
     """integral of f over the real line for an analytic integrand on a
-    tilted contour: `_trapezoid_rule` in the strip |Im t| < _STRIP*theta,
+    tilted contour: `_trapezoid_rule` in the strip |Im t| < strip,
     truncated at the shortest cutoff whose tails stay within eps_abs/4,
     with the discretisation term held within eps_abs/2.  Returns (value,
     error_bound, terms); the bound is the sum of terms' "discretisation",
@@ -222,30 +229,37 @@ def _tilted_quadrature(pair, bounds, eps_abs):
     cutoff, step, node pairs and strip.  Raises ArithmeticError if f
     fails to decay at the cutoff.
 
-    bounds = (arg, decay_scale, growth, spread, start, mass) states what
-    is known of f: the phase scale arg, so |f'/f| <= 2*(arg*cosh t + 3);
-    the envelope |f(t)| <= spread*exp(-decay_scale*cosh t + growth*|t|)
-    for |t| >= start; and integral |f(t + iy)| dt <= mass in the strip."""
-    arg, decay_scale, growth, spread, start, mass = bounds
+    bounds = (arg, du, decay_scale, growth, spread, start, mass) states
+    what is known of f: |f'/f| <= du*(arg*cosh t + 3); the envelope
+    |f(t)| <= spread*exp(-decay_scale*cosh t + growth*|t|) for
+    |t| >= start; and integral |f(t + iy)| dt <= mass in the strip."""
+    arg, du, decay_scale, growth, spread, start, mass = bounds
     cutoff = _tail_cutoff(decay_scale, growth, spread, start, eps_abs / 4)
-    value, size, terms = _trapezoid_rule(
-        pair, _STRIP * _TILT * mp.pi, mass * _PAD, cutoff, eps_abs / 2
-    )
-    cutoff = terms["cutoff"]
-    # summation adds one unit per node; each node's rounding of t and of
-    # the phase moves it by |f'/f| times about (t + 8) units
-    sensitivity = 2 * terms["node_pairs"] + 2 * (cutoff + 8) * (arg * mp.cosh(cutoff) + 3)
+    value, size, terms = _trapezoid_rule(pair, growth, strip, mass * _PAD, cutoff, eps_abs / 2)
+    cutoff, n = terms["cutoff"], terms["node_pairs"] - 1
+    # units of rounding per node, relative to |f(t)| + |f(-t)|: one for the
+    # pair's own sum and one for the running sum; about 2k at node k for the
+    # k products behind e^(kh) and e^(growth*kh), which move the drift
+    # factors by that share and shift t by that much; and about 8 more of
+    # shift for the rounding of the phase, each shift weighted by |f'/f|
+    sensitivity = 2 * terms["node_pairs"] + 2 * n + (2 * n + 8) * du * (arg * mp.cosh(cutoff) + 3)
     terms["tail"] = 2 * spread * _PAD * _cosh_tail(decay_scale, growth, cutoff)
     terms["rounding"] = mp.eps * _PAD * sensitivity * size
     return value, terms["discretisation"] + terms["tail"] + terms["rounding"], terms
 
 
-def _cosh_sinh(t):
-    """(cosh t, sinh t) from the one transcendental exp(t)."""
-    e = mp.exp(t)
+def _cosh_sinh(e):
+    """(cosh t, sinh t) from e = exp(t)."""
     ch = (e + 1 / e) / 2
     return ch, e - ch
 
+
+# -- the cosh contour --
+
+# the tilt theta of the cosh contour, in units of pi, and the half-width
+# of its strip as a share of theta
+_COSH_TILT = 0.35
+_COSH_STRIP = 0.9
 
 # the cosh contour's strip geometry is enclosed on cells of this width in
 # Re t out to _FAR, and by one closed form beyond
@@ -256,43 +270,61 @@ _FAR = 3
 @functools.cache
 def _cosh_strip_cells():
     """The geometry of the cosh contour u(t) = t + i*theta*tanh(t) over
-    the strip t = s + iy, |y| <= a = _STRIP*theta, which depends on
+    the strip t = s + iy, |y| <= a = _COSH_STRIP*theta, which depends on
     neither the argument nor the drift.
 
-    With tanh t = (sinh 2s + i sin 2y)/(cosh 2s + cos 2y), cos 2y > 0:
-    Re u = s - theta*Im tanh t lies within delta = theta*sin 2a/(cosh 2s
-    + cos 2a) of s; Im u = y + theta*Re tanh t lies in
-    [theta*tanh s - a, a + theta*sinh 2s/(cosh 2s + cos 2a)], inside
-    (-pi/2, pi/2); and |u'| = |1 + i*theta*sech^2 t| <= 1 + 2*theta/(cosh
-    2s + cos 2y).  |exp(i*x*cosh u)| = exp(-x*G), G = sinh(Re u)*sin(Im u).
+    With tanh t = (sinh 2s + i sin 2y)/(cosh 2s + cos 2y) and a > pi/4,
+    so that c = cos 2a < 0, cosh 2s + cos 2y >= cosh 2s + c > 0.  On
+    s >= 0:
+    - Re u = s - theta*Im tanh t lies within delta = theta/(cosh 2s + c)
+      of s, as sin 2y peaks at 1 inside the strip;
+    - Im u = y + theta*Re tanh t lies in [theta*tanh s - a, a +
+      theta*r(s)], r(s) = sinh 2s/(cosh 2s + c), which peaks inside at
+      cosh 2s = -1/c, at 1/sin 2a; that range stays inside (-pi/2,
+      3pi/2), so sin(Im u) reaches 1 where it holds pi/2, and otherwise
+      lies between its values at the ends;
+    - |u'| = |1 + i*theta*sech^2 t| <= 1 + 2*theta/(cosh 2s + c).
+    |exp(i*x*cosh u)| = exp(-x*G), G = sinh(Re u)*sin(Im u), whose least
+    value on a cell is the interval product of the two ranges, as
+    sinh(Re u) changes sign on the first cells.
 
     Returns (cells, far): per cell [s0, s0 + _CELL] of s >= 0, the tuple
     (least G, least Re u, greatest Re u, greatest |u'|); and for s >= _FAR
-    the tuple (delta, sigma, greatest |u'|) with G >= sigma*sinh(s - delta).
+    the tuple (delta, sigma, greatest |u'|) with G >= sigma*sinh(s - delta),
+    sigma the smaller of sin(Im u) at the two ends of its range there.
     u(-t) = -u(t) mirrors both to s <= 0 with Re u negated.  Computed
     once, at 53 bits, and widened by 2^-40 over that rounding."""
     slack = mp.mpf(2) ** -40
     with mp.workprec(53):
-        theta = _TILT * mp.pi
-        a = _STRIP * theta
-        c2a, s2a = mp.cos_sin(2 * a)
+        theta = _COSH_TILT * mp.pi
+        a = _COSH_STRIP * theta
+        c = mp.cos(2 * a)
+        peak = mp.acosh(-1 / c) / 2
+
+        def im_range(lo, hi):
+            # Im u over s in [lo, hi]; r(s) rises to `peak` and falls after
+            top = min(max(peak, lo), hi)
+            return theta * mp.tanh(lo) - a, a + theta * mp.sinh(2 * top) / (mp.cosh(2 * top) + c)
+
+        def sin_range(lo, hi):
+            ends = mp.sin(lo), mp.sin(hi)
+            return min(ends), 1 if lo <= mp.pi / 2 <= hi else max(ends)
+
         cells = []
         for j in range(int(_FAR / _CELL)):
             lo, hi = j * _CELL, (j + 1) * _CELL
-            den = mp.cosh(2 * lo) + c2a
-            delta = theta * s2a / den
+            den = mp.cosh(2 * lo) + c
+            delta = theta / den
             re_lo, re_hi = lo - delta, hi + delta
-            im_lo = theta * mp.tanh(lo) - a
-            im_hi = a + theta * mp.sinh(2 * hi) / (mp.cosh(2 * hi) + c2a)
             g_lo = min(
                 p * q
                 for p in (mp.sinh(re_lo), mp.sinh(re_hi))
-                for q in (mp.sin(im_lo), mp.sin(im_hi))
+                for q in sin_range(*im_range(lo, hi))
             )
             cells.append((g_lo - slack, re_lo - slack, re_hi + slack, 1 + 2 * theta / den + slack))
-        den = mp.cosh(2 * _FAR) + c2a
-        sigma = mp.sin(theta * mp.tanh(_FAR) - a) - slack
-        far = (theta * s2a / den + slack, sigma, 1 + 2 * theta / den + slack)
+        den = mp.cosh(2 * _FAR) + c
+        sigma = sin_range(*im_range(_FAR, max(peak, _FAR)))[0] - slack
+        far = (theta / den + slack, sigma, 1 + 2 * theta / den + slack)
     return tuple(cells), far
 
 
@@ -300,14 +332,14 @@ def _cosh_bounds(x, a):
     """The trapezoid bounds (see _tilted_quadrature) of the cosh contour
     integrand at argument x and drift a.
 
-    On the real line |f(t)| = exp(-x*sinh|t|*sin(theta*tanh|t|) + a*t)*|u'|;
-    past |t| = 2 the tilt is within 4% of theta, |u'| <= 1 + theta, and
-    sinh t >= cosh t - exp(-2) turns the decay into the cosh envelope.
+    On the real line |f(t)| = exp(-x*sinh|t|*sin(theta*tanh|t|) + a*t)*|u'|
+    and |u'| <= 1 + theta; past |t| = 2 the tilt is within 4% of theta,
+    and sinh t >= cosh t - exp(-2) turns the decay into the cosh envelope.
     In the strip, the enclosed geometry bounds sup_y |f(s + iy)| by
     exp(-x*G + |a|*|Re u|)*|u'| on each cell, and past _FAR by
     exp(-x*sigma*sinh(s - delta) + |a|*(s + delta))*|u'|, integrated as a
     cosh tail from v0 = _FAR - delta on after sinh v >= cosh v - exp(-v0)."""
-    theta = _TILT * mp.pi
+    theta = _COSH_TILT * mp.pi
     b = abs(a)
     cells, (delta, sigma, du) = _cosh_strip_cells()
     mass = 0
@@ -319,7 +351,55 @@ def _cosh_bounds(x, a):
     for drift in (b, -b):
         mass += du * mp.exp(2 * b * delta + c * mp.exp(-start)) * _cosh_tail(c, drift, start)
     decay = x * mp.sin(theta * mp.tanh(2))
-    return x, decay, b, (1 + theta) * mp.exp(decay * mp.exp(-2)), 2, mass
+    return x, 1 + theta, decay, b, (1 + theta) * mp.exp(decay * mp.exp(-2)), 2, mass
+
+
+def _contour_cosh_integral(arg, drift, eps_abs):
+    """integral exp(i*arg*cosh u + drift*u) du on the tilted contour
+    u(t) = t + i*theta*tanh(t), theta = _COSH_TILT*pi.
+
+    The tilt turns the oscillation into exp(-arg*sin(theta tanh t)*|sinh t|)
+    decay; the opposite tilt would make the same factor grow.  Returns
+    (value, error_bound, terms), terms with the tilt "theta"; see
+    _tilted_quadrature and _cosh_bounds.
+
+    u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair is
+    exp(i*arg*cosh u)*du times 2*cosh(drift*u), which is even in the drift,
+    and |exp(+-drift*u)| = exp(+-drift*t)."""
+    x = mp.mpf(arg)
+    a = mp.mpf(drift)
+    b = abs(a)
+    theta = _COSH_TILT * mp.pi
+
+    def pair(t, e, g):
+        ch, sh = _cosh_sinh(e)
+        phi = theta * sh / ch  # Im u
+        c_phi, s_phi = mp.cos_sin(phi)
+        # exp(i*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
+        # and du = 1 + i*d, d = theta/ch^2
+        mag = mp.exp(-x * sh * s_phi)
+        c, s = mp.cos_sin(x * ch * c_phi)
+        d = theta / (ch * ch)
+        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, d)
+        # 2*cosh(drift*u) = (g + 1/g)*cos(b*phi) + i*(g - 1/g)*sin(b*phi),
+        # g = exp(b*t), b = |drift|
+        inv = 1 / g
+        both = g + inv
+        c_a, s_a = mp.cos_sin(b * phi)
+        return shared * mp.mpc(both * c_a, (g - inv) * s_a), mag * (1 + d) * both
+
+    strip = _COSH_STRIP * theta
+    value, bound, terms = _tilted_quadrature(pair, _cosh_bounds(x, a), strip, eps_abs)
+    terms["theta"] = theta
+    return value, bound, terms
+
+
+# -- the sinh contour --
+
+# the tilt theta of the sinh contour, in units of pi, and the half-width
+# of its strip as a share of theta
+_SINH_TILT = 0.5
+_SINH_STRIP = 0.95
 
 
 def _sinh_bounds(x, a):
@@ -327,81 +407,40 @@ def _sinh_bounds(x, a):
     integrand at argument x and drift a.  At height y in the strip,
     |f(t + iy)| = exp(-x*sin(theta + y)*cosh t + a*t) exactly, and
     sin(theta + y) >= sin(theta - a_s), so mass bounds
-    2*K_a(x*sin(theta - a_s)), and y = 0 gives the envelope."""
-    theta = _TILT * mp.pi
-    z = x * mp.sin((1 - _STRIP) * theta)
-    return x, x * mp.sin(theta), abs(a), 1, 0, _cosh_tail(z, a, 0) + _cosh_tail(z, -a, 0)
-
-
-# -- the tilted contours --
-
-
-def _contour_cosh_integral(arg, drift, eps_abs):
-    """integral exp(i*arg*cosh u + drift*u) du on the tilted contour
-    u(t) = t + i*theta*tanh(t), theta = _TILT*pi.
-
-    The tilt turns the oscillation into exp(-arg*sin(theta tanh t)*|sinh t|)
-    decay; the opposite tilt would make the same factor grow.  Returns
-    (value, error_bound, terms); see _tilted_quadrature and _cosh_bounds.
-
-    u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair
-    shares exp(i*arg*cosh u)*du and differs only in the factor
-    exp(+-drift*u).
-    """
-    x = mp.mpf(arg)
-    a = mp.mpf(drift)
-    theta = _TILT * mp.pi
-
-    def pair(t):
-        ch, sh = _cosh_sinh(t)
-        phi = theta * sh / ch  # Im u
-        c_phi, s_phi = mp.cos_sin(phi)
-        # exp(i*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
-        # and du = 1 + i*theta/ch^2
-        mag = mp.exp(-x * sh * s_phi)
-        c, s = mp.cos_sin(x * ch * c_phi)
-        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, theta / (ch * ch))
-        # exp(+-drift*u) = exp(+-a*t) * (cos(a*phi) +- i*sin(a*phi))
-        grow = mp.exp(a * t)
-        c_a, s_a = mp.cos_sin(a * phi)
-        return (
-            shared * mp.mpc(grow * c_a, grow * s_a),
-            shared * mp.mpc(c_a / grow, -s_a / grow),
-        )
-
-    return _tilted_quadrature(pair, _cosh_bounds(x, a), eps_abs)
+    2*K_a(x*sin(theta - a_s)), and y = 0 gives the envelope.  u' = 1."""
+    theta = _SINH_TILT * mp.pi
+    z = x * mp.sin((1 - _SINH_STRIP) * theta)
+    return x, 1, x * mp.sin(theta), abs(a), 1, 0, _cosh_tail(z, a, 0) + _cosh_tail(z, -a, 0)
 
 
 def _contour_sinh_integral(arg, drift, eps_abs):
     """integral exp(i*arg*sinh u + drift*u) du on the constant tilt
-    u = t + i*theta, theta = _TILT*pi.
+    u = t + i*theta, theta = _SINH_TILT*pi = pi/2.
 
-    The tilt makes the integrand decay like exp(-arg*sin(theta)*cosh t);
-    the opposite tilt would make it grow like exp(+arg*sin(theta)*cosh t).
-    Returns (value, error_bound, terms); see _tilted_quadrature and
-    _sinh_bounds.
+    There sinh u = i*cosh t, so the integrand is the real
+    exp(-arg*cosh t + drift*t) times the constant exp(i*drift*pi/2) (DLMF
+    10.32.9); the opposite tilt would make it grow like exp(+arg*cosh t).
+    Returns (value, error_bound, terms), terms with the tilt "theta"; see
+    _tilted_quadrature and _sinh_bounds.
 
-    sinh(u(-t)) = -conj(sinh u(t)), so the node pair shares the decay
-    exp(-arg*cosh(t)*sin(theta)) and the constant exp(i*drift*theta) of
-    the tilt, and takes conjugate phases exp(+-i*arg*sinh(t)*cos(theta))
-    with the drift factors exp(+-drift*t)."""
+    The node pair is the real exp(-arg*cosh t)*2*cosh(drift*t), and the
+    constant multiplies the sum once."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    theta = _TILT * mp.pi
-    c_psi, s_psi = mp.cos_sin(theta)
-    turn = mp.expj(a * theta)
+    theta = _SINH_TILT * mp.pi
 
-    def pair(t):
-        ch, sh = _cosh_sinh(t)
-        shared = turn * mp.exp(-x * ch * s_psi)
-        grow = mp.exp(a * t)
-        c, s = mp.cos_sin(x * sh * c_psi)
-        return (
-            shared * mp.mpc(grow * c, grow * s),
-            shared * mp.mpc(c / grow, -s / grow),
-        )
+    def pair(t, e, g):
+        ch, _ = _cosh_sinh(e)
+        value = mp.exp(-x * ch) * (g + 1 / g)
+        return value, value
 
-    return _tilted_quadrature(pair, _sinh_bounds(x, a), eps_abs)
+    strip = _SINH_STRIP * theta
+    value, _, terms = _tilted_quadrature(pair, _sinh_bounds(x, a), strip, eps_abs)
+    # exp(i*pi*drift/2) and the product with it round within 4 units of |value|
+    terms["rounding"] += 4 * mp.eps * _PAD * abs(value)
+    terms["theta"] = theta
+    bound = terms["discretisation"] + terms["tail"] + terms["rounding"]
+    return value * mp.expjpi(a * _SINH_TILT), bound, terms
 
 
 # -- the series on intervals --

@@ -49,9 +49,9 @@ from .bessel import (
     _contour_sinh_integral,
     _enclose,
     _exact,
+    _PAD,
     _series_boxes,
     _target,
-    _TILT,
 )
 from .duality import DualityContext
 from .report import NumericReport
@@ -215,15 +215,32 @@ _J_CACHE = {}
 _READ_KEYS = {"closed": set(), "integral": set()}
 
 
+def _target_scale(family, abar, x):
+    """The scale of the integral route's absolute target, rel_target/16
+    times this: exp(-x), as K decays, and for the cosh family at
+    |abar| >= 1/2 the larger (2*pi/x)^(1/2), a lower bound on the raw
+    value's modulus pi*|H1_abar(x)| (see _raw_boxes), shaded below its
+    rounding by _PAD."""
+    scale = mp.exp(-x)
+    if family == "cosh" and abs(abar) >= Fraction(1, 2):
+        scale = max(scale, mp.sqrt(2 * mp.pi / x) / _PAD)
+    return scale
+
+
 def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
     """Either route's raw value as boxes (real part, imaginary part) at
     iv.prec = bits, and its diagnostics: the cylinder function's series
     boxes, or the tilted-path integral plus or minus its certified
     quadrature bound, the sum of the discretisation, tail and rounding
-    terms, at absolute tolerance rel_target/16 * exp(-x), the integral
-    route's share of the target (K decays like exp(-x)).  The integral's
-    diagnostics add the cutoff, step, node pairs, strip and the three
-    terms.  A contour that fails the decay guard raises ArithmeticError,
+    terms, at absolute tolerance rel_target/16 * _target_scale, the integral
+    route's share of the target.  K decays like exp(-x).  The cosh
+    integral is pi*i*exp(i*abar*pi/2)*H1_abar(x), and for nu >= 1/2
+    x*|H_nu(x)|^2 is non-increasing with limit 2/pi (Watson, "A Treatise
+    on the Theory of Bessel Functions", 13.74), so with |H_-nu| = |H_nu|
+    its modulus is at least (2*pi/x)^(1/2) wherever |abar| >= 1/2.  The
+    integral's diagnostics add the tilt theta of its family, the cutoff,
+    step, node pairs, strip and the three terms.  A contour that fails
+    the decay guard raises ArithmeticError,
     and one without a finite bound PrecisionError.  H2 = conj(H1) and
     the phase -1 contour mirrors phase +1 (DLMF 10.11), so only s2 = +1
     is evaluated and s2 = -1 negates the imaginary box.  Each cache key
@@ -244,15 +261,15 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
             fn = _contour_cosh_integral if family == "cosh" else _contour_sinh_integral
             with mp.workprec(bits):
                 arg = mp.mpmathify(x)
-                raw, jerr, terms = fn(arg, mp.mpmathify(abar), rel_target / 16 * mp.exp(-arg))
+                eps_abs = rel_target / 16 * _target_scale(family, abar, arg)
+                raw, jerr, terms = fn(arg, mp.mpmathify(abar), eps_abs)
             if not mp.isfinite(jerr):
                 raise PrecisionError("tilted contour: no finite quadrature bound", achieved=mp.inf)
             disc = iv.mpf([-jerr, jerr])
             terms = {name: v if isinstance(v, int) else float(v) for name, v in terms.items()}
             _J_CACHE[key] = (disc + raw.real, disc + raw.imag, terms)
         re, im, terms = _J_CACHE[key]
-        diag = {"route": "integral", "family": family, "phase_sign": s2,
-                "theta": float(_TILT * mp.pi), **terms}
+        diag = {"route": "integral", "family": family, "phase_sign": s2, **terms}
     _READ_KEYS[mode].add(key)
     return re, (-im if s2 < 0 else im), diag
 

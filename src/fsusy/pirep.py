@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .afalg import AElement, _check_mu
 from .duality import DualityContext, determine_convention
 from .report import NumericReport, require_non_negative
-from .scalars import FieldContext, FieldScalar
+from .scalars import FieldContext, FieldScalar, is_odd_prime
 from .sparse import Element, SparseAlgebra, _accumulate
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
@@ -280,8 +280,11 @@ def gram_signature(ctx_or_p) -> SignatureResult:
     """Signature of the Gram form G_jk = [j + k = 0 mod p], the permutation
     matrix of the involution j -> -j, counted on its cycles: a fixed point
     t^j is a +1 eigenvector, and a transposition {j, -j} spans one +1
-    (t^j + t^-j) and one -1 (t^j - t^-j)."""
+    (t^j + t^-j) and one -1 (t^j - t^-j).  An int p that is not an odd
+    prime raises ValueError, as FieldContext does."""
     p = ctx_or_p if isinstance(ctx_or_p, int) else ctx_or_p.p
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     fixed = sum(1 for j in range(p) if (-j) % p == j)
     swaps = sum(1 for j in range(p) if j < (-j) % p)
     return SignatureResult(fixed + swaps, swaps, 0)

@@ -162,9 +162,9 @@ def test_trapezoid_engine_on_gaussian():
     # exp(-t^2) is entire and integral |exp(-(t + iy)^2)| dt = sqrt(pi)*exp(y^2),
     # so the strip bound's M is exact at every half-width; past the cutoff
     # the nodes weigh at most sqrt(pi)*erfc(11) < 2^-170 in all
-    def gauss(t):
+    def gauss(t, e, g):
         f = mp.exp(-t * t)
-        return f, f
+        return 2 * f, 2 * f
 
     with mp.workprec(200):
         target = mp.mpf(2) ** -120
@@ -173,7 +173,7 @@ def test_trapezoid_engine_on_gaussian():
         for strip in ("0.5", "2", "4", "8"):
             a = mp.mpf(strip)
             value, size, terms = bessel._trapezoid_rule(
-                gauss, a, mp.sqrt(mp.pi) * mp.exp(a * a), cutoff, target
+                gauss, 0, a, mp.sqrt(mp.pi) * mp.exp(a * a), cutoff, target
             )
             bound = terms["discretisation"]
             assert abs(value - mp.sqrt(mp.pi)) <= bound + tail + mp.mpf(2) ** -190, strip
@@ -260,7 +260,7 @@ def _full_line_rule(f, step, n, calls):
 
 
 def _reference_cosh(x, a, sgn):
-    theta = mp.pi / 4
+    theta = bessel._COSH_TILT * mp.pi
 
     def f(t):
         u = t + 1j * sgn * theta * mp.tanh(t)
@@ -271,7 +271,7 @@ def _reference_cosh(x, a, sgn):
 
 
 def _reference_sinh(x, a, sgn):
-    shift = 1j * sgn * mp.pi / 4
+    shift = 1j * sgn * bessel._SINH_TILT * mp.pi
 
     def f(t):
         u = t + shift
@@ -320,6 +320,42 @@ def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits)
                 assert got_err <= eps, case
                 assert len(pair_calls) == terms["node_pairs"], case
                 assert 2 * len(pair_calls) - 1 == len(ref_calls), case
+
+
+def test_cosh_strip_cells_enclose_the_strip():
+    # a dense sample of the strip |Im t| <= a at s >= 0 (u(-t) = -u(t)
+    # mirrors it), computed at 100 bits: each cell's enclosure holds G,
+    # Re u and |u'| of every sample in it, and the far tuple bounds s >= 3
+    cells, (delta, sigma, du_far) = bessel._cosh_strip_cells()
+    assert len(cells) * bessel._CELL == bessel._FAR
+    with mp.workprec(100):
+        theta = bessel._COSH_TILT * mp.pi
+        a = bessel._COSH_STRIP * theta
+        heights = [a * j / 24 for j in range(-24, 25)]
+
+        def geometry(s, y):
+            t = mp.mpc(s, y)
+            u = t + 1j * theta * mp.tanh(t)
+            return u, mp.sinh(u.real) * mp.sin(u.imag), abs(1 + 1j * theta / mp.cosh(t) ** 2)
+
+        for j, (g_lo, re_lo, re_hi, du) in enumerate(cells):
+            for i in range(5):
+                s = (j + mp.mpf(i) / 4) * bessel._CELL
+                for y in heights:
+                    u, g, d = geometry(s, y)
+                    case = (j, float(s), float(y))
+                    assert g >= g_lo, case
+                    assert re_lo <= u.real <= re_hi, case
+                    assert d <= du, case
+        for i in range(21):
+            s = bessel._FAR + mp.mpf(i) / 4
+            for y in heights:
+                u, g, d = geometry(s, y)
+                case = (float(s), float(y))
+                assert abs(u.real - s) <= delta, case
+                assert mp.sin(u.imag) >= sigma, case
+                assert g >= sigma * mp.sinh(s - delta), case
+                assert d <= du_far, case
 
 
 def _h_quadrature(order, arg, eps_abs):

@@ -413,9 +413,9 @@ def test_kernel_eval_both_routes_agree_within_their_errors(capsys, quad):
             _both_routes(
                 "(0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "(0.10931712273283368316980078571288170329"
-                " + 0.28121060145560038578641385956593796478j)",
-                "1.0913e-36",
+                "(0.10931712273283368316980078571288170516"
+                " + 0.28121060145560038578641385956593796337j)",
+                "6.7229e-36",
             ),
             id="kernel-eval-both-q1",
         ),
@@ -424,9 +424,9 @@ def test_kernel_eval_both_routes_agree_within_their_errors(capsys, quad):
             _both_routes(
                 "(0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "(0.036871578164220718308261465290757108528"
-                " - 0.023944682833020462074753576249924321336j)",
-                "1.6082e-34",
+                "(0.03687157816422071830826146529075710204"
+                " - 0.023944682833020462074753576249924318999j)",
+                "4.0689e-36",
             ),
             id="kernel-eval-both-q2",
         ),
@@ -435,9 +435,9 @@ def test_kernel_eval_both_routes_agree_within_their_errors(capsys, quad):
             _both_routes(
                 "(-0.10931712273283368316980078571288170359"
                 " + 0.28121060145560038578641385956593796467j)",
-                "(-0.10931712273283368316980078571288170329"
-                " + 0.28121060145560038578641385956593796478j)",
-                "1.0913e-36",
+                "(-0.10931712273283368316980078571288170516"
+                " + 0.28121060145560038578641385956593796337j)",
+                "6.7229e-36",
             ),
             id="kernel-eval-both-q3",
         ),
@@ -446,9 +446,9 @@ def test_kernel_eval_both_routes_agree_within_their_errors(capsys, quad):
             _both_routes(
                 "(-0.03687157816422071830826146529075710189"
                 " - 0.023944682833020462074753576249924318902j)",
-                "(-0.036871578164220718308261465290757108528"
-                " - 0.023944682833020462074753576249924321336j)",
-                "1.6082e-34",
+                "(-0.03687157816422071830826146529075710204"
+                " - 0.023944682833020462074753576249924318999j)",
+                "4.0689e-36",
             ),
             id="kernel-eval-both-q4",
         ),
@@ -471,7 +471,7 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "ad1393fbf2a19909116e466e189e6e21834e78bbf09f6b21e3dce21c1bdcd462"
+        == "c0a40dc958dd99f2a55947dfedc6e8353e8746cec9cdb5132492da478e6a3434"
     )
 
 

@@ -276,29 +276,50 @@ def test_boost_reflection_symmetry():
 
 
 def _tilted_pairs(x, a, sgn, tilt):
-    """Node pairs (f(t), f(-t)) of both contour integrands, written out
-    from their definitions with the tilt sign given separately."""
-    theta = mp.pi / 4
+    """Node pairs (f(t) + f(-t), |f(t)| + |f(-t)|) of both contour
+    integrands at each family's tilt, written out from their definitions
+    with the tilt sign given separately."""
 
-    def cosh_pair(t):
-        def f(t):
-            u = t + 1j * tilt * theta * mp.tanh(t)
-            du = 1 + 1j * tilt * theta / mp.cosh(t) ** 2
-            return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
+    def paired(f):
+        def pair(t, e, g):
+            plus, minus = f(t), f(-t)
+            return plus + minus, abs(plus) + abs(minus)
 
-        return f(t), f(-t)
+        return pair
 
-    def sinh_pair(t):
-        def f(t):
-            u = t + 1j * tilt * theta
-            return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
+    def cosh_f(t):
+        theta = bessel._COSH_TILT * mp.pi
+        u = t + 1j * tilt * theta * mp.tanh(t)
+        du = 1 + 1j * tilt * theta / mp.cosh(t) ** 2
+        return mp.exp(1j * sgn * x * mp.cosh(u) + a * u) * du
 
-        return f(t), f(-t)
+    def sinh_f(t):
+        u = t + 1j * tilt * bessel._SINH_TILT * mp.pi
+        return mp.exp(1j * sgn * x * mp.sinh(u) + a * u)
 
-    return {
-        "cosh": (cosh_pair, bessel._cosh_bounds(x, a)),
-        "sinh": (sinh_pair, bessel._sinh_bounds(x, a)),
+    strips = {
+        "cosh": bessel._COSH_STRIP * bessel._COSH_TILT * mp.pi,
+        "sinh": bessel._SINH_STRIP * bessel._SINH_TILT * mp.pi,
     }
+    return {
+        "cosh": (paired(cosh_f), bessel._cosh_bounds(x, a), strips["cosh"]),
+        "sinh": (paired(sinh_f), bessel._sinh_bounds(x, a), strips["sinh"]),
+    }
+
+
+@pytest.mark.parametrize("nu", ["0.5", "0.999", "1.7", "-0.5", "-0.999", "-1.7"])
+def test_hankel_floor_lies_below_the_raw_modulus(nu):
+    # the cosh contour's target is sized from |raw| = pi*|H1_nu(x)|, whose
+    # floor (2*pi/x)^(1/2) holds for |nu| >= 1/2; at nu = 1/2 it is exact
+    with mp.workprec(600):
+        for arg in ("0.05", "0.4", "2", "7", "12"):
+            x = mp.mpf(arg)
+            floor = kernels._target_scale("cosh", Fraction(nu), x)
+            assert floor >= mp.sqrt(2 * mp.pi / x) * (1 - mp.mpf(2) ** -29), arg
+            assert floor <= mp.pi * abs(mp.hankel1(mp.mpf(nu), x)), arg
+    # below |nu| = 1/2, and for the sinh family, the share stays exp(-x)
+    for family, order in (("cosh", Fraction(49, 100)), ("sinh", Fraction(3, 2))):
+        assert kernels._target_scale(family, order, mp.mpf(2)) == mp.exp(-2)
 
 
 def test_wrong_tilt_grows():
@@ -310,11 +331,11 @@ def test_wrong_tilt_grows():
         x, a, eps = mp.mpf(1), mp.mpf("0.3"), mp.mpf("1e-20")
         for family, sgn in itertools.product(("cosh", "sinh"), (1, -1)):
             case = f"{family} phase={sgn}"
-            pair, bounds = _tilted_pairs(x, a, sgn, -sgn)[family]
+            pair, bounds, strip = _tilted_pairs(x, a, sgn, -sgn)[family]
             with pytest.raises(ArithmeticError, match="decay"):
-                bessel._tilted_quadrature(pair, bounds, eps)
-            pair, bounds = _tilted_pairs(x, a, sgn, sgn)[family]
-            got, _, terms = bessel._tilted_quadrature(pair, bounds, eps)
+                bessel._tilted_quadrature(pair, bounds, strip, eps)
+            pair, bounds, strip = _tilted_pairs(x, a, sgn, sgn)[family]
+            got, _, terms = bessel._tilted_quadrature(pair, bounds, strip, eps)
             contour = getattr(bessel, f"_contour_{family}_integral")
             want, want_err, want_terms = contour(x, a, eps)
             if sgn < 0:
@@ -752,7 +773,9 @@ def test_deferred_action_matches_the_duality_route(ctx3):
 
 
 @pytest.mark.parametrize(
-    "quadrant, cutoff, node_pairs", [(1, 5.097920023905136, 90), (2, 5.059154615117215, 89)]
+    "quadrant, cutoff, node_pairs",
+    [(1, 4.860546429130532, 64), (2, 4.7112015774720835, 40)],
+    ids=["q1", "q2"],
 )
 def test_integral_cutoff_golden(quadrant, cutoff, node_pairs):
     params = KernelParams(p=3, s=0, nu="0.21", mu=0, r=1, precision="1e-30")

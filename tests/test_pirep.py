@@ -284,6 +284,12 @@ def test_gram_signature(p):
     assert gram_signature(FieldContext(p)) == sig
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4])
+def test_gram_signature_rejects_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        gram_signature(p)
+
+
 def test_gram_char_poly_pinned():
     # p=3: (x-1)^2 (x+1) = x^3 - x^2 - x + 1
     assert gram_char_poly(3) == (1, -1, -1, 1)
