@@ -13,8 +13,9 @@ and every input is enclosed, so the box around the result is a
 certified error bound that widens by itself where sin(nu pi) cancels
 near an integer order.  At real order and argument H2 = conj(H1) (DLMF
 10.11), so H2 is the exact conjugate of H1.  mpmath supplies only the
-arithmetic and elementary calls (power, gamma, log, sin, cos); its own
-Bessel implementations are never imported here.
+arithmetic and elementary calls (power, gamma, log, sin, cos, and the
+fixed-point exp and cos/sin basecases behind them); its own Bessel
+implementations are never imported here.
 
 One precision policy, `_certified`, turns a box into a value, for
 `bessel_eval` and for every kernel value: it sizes the working precision
@@ -41,16 +42,23 @@ is the sum of three stated terms: discretisation, tail and rounding.
 Both contours share that engine, run at phase +1 only, and sum each
 trapezoid node pair +-t from one evaluation, which the engine hands
 exp(kh) and exp(|nu| kh), each one multiplication from the node before.
+The nodes run below the mpf layer, on integers at the binary point
+w = mp.prec with mpmath's fixed-point exp and cos/sin basecases
+(Johansson, ARITH 2015), so the rounding term counts absolute units of
+2^-w; the sums are exact and become mpf once.  The set-up that fixes
+the step and cutoff runs in binary64 on logarithms, padded outward.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, pi_fixed
 
 __all__ = [
     "ComplexValue",
@@ -117,7 +125,14 @@ class ComplexValue:
 #
 # Both contours run the full-line trapezoid rule h * sum_{|k| <= N} f(kh)
 # in one pass, at a step and cutoff fixed before any node is evaluated.
-# Its error is the sum of three stated terms:
+# The set-up runs in binary64 and carries each exponential as its
+# logarithm, so nothing overflows or underflows at any target; each upper
+# bound it returns is widened by _PAD and each lower bound narrowed by it,
+# far above the rounding of the few hundred operations behind them.  The
+# nodes run in fixed point: integers at the binary point w = mp.prec, the
+# elementary functions from mpmath's fixed-point basecases with the guard
+# bits mpf_exp and mpf_cos_sin use, the sums exact, and one conversion to
+# mpf after the pass.  The error is the sum of three stated terms:
 #
 #   discretisation  2M/(exp(2 pi a/h) - 1), where f is analytic in the strip
 #                   |Im t| < a and integral |f(t + iy)| dt <= M there
@@ -125,37 +140,99 @@ class ComplexValue:
 #                   trapezoidal rule", SIAM Review 56 (2014), Thm 5.1);
 #   tail            h * sum_{|k| > N} |f(kh)|, at most the integral of a
 #                   falling envelope of |f| beyond the cutoff T = Nh;
-#   rounding        the working precision's unit times h * sum |f| over the
-#                   nodes taken, scaled by the summation's length, by the
-#                   k-fold products that form node k's exponentials, and by
-#                   each node's sensitivity to a shift of t and to the
-#                   rounding of its phase, |f'/f| <= du*(x cosh t + 3) with
-#                   |u'| <= du on the contour.
+#   rounding        absolute, in units of 2^-w, times h: per node pair, 2
+#                   units for its last truncation to the grid, and per
+#                   unit of |f(t)| + |f(-t)| at node k,
+#                   - 20 units for the pair's own arithmetic: under 1 per
+#                     truncation and at most 2 per basecase result;
+#                   - 4k units for the k products behind e^(growth*kh),
+#                     each under 4 with its factor's own rounding;
+#                   - 4k + 8 units of shift weighted by the phase
+#                     sensitivity |f'/f| <= du*(x cosh t + 3), |u'| <= du
+#                     on the contour: 4k from the products behind e^(kh),
+#                     which move t, and 8 from the rounding of the phase.
+#                   Terms of second order in 2^-w are far inside _PAD.
 #
 # The absolute target eps splits as eps/2 to the discretisation, which
 # sizes h, eps/4 to the tail, which sizes T, and the rest to rounding.
 
 # widening of the bound terms, far above the rounding of the few
 # operations that compute them
-_PAD = 1 + mp.mpf(2) ** -30
+_PAD = 1 + 2.0**-30
+_LOG_PAD = math.log1p(2.0**-30)
+_LOG2 = math.log(2)
+
+# guard bits of the fixed-point basecases, as mpf_exp and mpf_cos_sin
+# take them
+_EXP_GUARD = 14
+_COS_GUARD = 10
+
+
+def _log(value):
+    """log of a positive mpf in binary64, at any exponent."""
+    _, man, exp, _ = mp.mpf(value)._mpf_
+    return math.log(man) + exp * _LOG2
+
+
+def _log_add(*logs):
+    """log(sum(exp(v) for v in logs)) without overflow or underflow."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _dyadic(value):
+    """(m, s) with value = m * 2^-s exactly, s >= 0, for a value `_exact`
+    reads: so value * n rounds down to the integer m * n >> s."""
+    v = _exact(value)
+    return v.numerator, v.denominator.bit_length() - 1
+
+
+def _exp_fixed(y, w):
+    """exp(y * 2^-w) for an integer y as (m, q) with exp = m * 2^(q - w):
+    q = floor(y 2^-w / ln 2) and m in [2^w, 2^(w+1)] within 2 units of
+    2^w * exp of the rest, so m * 2^q carries a relative error of at most
+    2 units; a caller that shifts right by -q loses under one unit more,
+    and a value below one unit underflows to 0."""
+    wg = w + _EXP_GUARD
+    q, r = divmod(y << _EXP_GUARD, ln2_fixed(wg))
+    return exp_basecase(r, wg) >> _EXP_GUARD, q
+
+
+def _cos_sin_fixed(z, w):
+    """(cos, sin) of z * 2^-(w + _COS_GUARD) >= 0 as integers at w bits,
+    each within 2 units.  The argument is reduced by quadrants of pi/2
+    held to _COS_GUARD more bits, so quadrant q shifts it by at most
+    q * 2^-(2 _COS_GUARD) units: under a fifth of a unit for phases
+    below 2^18."""
+    wg = w + _COS_GUARD
+    q, r = divmod(z << _COS_GUARD, pi_fixed(wg + _COS_GUARD) >> 1)
+    c, s = cos_sin_basecase(r >> _COS_GUARD, wg)
+    q &= 3
+    if q:
+        c, s = ((-s, c), (-c, -s), (s, -c))[q - 1]
+    return c >> _COS_GUARD, s >> _COS_GUARD
 
 
 def _cosh_tail(c, b, start):
-    """Bound on integral_start^inf exp(-c cosh v + b v) dv, for c > 0 and
-    start >= 0.
+    """log of a bound on integral_start^inf exp(-c cosh v + b v) dv, for
+    c > 0 and start >= 0, in binary64 and widened by _PAD.
 
     Up to v1, where the exponent's slope c sinh v - b reaches 1,
     cosh v >= cosh(start) bounds the integrand by exp(-c cosh(start) + b v);
     from v1 on, convexity puts cosh v above its tangent line at v1."""
-    v1 = max(start, mp.asinh((b + 1) / c))
+    v1 = max(start, math.asinh((b + 1) / c))
+    far = b * v1 - c * math.cosh(v1) - math.log(c * math.sinh(v1) - b)
     width = v1 - start
-    head = mp.exp(b * start - c * mp.cosh(start)) * (mp.expm1(b * width) / b if b else width)
-    return head + mp.exp(b * v1 - c * mp.cosh(v1)) / (c * mp.sinh(v1) - b)
+    if not width:
+        return far + _LOG_PAD
+    rise = math.expm1(b * width) / b if b else width
+    return _log_add(b * start - c * math.cosh(start) + math.log(rise), far) + _LOG_PAD
 
 
-def _tail_cutoff(decay_scale, growth, spread, start, share):
+def _tail_cutoff(decay_scale, growth, log_spread, start, log_share):
     """The cutoff T >= start past which both tails of the envelope
-    spread*exp(-decay_scale*cosh t + growth*|t|) hold at most `share`.
+    exp(log_spread - decay_scale*cosh t + growth*|t|) hold at most
+    exp(log_share), in binary64.
 
     T also lies where the envelope falls with slope at least 1, so each
     node past T weighs less than the envelope's integral over the step
@@ -163,60 +240,97 @@ def _tail_cutoff(decay_scale, growth, spread, start, share):
     T = acosh((log(2*spread/share) + growth*T - log(slope))/decay_scale)
     settle on the edge to rounding; steps of 2^-10 T take up that rounding."""
     c, b = decay_scale, growth
-    t = start = max(start, mp.asinh((b + 1) / c))
-    log_target = mp.log(2 * spread * _PAD / share)
+    t = start = max(start, math.asinh((b + 1) / c))
+    log_target = _LOG2 + log_spread - log_share
     for _ in range(4):
-        inner = (log_target + b * t - mp.log(c * mp.sinh(t) - b)) / c
-        t = max(start, mp.acosh(max(1, inner)))
-    while 2 * spread * _PAD * _cosh_tail(c, b, t) > share:
+        inner = (log_target + b * t - math.log(c * math.sinh(t) - b)) / c
+        t = max(start, math.acosh(max(1, inner)))
+    while _LOG2 + log_spread + _cosh_tail(c, b, t) > log_share:
         t += t / 1024
     return t
 
 
-def _trapezoid_rule(pair, growth, strip, mass, cutoff, eps_abs):
+def _trapezoid_rule(pair, growth, strip, log_mass, cutoff, eps_abs, sensitivity):
     """One pass of the full-line trapezoid rule h * sum_{|k| <= N} f(kh)
-    for f analytic in the strip |Im t| < strip, where integral
-    |f(t + iy)| dt <= mass: h is the widest step that divides the cutoff
-    and keeps the discretisation term 2*mass/(exp(2*pi*strip/h) - 1)
-    within eps_abs.  Raises ArithmeticError if f fails to decay at the
-    cutoff (wrong tilt for the data).
+    at w = mp.prec fixed-point bits, for f analytic in the strip |Im t| <
+    strip, where integral |f(t + iy)| dt <= exp(log_mass): h is the widest
+    step on the grid 2^-w that divides the cutoff within a grid unit and
+    keeps the discretisation term 2*mass/(exp(2*pi*strip/h) - 1) within
+    eps_abs.  Raises ArithmeticError if f fails to decay at the cutoff
+    (wrong tilt for the data).
 
-    Returns (value, size, terms): size bounds h * sum |f| over the nodes
-    taken, and terms records the "cutoff" N*h, the "step" h, the
-    "node_pairs" N + 1, the "strip" and the "discretisation" term.
+    Returns (value, size, terms): size is h * sum of the node pairs'
+    bounds, over |f| at the nodes taken, and terms records the "cutoff"
+    N*h, the "step" h, the "node_pairs" N + 1, the "strip", the
+    "discretisation" term and the "rounding" term, for an integrand with
+    |f'/f| <= du*(arg*cosh t + 3), sensitivity = (arg, du).
 
-    The integrand arrives as its node pair: pair(t, e, g) at t = kh >= 0
-    returns f(t) + f(-t) and a bound on |f(t)| + |f(-t)|, where e = exp(t)
-    and g = exp(growth*t) are each one multiplication from the node
-    before, so a node costs no exp of the engine's own.  The rule sums
-    f(0) + sum_{k=1..N} (f(kh) + f(-kh)): the full-line rule's nodes and
-    sums, with one pair evaluation per two nodes."""
-    n = int(mp.ceil(cutoff * mp.log1p(2 * mass / eps_abs) / (2 * mp.pi * strip)))
-    step = cutoff / n
-    cutoff = n * step
-    e_step, g_step = mp.exp(step), mp.exp(growth * step)
-    e = g = mp.mpf(1)
-    # the t = 0 pair is the one node f(0) = f(-0), counted twice
-    total, size = pair(mp.mpf(0), e, g)
-    total, size = total / 2, size / 2
-    head = size
+    The integrand arrives as its node pair, on integers at w bits:
+    pair(t, e, g) at t = kh >= 0 returns f(t) + f(-t) as (re, im) and an
+    upper bound on |f(t)| + |f(-t)|, where e = exp(t) and g =
+    exp(growth*t) are each one multiplication from the node before, so a
+    node costs no exp of the engine's own.  The rule sums f(0) +
+    sum_{k=1..N} (f(kh) + f(-kh)): the full-line rule's nodes and sums,
+    with one pair evaluation per two nodes."""
+    w = mp.mp.prec
+    ratio = _LOG2 + log_mass - _log(eps_abs)
+    # log1p(exp(ratio)), the log of 1 + 2*mass/eps_abs
+    log_1p = max(ratio, 0) + math.log1p(math.exp(-abs(ratio)))
+    n = math.ceil(cutoff * log_1p / (2 * math.pi * strip))
+    num, den = (cutoff / n).as_integer_ratio()
+    step = (num << w) // den
+    m, q = _exp_fixed(step, w)
+    e_step = m << q
+    num, shift = _dyadic(growth)
+    m, q = _exp_fixed(num * step >> shift, w)
+    g_step = m << q
+    one = e = g = 1 << w
+    re0, im0, head = pair(0, e, g)
+    re = im = 0
+    # the rounding's moments over the pairs' bounds: sum of bound, of
+    # k*bound, and of both again times e^t + 1 >= 2 cosh t
+    moments = [head, 0, 2 * head << w, 0]
+    bound = head
     for k in range(1, n + 1):
-        e *= e_step
-        g *= g_step
-        value, bound = pair(k * step, e, g)
-        total += value
-        size += bound
+        e = e * e_step >> w
+        g = g * g_step >> w
+        value, part, bound = pair(k * step, e, g)
+        re += value
+        im += part
+        weighted = bound * (e + one)
+        moments[0] += bound
+        moments[1] += k * bound
+        moments[2] += weighted
+        moments[3] += k * weighted
     # the last pair, at the cutoff, must have fallen far below the first
-    if not bound < head * mp.mpf("2e-6") + eps_abs:
+    if not bound < (head >> 1) // 500000 + int(mp.ldexp(eps_abs, w)):
         raise ArithmeticError("tilted integrand fails to decay at the cutoff")
+    # the t = 0 pair is the one node f(0) = f(-0), counted twice
+    scale = -2 * w - 1
+    value = mp.mpc(mp.ldexp((re0 + 2 * re) * step, scale), mp.ldexp((im0 + 2 * im) * step, scale))
+    h = mp.ldexp(step, -w)
+    z = 2 * math.pi * strip / float(h)
+    # log of expm1(z), the discretisation's denominator
+    log_den = z + math.log(-math.expm1(-z))
+    # units of 2^-w (see above): per unit of a pair's bound at node k,
+    # 20 + 4k for its arithmetic and growth products, and 4k + 8 of shift
+    # weighted by du*(arg*cosh t + 3); per node pair, its last truncation
+    arg, du = sensitivity
+    plain, ramp, weighted, weighted_ramp = moments
+    shifts = mp.mpf(4 * ramp + 8 * plain)
+    relative = mp.mpf(20 * plain + 4 * ramp) + du * (
+        3 * shifts + arg * mp.ldexp(4 * weighted_ramp + 8 * weighted, -w - 1)
+    )
+    units = mp.ldexp(relative, -w) + 2 * (n + 1)
     terms = {
-        "cutoff": cutoff,
-        "step": step,
+        "cutoff": n * h,
+        "step": h,
         "node_pairs": n + 1,
         "strip": strip,
-        "discretisation": 2 * mass / mp.expm1(2 * mp.pi * strip / step),
+        "discretisation": mp.exp(_LOG2 + log_mass - log_den + _LOG_PAD),
+        "rounding": mp.ldexp(_PAD * h * units, -w),
     }
-    return total * step, size * step, terms
+    return value, mp.ldexp((2 * plain - head) * step, scale), terms
 
 
 def _tilted_quadrature(pair, bounds, strip, eps_abs):
@@ -229,29 +343,21 @@ def _tilted_quadrature(pair, bounds, strip, eps_abs):
     cutoff, step, node pairs and strip.  Raises ArithmeticError if f
     fails to decay at the cutoff.
 
-    bounds = (arg, du, decay_scale, growth, spread, start, mass) states
-    what is known of f: |f'/f| <= du*(arg*cosh t + 3); the envelope
-    |f(t)| <= spread*exp(-decay_scale*cosh t + growth*|t|) for
-    |t| >= start; and integral |f(t + iy)| dt <= mass in the strip."""
-    arg, du, decay_scale, growth, spread, start, mass = bounds
-    cutoff = _tail_cutoff(decay_scale, growth, spread, start, eps_abs / 4)
-    value, size, terms = _trapezoid_rule(pair, growth, strip, mass * _PAD, cutoff, eps_abs / 2)
-    cutoff, n = terms["cutoff"], terms["node_pairs"] - 1
-    # units of rounding per node, relative to |f(t)| + |f(-t)|: one for the
-    # pair's own sum and one for the running sum; about 2k at node k for the
-    # k products behind e^(kh) and e^(growth*kh), which move the drift
-    # factors by that share and shift t by that much; and about 8 more of
-    # shift for the rounding of the phase, each shift weighted by |f'/f|
-    sensitivity = 2 * terms["node_pairs"] + 2 * n + (2 * n + 8) * du * (arg * mp.cosh(cutoff) + 3)
-    terms["tail"] = 2 * spread * _PAD * _cosh_tail(decay_scale, growth, cutoff)
-    terms["rounding"] = mp.eps * _PAD * sensitivity * size
+    bounds = (arg, du, decay_scale, growth, log_spread, start, log_mass)
+    states what is known of f, all in binary64 but the exact growth:
+    |f'/f| <= du*(arg*cosh t + 3); the envelope |f(t)| <=
+    exp(log_spread - decay_scale*cosh t + growth*|t|) for |t| >= start;
+    and integral |f(t + iy)| dt <= exp(log_mass) in the strip."""
+    arg, du, decay_scale, growth, log_spread, start, log_mass = bounds
+    b = float(growth)
+    share = _log(eps_abs) - 2 * _LOG2
+    cutoff = _tail_cutoff(decay_scale, b, log_spread, start, share)
+    value, _, terms = _trapezoid_rule(
+        pair, growth, strip, log_mass, cutoff, eps_abs / 2, (arg, du)
+    )
+    cutoff = float(terms["cutoff"])
+    terms["tail"] = mp.exp(_LOG2 + log_spread + _cosh_tail(decay_scale, b, cutoff))
     return value, terms["discretisation"] + terms["tail"] + terms["rounding"], terms
-
-
-def _cosh_sinh(e):
-    """(cosh t, sinh t) from e = exp(t)."""
-    ch = (e + 1 / e) / 2
-    return ch, e - ch
 
 
 # -- the cosh contour --
@@ -293,7 +399,8 @@ def _cosh_strip_cells():
     the tuple (delta, sigma, greatest |u'|) with G >= sigma*sinh(s - delta),
     sigma the smaller of sin(Im u) at the two ends of its range there.
     u(-t) = -u(t) mirrors both to s <= 0 with Re u negated.  Computed
-    once, at 53 bits, and widened by 2^-40 over that rounding."""
+    once, at 53 bits, widened by 2^-40 over that rounding, and returned
+    as the binary64 numbers they are."""
     slack = mp.mpf(2) ** -40
     with mp.workprec(53):
         theta = _COSH_TILT * mp.pi
@@ -325,12 +432,12 @@ def _cosh_strip_cells():
         den = mp.cosh(2 * _FAR) + c
         sigma = sin_range(*im_range(_FAR, max(peak, _FAR)))[0] - slack
         far = (theta / den + slack, sigma, 1 + 2 * theta / den + slack)
-    return tuple(cells), far
+    return tuple(tuple(map(float, cell)) for cell in cells), tuple(map(float, far))
 
 
 def _cosh_bounds(x, a):
     """The trapezoid bounds (see _tilted_quadrature) of the cosh contour
-    integrand at argument x and drift a.
+    integrand at argument x and drift a, in binary64.
 
     On the real line |f(t)| = exp(-x*sinh|t|*sin(theta*tanh|t|) + a*t)*|u'|
     and |u'| <= 1 + theta; past |t| = 2 the tilt is within 4% of theta,
@@ -339,19 +446,20 @@ def _cosh_bounds(x, a):
     exp(-x*G + |a|*|Re u|)*|u'| on each cell, and past _FAR by
     exp(-x*sigma*sinh(s - delta) + |a|*(s + delta))*|u'|, integrated as a
     cosh tail from v0 = _FAR - delta on after sinh v >= cosh v - exp(-v0)."""
-    theta = _COSH_TILT * mp.pi
-    b = abs(a)
+    theta = _COSH_TILT * math.pi
+    x, b = float(x), float(abs(a))
     cells, (delta, sigma, du) = _cosh_strip_cells()
-    mass = 0
+    logs = []
     for g_lo, re_lo, re_hi, d_hi in cells:
-        mass += d_hi * mp.exp(-x * g_lo) * (mp.exp(b * re_hi) + mp.exp(-b * re_lo))
-    mass *= _CELL
-    c = x * sigma
+        base = math.log(d_hi * _CELL) - x * g_lo
+        logs += (base + b * re_hi, base - b * re_lo)
+    c = x * sigma / _PAD
     start = _FAR - delta
     for drift in (b, -b):
-        mass += du * mp.exp(2 * b * delta + c * mp.exp(-start)) * _cosh_tail(c, drift, start)
-    decay = x * mp.sin(theta * mp.tanh(2))
-    return x, 1 + theta, decay, b, (1 + theta) * mp.exp(decay * mp.exp(-2)), 2, mass
+        logs.append(math.log(du) + 2 * b * delta + c * math.exp(-start) + _cosh_tail(c, drift, start))
+    decay = x * math.sin(theta * math.tanh(2))
+    log_spread = math.log(1 + theta) + decay * math.exp(-2) + _LOG_PAD
+    return x, 1 + theta, decay / _PAD, abs(a), log_spread, 2, _log_add(*logs) + _LOG_PAD
 
 
 def _contour_cosh_integral(arg, drift, eps_abs):
@@ -365,32 +473,48 @@ def _contour_cosh_integral(arg, drift, eps_abs):
 
     u(-t) = -u(t), so cosh u and du/dt are even in t: the node pair is
     exp(i*arg*cosh u)*du times 2*cosh(drift*u), which is even in the drift,
-    and |exp(+-drift*u)| = exp(+-drift*t)."""
+    and |exp(+-drift*u)| = exp(+-drift*t).  Its three phases, Im u =
+    theta*tanh t, |drift|*Im u and arg*cosh t*cos(Im u), are >= 0 on t >= 0."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    b = abs(a)
-    theta = _COSH_TILT * mp.pi
+    w = mp.mp.prec
+    wc = w + _COS_GUARD
+    square = 1 << 2 * w
+    one = 1 << w
+    mx, sx = _dyadic(x)
+    mb, sb = _dyadic(abs(a))
+    mt, st = _dyadic(_COSH_TILT)
+    tilt = mt * pi_fixed(wc) >> st  # theta at wc bits
 
     def pair(t, e, g):
-        ch, sh = _cosh_sinh(e)
-        phi = theta * sh / ch  # Im u
-        c_phi, s_phi = mp.cos_sin(phi)
-        # exp(i*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi
-        # and du = 1 + i*d, d = theta/ch^2
-        mag = mp.exp(-x * sh * s_phi)
-        c, s = mp.cos_sin(x * ch * c_phi)
-        d = theta / (ch * ch)
-        shared = mp.mpc(mag * c, mag * s) * mp.mpc(1, d)
+        inv = square // e
+        ch2, sh2 = e + inv, e - inv  # 2 cosh t, 2 sinh t
+        phi = tilt * sh2 // ch2  # Im u, at wc bits
+        c_phi, s_phi = _cos_sin_fixed(phi, w)
+        # exp(i*x*cosh u) * du, with cosh u = ch*c_phi + i*sh*s_phi and
+        # du = 1 + i*d, d = theta/ch^2; its modulus m*2^(q - w) <= 1
+        # keeps its scale 2^q apart until the last truncation
+        m, q = _exp_fixed(-(mx * sh2 * s_phi >> sx + w + 1), w)
+        c, s = _cos_sin_fixed(mx * ch2 * c_phi >> sx + w + 1 - _COS_GUARD, w)
+        d = (tilt << 2 * w + 2 - _COS_GUARD) // (ch2 * ch2)
+        re, im = m * c >> w, m * s >> w
+        re, im = re - (im * d >> w), im + (re * d >> w)
         # 2*cosh(drift*u) = (g + 1/g)*cos(b*phi) + i*(g - 1/g)*sin(b*phi),
         # g = exp(b*t), b = |drift|
-        inv = 1 / g
+        inv = square // g
         both = g + inv
-        c_a, s_a = mp.cos_sin(b * phi)
-        return shared * mp.mpc(both * c_a, (g - inv) * s_a), mag * (1 + d) * both
+        c_a, s_a = _cos_sin_fixed(mb * phi >> sb, w)
+        d_re, d_im = both * c_a >> w, (g - inv) * s_a >> w
+        shift = w - q
+        return (
+            re * d_re - im * d_im >> shift,
+            re * d_im + im * d_re >> shift,
+            (m * (one + d) >> w) * both >> shift,
+        )
 
-    strip = _COSH_STRIP * theta
+    strip = _COSH_STRIP * _COSH_TILT * math.pi
     value, bound, terms = _tilted_quadrature(pair, _cosh_bounds(x, a), strip, eps_abs)
-    terms["theta"] = theta
+    terms["theta"] = _COSH_TILT * mp.pi
     return value, bound, terms
 
 
@@ -404,13 +528,14 @@ _SINH_STRIP = 0.95
 
 def _sinh_bounds(x, a):
     """The trapezoid bounds (see _tilted_quadrature) of the sinh contour
-    integrand at argument x and drift a.  At height y in the strip,
-    |f(t + iy)| = exp(-x*sin(theta + y)*cosh t + a*t) exactly, and
+    integrand at argument x and drift a, in binary64.  At height y in the
+    strip, |f(t + iy)| = exp(-x*sin(theta + y)*cosh t + a*t) exactly, and
     sin(theta + y) >= sin(theta - a_s), so mass bounds
     2*K_a(x*sin(theta - a_s)), and y = 0 gives the envelope.  u' = 1."""
-    theta = _SINH_TILT * mp.pi
-    z = x * mp.sin((1 - _SINH_STRIP) * theta)
-    return x, 1, x * mp.sin(theta), abs(a), 1, 0, _cosh_tail(z, a, 0) + _cosh_tail(z, -a, 0)
+    x, b = float(x), float(a)
+    z = x * math.sin((1 - _SINH_STRIP) * _SINH_TILT * math.pi) / _PAD
+    log_mass = _log_add(_cosh_tail(z, b, 0), _cosh_tail(z, -b, 0)) + _LOG_PAD
+    return x, 1, x / _PAD, abs(a), 0.0, 0, log_mass
 
 
 def _contour_sinh_integral(arg, drift, eps_abs):
@@ -427,18 +552,21 @@ def _contour_sinh_integral(arg, drift, eps_abs):
     constant multiplies the sum once."""
     x = mp.mpf(arg)
     a = mp.mpf(drift)
-    theta = _SINH_TILT * mp.pi
+    w = mp.mp.prec
+    square = 1 << 2 * w
+    mx, sx = _dyadic(x)
 
     def pair(t, e, g):
-        ch, _ = _cosh_sinh(e)
-        value = mp.exp(-x * ch) * (g + 1 / g)
-        return value, value
+        # exp(-x*cosh t) = m*2^(q - w), scaled after the product
+        m, q = _exp_fixed(-(mx * (e + square // e) >> sx + 1), w)
+        value = m * (g + square // g) >> w - q
+        return value, 0, value
 
-    strip = _SINH_STRIP * theta
+    strip = _SINH_STRIP * _SINH_TILT * math.pi
     value, _, terms = _tilted_quadrature(pair, _sinh_bounds(x, a), strip, eps_abs)
     # exp(i*pi*drift/2) and the product with it round within 4 units of |value|
     terms["rounding"] += 4 * mp.eps * _PAD * abs(value)
-    terms["theta"] = theta
+    terms["theta"] = _SINH_TILT * mp.pi
     bound = terms["discretisation"] + terms["tail"] + terms["rounding"]
     return value * mp.expjpi(a * _SINH_TILT), bound, terms
 

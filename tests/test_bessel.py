@@ -6,6 +6,7 @@ numerical oracles; mpmath's own Bessel implementations appear only in
 this file, as an extra independent referee for the in-repo routes.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -161,19 +162,20 @@ def test_precision_error_carries_achieved_bound(monkeypatch):
 def test_trapezoid_engine_on_gaussian():
     # exp(-t^2) is entire and integral |exp(-(t + iy)^2)| dt = sqrt(pi)*exp(y^2),
     # so the strip bound's M is exact at every half-width; past the cutoff
-    # the nodes weigh at most sqrt(pi)*erfc(11) < 2^-170 in all
+    # the nodes weigh at most sqrt(pi)*erfc(11) < 2^-170 in all.  The pair
+    # hands the engine 2f on its integers at w = 200 bits, rounded down
     def gauss(t, e, g):
-        f = mp.exp(-t * t)
-        return 2 * f, 2 * f
+        f = int(mp.ldexp(2 * mp.exp(-mp.ldexp(t, -200) ** 2), 200))
+        return f, 0, f
 
     with mp.workprec(200):
         target = mp.mpf(2) ** -120
         cutoff = mp.mpf(11)
         tail = mp.sqrt(mp.pi) * mp.erfc(cutoff)
-        for strip in ("0.5", "2", "4", "8"):
-            a = mp.mpf(strip)
+        for strip in (0.5, 2.0, 4.0, 8.0):
+            log_mass = math.log(math.pi) / 2 + strip * strip
             value, size, terms = bessel._trapezoid_rule(
-                gauss, 0, a, mp.sqrt(mp.pi) * mp.exp(a * a), cutoff, target
+                gauss, 0, strip, log_mass, 11.0, target, (0.0, 1.0)
             )
             bound = terms["discretisation"]
             assert abs(value - mp.sqrt(mp.pi)) <= bound + tail + mp.mpf(2) ** -190, strip
@@ -290,15 +292,18 @@ _CONTOURS = {
 @pytest.mark.parametrize("phase", [1, -1])
 @pytest.mark.parametrize("family", ["cosh", "sinh"])
 def test_paired_nodes_match_the_full_line_rule(monkeypatch, family, phase, bits):
-    # each pair evaluation takes cosh and sinh of its node once
+    # the engine evaluates each node pair once
     pair_calls = []
-    cosh_sinh = bessel._cosh_sinh
+    engine = bessel._trapezoid_rule
 
-    def counted(t):
-        pair_calls.append(t)
-        return cosh_sinh(t)
+    def counted(pair, *args):
+        def counting(t, e, g):
+            pair_calls.append(t)
+            return pair(t, e, g)
 
-    monkeypatch.setattr(bessel, "_cosh_sinh", counted)
+        return engine(counting, *args)
+
+    monkeypatch.setattr(bessel, "_trapezoid_rule", counted)
     paired, reference = _CONTOURS[family]
     with mp.workprec(bits):
         eps = mp.mpf(2) ** -(bits // 2)
@@ -419,6 +424,175 @@ def test_quadrature_bound_encloses_the_referee(family, arg, drift, target):
             want = mp.pi * 1j * mp.expjpi(a / 2) * mp.hankel1(a, x)
         assert abs(value - want) <= bound
     assert bound <= eps_abs
+
+
+def _referee(family, x, a):
+    """The contour integral's closed form at the ambient precision."""
+    if family == "sinh":
+        return 2 * mp.expjpi(a / 2) * mp.besselk(a, x)
+    return mp.pi * 1j * mp.expjpi(a / 2) * mp.hankel1(a, x)
+
+
+# -- the rounding term where it dominates --
+#
+# At a working precision this low, the rounding term is nearly all of the
+# bound, so the bound stands on the rounding count alone.  On the cosh
+# case the phase x*cosh u is about 10^3, so leaving the phase sensitivity
+# out of the count, or charging each node one unit, fails this.
+
+
+@pytest.mark.parametrize(
+    "family, arg, drift, bits", [("cosh", "1000", "0.3", 46), ("sinh", "0.05", "0.999", 40)]
+)
+def test_bound_encloses_the_referee_where_rounding_dominates(family, arg, drift, bits):
+    contour = getattr(bessel, f"_contour_{family}_integral")
+    with mp.workprec(bits):
+        value, bound, terms = contour(mp.mpf(arg), mp.mpf(drift), mp.mpf("1e-12"))
+        assert bound == terms["discretisation"] + terms["tail"] + terms["rounding"]
+        assert 2 * terms["rounding"] >= bound
+    with mp.workprec(600):
+        assert abs(value - _referee(family, mp.mpf(arg), mp.mpf(drift))) <= bound
+
+
+# -- the fixed-point elementary pieces --
+#
+# exp by ln 2 reduction and cos/sin by quadrants of pi/2, against mpmath
+# at 600 bits: each result within the 2 units the rounding term charges
+# a basecase, and an exp below one unit shifted out to 0.
+
+
+@pytest.mark.parametrize("w", [64, 96, 200, 512])
+def test_fixed_point_exp_matches_mpmath(w):
+    rng = random.Random(w)
+    with mp.workprec(600):
+        ln2 = mp.log(2)
+        # decays out past underflow, and the growths of the step products
+        args = [-rng.randrange((w + 16) << w) for _ in range(60)]
+        args += [rng.randrange(4 << w) for _ in range(20)] + [0, -(w << w)]
+        for y in args:
+            m, q = bessel._exp_fixed(y, w)
+            exact = mp.exp(mp.ldexp(y, -w))
+            assert q == mp.floor(mp.ldexp(y, -w) / ln2), y
+            assert abs(m - mp.ldexp(exact, w - q)) <= 2, y
+            if q < 0:
+                shifted = m >> -q
+                assert abs(shifted - mp.ldexp(exact, w)) <= 3, y
+                if exact < mp.ldexp(1, -w - 2):
+                    assert shifted == 0, y
+
+
+@pytest.mark.parametrize("w", [64, 96, 200, 512])
+def test_fixed_point_cos_sin_matches_mpmath(w):
+    rng = random.Random(w)
+    wc = w + bessel._COS_GUARD
+    with mp.workprec(600):
+        # phases up to 10^4, small ones, and the edges of the quadrants
+        phases = [rng.randrange(10**4 << wc) for _ in range(60)]
+        phases += [rng.randrange(1 << wc) for _ in range(10)]
+        for k in range(1, 9):
+            edge = int(mp.ldexp(k * mp.pi / 2, wc))
+            phases += [edge - 1, edge, edge + 1]
+        for z in phases:
+            c, s = bessel._cos_sin_fixed(z, w)
+            phi = mp.ldexp(z, -wc)
+            assert abs(c - mp.ldexp(mp.cos(phi), w)) <= 2, z
+            assert abs(s - mp.ldexp(mp.sin(phi), w)) <= 2, z
+
+
+# -- the binary64 set-up against the mpf formulas --
+#
+# The reference is the set-up as it ran in mpf, kept here at 256 bits.
+# The binary64 one must bound it from the safe side: mass, spread, tail
+# and cutoff no smaller, decay no larger, at every gate case, at the
+# extremes of the argument and drift, and at a target of 1e-400.
+
+_MPF_PAD = 1 + mp.mpf(2) ** -30
+
+
+def _cosh_tail_mpf(c, b, start):
+    v1 = max(start, mp.asinh((b + 1) / c))
+    width = v1 - start
+    head = mp.exp(b * start - c * mp.cosh(start)) * (mp.expm1(b * width) / b if b else width)
+    return head + mp.exp(b * v1 - c * mp.cosh(v1)) / (c * mp.sinh(v1) - b)
+
+
+def _tail_cutoff_mpf(decay_scale, growth, spread, start, share):
+    c, b = decay_scale, growth
+    t = start = max(start, mp.asinh((b + 1) / c))
+    log_target = mp.log(2 * spread * _MPF_PAD / share)
+    for _ in range(4):
+        inner = (log_target + b * t - mp.log(c * mp.sinh(t) - b)) / c
+        t = max(start, mp.acosh(max(1, inner)))
+    while 2 * spread * _MPF_PAD * _cosh_tail_mpf(c, b, t) > share:
+        t += t / 1024
+    return t
+
+
+def _cosh_bounds_mpf(x, a):
+    theta = bessel._COSH_TILT * mp.pi
+    b = abs(a)
+    cells, (delta, sigma, du) = bessel._cosh_strip_cells()
+    mass = 0
+    for g_lo, re_lo, re_hi, d_hi in cells:
+        mass += d_hi * mp.exp(-x * g_lo) * (mp.exp(b * re_hi) + mp.exp(-b * re_lo))
+    mass *= bessel._CELL
+    c = x * sigma
+    start = bessel._FAR - delta
+    for drift in (b, -b):
+        mass += du * mp.exp(2 * b * delta + c * mp.exp(-start)) * _cosh_tail_mpf(c, drift, start)
+    decay = x * mp.sin(theta * mp.tanh(2))
+    return decay, (1 + theta) * mp.exp(decay * mp.exp(-2)), 2, mass
+
+
+def _sinh_bounds_mpf(x, a):
+    theta = bessel._SINH_TILT * mp.pi
+    z = x * mp.sin((1 - bessel._SINH_STRIP) * theta)
+    return x * mp.sin(theta), 1, 0, _cosh_tail_mpf(z, a, 0) + _cosh_tail_mpf(z, -a, 0)
+
+
+_SETUP_CASES = _QUADRATURE_GATE + [
+    (family, arg, drift, target)
+    for family in ("cosh", "sinh")
+    for arg in ("1e-3", "60")
+    for drift in ("0", "-0.999", "0.999")
+    for target in ("1e-16", "1e-400")
+]
+
+
+@pytest.mark.parametrize("family, arg, drift, target", _SETUP_CASES)
+def test_binary64_setup_bounds_the_mpf_formulas(family, arg, drift, target):
+    new = getattr(bessel, f"_{family}_bounds")
+    old = _cosh_bounds_mpf if family == "cosh" else _sinh_bounds_mpf
+    with mp.workprec(256):
+        x, a = mp.mpf(arg), mp.mpf(drift)
+        eps_abs = mp.mpf(target) / 16 * mp.exp(-x)
+        _, _, decay, growth, log_spread, start, log_mass = new(x, a)
+        ref_decay, ref_spread, ref_start, ref_mass = old(x, a)
+        assert start == ref_start and growth == abs(a)
+        assert decay <= ref_decay
+        assert mp.exp(log_spread) >= ref_spread
+        assert mp.exp(log_mass) >= ref_mass
+        share = eps_abs / 4
+        b = float(growth)
+        cutoff = bessel._tail_cutoff(decay, b, log_spread, start, bessel._log(share))
+        assert math.isfinite(cutoff)
+        assert cutoff >= _tail_cutoff_mpf(ref_decay, abs(a), ref_spread, ref_start, share)
+        for t in (start, cutoff):
+            assert mp.exp(bessel._cosh_tail(decay, b, t)) >= _cosh_tail_mpf(mp.mpf(decay), b, t)
+
+
+def test_the_quadrature_reaches_a_target_of_1e_400():
+    # far below binary64's range: the set-up carries logarithms, and the
+    # bound still encloses the referee within the target
+    x, a, target = mp.mpf(2), mp.mpf("0.3"), mp.mpf("1e-400")
+    bits = bessel._working_bits(target, 2.0)
+    with mp.workprec(bits):
+        eps_abs = target / 16 * mp.exp(-x)
+        value, bound, terms = bessel._contour_sinh_integral(x, a, eps_abs)
+        assert bound == terms["discretisation"] + terms["tail"] + terms["rounding"]
+        assert 0 < bound <= eps_abs
+    with mp.workprec(bits + 64):
+        assert abs(value - _referee("sinh", x, a)) <= bound
 
 
 @pytest.mark.parametrize(

@@ -471,7 +471,7 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "c0a40dc958dd99f2a55947dfedc6e8353e8746cec9cdb5132492da478e6a3434"
+        == "8f01d8e81ae2bc717c4921ff620365a33f65093dea3657016204dc60f81f99b1"
     )
 
 
