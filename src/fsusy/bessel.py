@@ -4,9 +4,13 @@ The numeric layer needs the decaying Macdonald function K_nu and the two
 Hankel functions H1/H2 at real order and positive real argument.  Nothing
 here trusts a library implementation of them.
 
-`bessel_eval` returns K and H1 from their ascending series, evaluated in
-mpmath's interval context `mp.iv`: I_nu and J_nu term by term, each sum
-closed by a geometric bound on its tail, then K and Y by the reflection
+`bessel_eval` returns K and H1 from their ascending series: each term of
+I_nu and J_nu is one seed (x/2)^nu/Gamma(nu+2) times a coefficient c_k
+whose ratios are ratios of integers at exact order and argument, so the
+sums of the c_k run in fixed point on Python integers, one truncation
+and one counted unit of error a step, each closed by a geometric bound
+on its tail, and become intervals of mpmath's interval context `mp.iv`
+once, multiplied by the enclosed seed.  K and Y follow by the reflection
 formulas at non-integer order (DLMF 10.27.4, 10.4.7) and by the digamma
 series at integer order, with psi(k+1) = H_k - euler.  Every rounding
 and every input is enclosed, so the box around the result is a
@@ -58,6 +62,19 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpi_abs,
+    mpi_add,
+    mpi_div,
+    mpi_mid,
+    mpi_mul,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, pi_fixed
 
 __all__ = [
@@ -399,40 +416,38 @@ def _cosh_strip_cells():
     the tuple (delta, sigma, greatest |u'|) with G >= sigma*sinh(s - delta),
     sigma the smaller of sin(Im u) at the two ends of its range there.
     u(-t) = -u(t) mirrors both to s <= 0 with Re u negated.  Computed
-    once, at 53 bits, widened by 2^-40 over that rounding, and returned
-    as the binary64 numbers they are."""
-    slack = mp.mpf(2) ** -40
-    with mp.workprec(53):
-        theta = _COSH_TILT * mp.pi
-        a = _COSH_STRIP * theta
-        c = mp.cos(2 * a)
-        peak = mp.acosh(-1 / c) / 2
+    once, in binary64, and widened by 2^-40 over that rounding."""
+    slack = 2.0**-40
+    theta = _COSH_TILT * math.pi
+    a = _COSH_STRIP * theta
+    c = math.cos(2 * a)
+    peak = math.acosh(-1 / c) / 2
 
-        def im_range(lo, hi):
-            # Im u over s in [lo, hi]; r(s) rises to `peak` and falls after
-            top = min(max(peak, lo), hi)
-            return theta * mp.tanh(lo) - a, a + theta * mp.sinh(2 * top) / (mp.cosh(2 * top) + c)
+    def im_range(lo, hi):
+        # Im u over s in [lo, hi]; r(s) rises to `peak` and falls after
+        top = min(max(peak, lo), hi)
+        return theta * math.tanh(lo) - a, a + theta * math.sinh(2 * top) / (math.cosh(2 * top) + c)
 
-        def sin_range(lo, hi):
-            ends = mp.sin(lo), mp.sin(hi)
-            return min(ends), 1 if lo <= mp.pi / 2 <= hi else max(ends)
+    def sin_range(lo, hi):
+        ends = math.sin(lo), math.sin(hi)
+        return min(ends), 1 if lo <= math.pi / 2 <= hi else max(ends)
 
-        cells = []
-        for j in range(int(_FAR / _CELL)):
-            lo, hi = j * _CELL, (j + 1) * _CELL
-            den = mp.cosh(2 * lo) + c
-            delta = theta / den
-            re_lo, re_hi = lo - delta, hi + delta
-            g_lo = min(
-                p * q
-                for p in (mp.sinh(re_lo), mp.sinh(re_hi))
-                for q in sin_range(*im_range(lo, hi))
-            )
-            cells.append((g_lo - slack, re_lo - slack, re_hi + slack, 1 + 2 * theta / den + slack))
-        den = mp.cosh(2 * _FAR) + c
-        sigma = sin_range(*im_range(_FAR, max(peak, _FAR)))[0] - slack
-        far = (theta / den + slack, sigma, 1 + 2 * theta / den + slack)
-    return tuple(tuple(map(float, cell)) for cell in cells), tuple(map(float, far))
+    cells = []
+    for j in range(int(_FAR / _CELL)):
+        lo, hi = j * _CELL, (j + 1) * _CELL
+        den = math.cosh(2 * lo) + c
+        delta = theta / den
+        re_lo, re_hi = lo - delta, hi + delta
+        g_lo = min(
+            p * q
+            for p in (math.sinh(re_lo), math.sinh(re_hi))
+            for q in sin_range(*im_range(lo, hi))
+        )
+        cells.append((g_lo - slack, re_lo - slack, re_hi + slack, 1 + 2 * theta / den + slack))
+    den = math.cosh(2 * _FAR) + c
+    sigma = sin_range(*im_range(_FAR, max(peak, _FAR)))[0] - slack
+    far = (theta / den + slack, sigma, 1 + 2 * theta / den + slack)
+    return tuple(cells), far
 
 
 def _cosh_bounds(x, a):
@@ -571,66 +586,149 @@ def _contour_sinh_integral(arg, drift, eps_abs):
     return value * mp.expjpi(a * _SINH_TILT), bound, terms
 
 
-# -- the series on intervals --
+# -- the series: fixed-point sums times an interval seed --
 
 _TAIL_BITS = 16
+# guard bits of the fixed-point ascending sums above iv.prec
+_SUM_GUARD = 24
+
+
+# the raw interval [0, 0]
+_ZERO = (from_int(0), from_int(0))
+
+
+def _int_mpi(n, prec):
+    """The raw interval an integer converts to at prec, as ctx_iv converts it."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _enclose_mpi(value, prec):
+    """A raw interval (lo, hi) at prec around the exact number an input
+    stands for (see `_exact`), so no input is rounded to a float on the way
+    in: numerator over denominator, each enclosed as ctx_iv encloses an int."""
+    value = _exact(value)
+    return mpi_div(_int_mpi(value.numerator, prec), _int_mpi(value.denominator, prec), prec)
 
 
 def _enclose(value):
-    """An interval at iv.prec around the exact number an input stands for
-    (see `_exact`), so no input is rounded to a float on the way in."""
-    value = _exact(value)
-    return mp.iv.mpf(value.numerator) / value.denominator
+    """`_enclose_mpi` at iv.prec, as an mp.iv interval."""
+    return mp.iv.make_mpf(_enclose_mpi(value, mp.iv.prec))
+
+
+def _fixed_interval(centre, radius, w):
+    """The interval (centre -+ radius) * 2^-w of integers at iv.prec,
+    rounded outward."""
+    prec = mp.iv.prec
+    return mp.iv.make_mpf(
+        (
+            from_man_exp(centre - radius, -w, prec, round_floor),
+            from_man_exp(centre + radius, -w, prec, round_ceiling),
+        )
+    )
+
+
+def _ceil_div(n, d):
+    return -(-n // d)
+
+
+def _ratio_terms(nu, half, sign, w):
+    """The terms c_0, c_1, ... of `_ascending_sums` in fixed point at w
+    bits, without end: yields (k, C_k, e_k) with |C_k - 2^w c_k| <= e_k.
+    The ratio sign*(x/2)^2/(k(k+nu)) is N/D = step/(b2*k*(k*q + p)) for
+    nu = p/q and x/2 = a/b, so each step truncates once."""
+    p, q = nu.numerator, nu.denominator
+    a2, b2 = half.numerator**2, half.denominator**2
+    step = sign * a2 * q
+    yield 0, ((p + q) << w) // q, 1
+    c = (sign * a2 << w) // b2
+    e = 1
+    yield 1, c, e
+    k = 1
+    while True:
+        k += 1
+        den = b2 * k * (k * q + p)
+        c, e = c * step // den, _ceil_div(e * abs(step), den) + 1
+        yield k, c, e
+
+
+def _ratio_sums(nu, half, sign, prec, digamma=False):
+    """The fixed-point sums behind `_ascending_sums`, at w = prec +
+    _SUM_GUARD bits: returns (w, k, sums), where k is the last term taken
+    and sums holds, for sum_k c_k and, with digamma=True, sum_k c_k h_k,
+    the triple (centre, rounding, tail) of integers in units of 2^-w: the
+    partial sum to k lies within `rounding` of centre, and the rest of the
+    series within `tail`."""
+    w = prec + _SUM_GUARD
+    p, q = nu.numerator, nu.denominator
+    a2, b2 = half.numerator**2, half.denominator**2
+    one = 1 << w
+    total = err = weighted = werr = 0
+    if digamma:
+        h = sum(one // j for j in range(1, p + 1))
+        eh = p
+    for k, c, e in _ratio_terms(nu, half, sign, w):
+        total += c
+        err += e
+        if digamma:
+            if k:
+                h += one // k + one // (k + p)
+                eh += 2
+            weighted += c * h >> w
+            werr += _ceil_div(abs(c) * eh + e * (h + eh), one) + 1
+        if not k or abs(c) << prec - _TAIL_BITS > abs(total):
+            continue
+        # rho = a2*q/rho_den, and k+1+nu > 0 when its numerator is
+        ahead = (k + 1) * q + p
+        rho_den = b2 * (k + 1) * ahead
+        if ahead > 0 and 2 * a2 * q <= rho_den:
+            break
+    size = 2 * a2 * q * (abs(c) + e)
+    sums = [(total, err, _ceil_div(size, rho_den))]
+    if digamma:
+        sums.append((weighted, werr, _ceil_div(size * (h + eh + 4 * one), rho_den * one)))
+    return w, k, sums
 
 
 def _ascending_sums(nu, half, sign, digamma=False):
-    """Enclosures of sum_k u_k and, with digamma=True, of sum_k u_k w_k, where
+    """Enclosures at iv.prec of sum_k u_k and, with digamma=True, of
+    sum_k u_k w_k, for exact Fractions nu and half = x/2, where
 
         u_k = sign^k (x/2)^(2k+nu) / (k! Gamma(k+nu+1)),
-        w_k = psi(k+1) + psi(k+nu+1)    (integer nu only),
+        w_k = psi(k+1) + psi(k+nu+1)    (integer nu >= 0 only),
 
     so the plain sum is I_nu for sign +1 and J_nu for sign -1 (DLMF
-    10.25.2, 10.2.2).  The terms recurse by the ratio sign*(x/2)^2/(k(k+nu)),
-    and psi by harmonic steps from psi(1) = -euler.  Once k+1+nu > 0 the
-    ratio rho to the next term falls with k, so where rho <= 1/2 the rest
-    of the plain sum is at most 2 rho |u_k|; w grows by at most 2 a step,
-    so the rest of the weighted sum is at most 2 rho |u_k| (|w_k| + 4).
-    The sums stop once a term falls 2^-(prec - _TAIL_BITS) below the plain
-    sum and are closed by these tails, so the tails spend about _TAIL_BITS
-    of the guard bits `_working_bits` carries above the target instead of
-    summing on into the rounding noise."""
+    10.25.2, 10.2.2).  Every term is seed * c_k with seed = (x/2)^nu /
+    Gamma(nu+2), c_0 = nu+1, c_1 = sign (x/2)^2 and c_k = c_(k-1) *
+    sign (x/2)^2/(k(k+nu)): u_0 and u_1 both come from Gamma(nu+2), away
+    from the pole of Gamma(nu+1) at nu = -1.  The c_k are rational, so
+    each ratio is N/D for integers N and D, and `_ratio_sums` runs the
+    sums in fixed point at w = iv.prec + _SUM_GUARD bits: C_k =
+    floor(C_(k-1) N/D), one truncation a step, lies within e_k =
+    ceil(e_(k-1) |N|/D) + 1 units of 2^w c_k.  With psi(k+1) = H_k -
+    euler, w_k = h_k - 2 euler for h_k = H_k + H_(k+nu), so the weighted
+    sum is seed * (sum c_k h_k - 2 euler sum c_k); h_k runs in the same
+    fixed point, one unit a harmonic step, and each product c_k h_k
+    truncates once.
+
+    Once k+1+nu > 0 the ratio rho to the next term falls with k, so where
+    rho <= 1/2 the rest of the plain sum is at most 2 rho |c_k|; h grows
+    by at most 2 a step, so the rest of the weighted one is at most
+    2 rho |c_k| (h_k + 4).  The sums stop once a term falls
+    2^-(prec - _TAIL_BITS) below the plain sum and are closed by these
+    tails, so the tails spend about _TAIL_BITS of the guard bits
+    `_working_bits` carries above the target instead of summing on into
+    the rounding noise.  Each sum becomes an interval once and is
+    multiplied once by the enclosed seed: (x/2)^n/(n+1)! exactly at
+    integer order, else iv.power(x/2, nu) over Gamma of the exact nu+2."""
     iv = mp.iv
-    quarter = half * half
-    step = sign * quarter
-    # u_0 and u_1 both from Gamma(nu+2): near nu = -1, Gamma(nu+1) sits at
-    # its pole, and the interval would treat it and the first ratio
-    # 1/(1+nu) as independent
-    seed = iv.power(half, nu) / iv.gamma(nu + 2)
-    u = (nu + 1) * seed
+    w, _, sums = _ratio_sums(nu, half, sign, iv.prec, digamma)
+    boxes = [_fixed_interval(centre, rounding + tail, w) for centre, rounding, tail in sums]
     if digamma:
-        psi_a = -iv.euler
-        psi_b = psi_a + sum(iv.mpf(1) / j for j in range(1, int(nu) + 1))
-        w = psi_a + psi_b
-    sums = [u, u * w] if digamma else [u]
-    k = 0
-    while True:
-        k += 1
-        shift = k + nu
-        u = step * seed if k == 1 else u * step / (k * shift)
-        sums[0] += u
-        if digamma:
-            psi_a += iv.mpf(1) / k
-            psi_b += 1 / shift
-            w = psi_a + psi_b
-            sums[1] += u * w
-        if iv.mag(u) > iv.mag(sums[0]) - iv.prec + _TAIL_BITS:
-            continue
-        ahead = shift + 1
-        rho = quarter / ((k + 1) * ahead)
-        if ahead.a > 0 and rho.b <= 0.5:
-            tail = 2 * rho * abs(u)
-            tails = [tail, tail * (abs(w) + 4)] if digamma else [tail]
-            return [s + iv.mpf([-t.b, t.b]) for s, t in zip(sums, tails)]
+        seed = _enclose(half**nu.numerator / factorial(nu.numerator + 1))
+        plain, weighted = boxes
+        return [seed * plain, seed * (weighted - 2 * iv.euler * plain)]
+    seed = iv.power(_enclose(half), _enclose(nu)) / iv.gamma(_enclose(nu + 2))
+    return [seed * boxes[0]]
 
 
 def _series_boxes(kind, order, arg):
@@ -643,57 +741,62 @@ def _series_boxes(kind, order, arg):
     Exactly integer orders take the digamma series (DLMF 10.8.1, 10.31.1)
     with Y_-n = (-1)^n Y_n, J_-n = (-1)^n J_n and K_-n = K_n."""
     iv = mp.iv
-    nu = _enclose(order)
-    half = _enclose(arg) / 2
+    nu = _exact(order)
+    half = _exact(arg) / 2
     sign = 1 if kind == "K" else -1
-    lo, hi = (mp.make_mpf(end) for end in nu._mpi_)
-    if lo == hi and lo == mp.floor(lo):
-        turn = (-1) ** int(lo) if lo < 0 else 1
-        n = abs(int(lo))
-        plain, weighted = _ascending_sums(iv.mpf(n), half, sign, digamma=True)
-        finite = sum(
-            iv.mpf(factorial(n - k - 1)) / factorial(k) * (-sign * half * half) ** k
-            for k in range(n)
-        ) * half ** (-n)
+    if nu.denominator == 1:
+        turn = (-1) ** nu.numerator if nu < 0 else 1
+        n = abs(nu.numerator)
+        plain, weighted = _ascending_sums(Fraction(n), half, sign, digamma=True)
+        # the finite part is an exact rational
+        step = -sign * half**2
+        finite = _enclose(
+            sum(Fraction(factorial(n - k - 1), factorial(k)) * step**k for k in range(n)) / half**n
+        )
+        log_half = iv.log(_enclose(half))
         if kind == "K":
-            log_part = (-1) ** (n + 1) * iv.log(half) * plain
+            log_part = (-1) ** (n + 1) * log_half * plain
             return finite / 2 + log_part + (-1) ** n * weighted / 2, iv.mpf(0)
-        y = (2 * iv.log(half) * plain - finite - weighted) / iv.pi
+        y = (2 * log_half * plain - finite - weighted) / iv.pi
         return turn * plain, turn * y
-    s = iv.sin(iv.pi * nu)
+    turn = iv.pi * _enclose(nu)
+    s = iv.sin(turn)
     if 0 in s:
-        # an interval order that holds an integer has no reflection value
+        # an order the working precision cannot tell from an integer has
+        # no reflection value there
         return iv.mpf([-mp.inf, mp.inf]), iv.mpf([-mp.inf, mp.inf])
     (plus,) = _ascending_sums(nu, half, sign)
     (minus,) = _ascending_sums(-nu, half, sign)
     if kind == "K":
         return iv.pi / 2 * (minus - plus) / s, iv.mpf(0)
-    return plus, (plus * iv.cos(iv.pi * nu) - minus) / s
+    return plus, (plus * iv.cos(turn) - minus) / s
 
 
 def _box_value(boxes, bits):
-    """The midpoint of the boxes (real part, imaginary part) that `boxes()`
-    returns at iv.prec = bits (restored even if it raises), and a bound on
-    its distance to all of them: the two half-widths' hypotenuse, rounded up."""
+    """The midpoint of the raw interval boxes (real part, imaginary part)
+    that `boxes()` returns at iv.prec = bits (restored even if it raises),
+    and a bound on its distance to all of them: the two half-widths'
+    hypotenuse, rounded up at 53 bits.  The libmpi calls are those ctx_iv
+    makes for `part.mid`, `abs(part - mid)` and `iv.sqrt(sum(h * h))`."""
     iv = mp.iv
     saved = iv.prec
     iv.prec = bits
     try:
-        with mp.workprec(bits):
-            parts = [(part, part.mid) for part in boxes()]
-            centre = mp.mpc(*(mp.make_mpf(mid._mpi_[0]) for _, mid in parts))
-        halves = [abs(part - mid) for part, mid in parts]
-        iv.prec = 53  # rounded outward, the radius needs no more bits
-        radius = iv.sqrt(sum(half * half for half in halves))
+        parts = boxes()
     finally:
         iv.prec = saved
-    return centre, mp.make_mpf(radius._mpi_[1])
+    mids = [mpi_mid(part, bits) for part in parts]
+    total = _ZERO
+    for part, mid in zip(parts, mids):
+        half = mpi_abs(mpi_sub(part, (mid, mid), bits), bits)
+        total = mpi_add(total, mpi_mul(half, half, 53), 53)
+    return mp.make_mpc(tuple(mids)), mp.make_mpf(mpi_sqrt(total, 53)[1])
 
 
 def _series_value(kind, order, arg, bits):
     """K or H1 from the series on intervals at `bits`: the midpoint, and a
     certified bound on its distance to the true value."""
-    return _box_value(lambda: _series_boxes(kind, order, arg), bits)
+    return _box_value(lambda: [box._mpi_ for box in _series_boxes(kind, order, arg)], bits)
 
 
 # -- the precision policy --
@@ -723,9 +826,11 @@ def _gap_bits(order) -> int:
     return gap and gap.denominator.bit_length() - gap.numerator.bit_length() + 1
 
 
+@functools.lru_cache(maxsize=256)
 def _target(precision):
     """A relative-error target in (0, 1), read at a fixed 64 bits so that
-    no value depends on the caller's mp.prec."""
+    no value depends on the caller's mp.prec; each distinct input is read
+    once."""
     with mp.workprec(64):
         target = mp.mpf(precision)
     if not 0 < target < 1:
@@ -734,9 +839,12 @@ def _target(precision):
 
 
 def _working_bits(precision, arg) -> int:
-    # guard digits: series cancellation grows like exp(arg) for J/Y
-    bits = int(mp.ceil(-mp.log(precision, 2)))
-    return max(96, bits + 48 + int(2 * arg))
+    # ceil(-log2 precision), read off the mantissa's bit count: precision =
+    # man * 2^exp lies in [2^(exp+bc-1), 2^(exp+bc)), at its floor exactly
+    # when it is a power of two.  Guard digits: series cancellation grows
+    # like exp(arg) for J/Y
+    _, man, exp, bc = mp.mpf(precision)._mpf_
+    return max(96, 1 - exp - bc + 48 + int(2 * arg))
 
 
 def _certified(value_at, precision, arg, order, what):

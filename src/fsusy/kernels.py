@@ -22,21 +22,37 @@ coefficients and phases, and the contour family are derived from it.
 One evaluator, ``_kernel_value``, runs either route as a product of
 interval boxes: the prefactor with the mu-weight, times the raw value
 (the cylinder function's series box, or the contour integral plus or
-minus its quadrature bound).  The product's radius is the value's one
-error budget, and :mod:`fsusy.bessel`'s precision policy sizes the
-working precision, retries once and checks the target, for
-``kernel_eval``, the Grassmann-valued assembly ``q_kernel`` (matrix
+minus its quadrature bound).  The boxes are raw libmpi interval tuples,
+built by the calls mpmath's interval context would make for the same
+expression, so they match it bit for bit without its per-object
+overhead; the parts of the prefactor that depend on neither the point
+nor the raw value are computed once per key.  The product's radius is
+the value's one error budget, and :mod:`fsusy.bessel`'s precision
+policy sizes the working precision, retries once and checks the target,
+for ``kernel_eval``, the Grassmann-valued assembly ``q_kernel`` (matrix
 entries of the corepresentation, carrying nilpotent generator factors)
 and ``d_ladder_suite`` (the symbolic generator actions against finite
 differences of the kernels) alike.  Weights, r and the point's
 coordinates enter as the exact numbers they stand for.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
+from mpmath.libmp import (
+    mpci_mul,
+    mpf_pi,
+    mpi_add,
+    mpi_cos_sin,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+)
 
 from .afalg import AAlgebra, AElement
 from .bessel import (
@@ -47,11 +63,13 @@ from .bessel import (
     _certified,
     _contour_cosh_integral,
     _contour_sinh_integral,
-    _enclose,
+    _enclose_mpi,
     _exact,
+    _int_mpi,
     _PAD,
     _series_boxes,
     _target,
+    _ZERO,
 )
 from .duality import DualityContext
 from .report import NumericReport
@@ -265,13 +283,41 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
                 raw, jerr, terms = fn(arg, mp.mpmathify(abar), eps_abs)
             if not mp.isfinite(jerr):
                 raise PrecisionError("tilted contour: no finite quadrature bound", achieved=mp.inf)
-            disc = iv.mpf([-jerr, jerr])
+            disc = iv.mpf([mp.fneg(jerr, exact=True), jerr])
             terms = {name: v if isinstance(v, int) else float(v) for name, v in terms.items()}
             _J_CACHE[key] = (disc + raw.real, disc + raw.imag, terms)
         re, im, terms = _J_CACHE[key]
         diag = {"route": "integral", "family": family, "phase_sign": s2, **terms}
     _READ_KEYS[mode].add(key)
     return re, (-im if s2 < 0 else im), diag
+
+
+@functools.lru_cache(maxsize=16)
+def _prefactor_parts(mode, quadrant, abar, mu, bits):
+    """The parts of a value's prefactor that depend on neither the point
+    nor the raw value, as raw interval tuples at `bits`: the enclosures of
+    abar and mu, the coefficient (real part, imaginary part), and cos/sin
+    of the half-turn at bits + 20, the precision iv.exp takes them at.
+    Each comes from the libmpi calls ctx_iv makes for the expressions
+
+        integral:  coeff = iv.mpc(0, -1/(2*iv.pi)),  turn = 0
+        closed:    coeff = iv.mpc(0, -1/iv.pi) (K) or iv.mpf(s1)/2 (Hankel),
+                   turn = s2*abar*iv.pi/2
+
+    so the product built from them is bit for bit the ctx_iv one."""
+    s1, s2, cylinder = _QUADRANTS[quadrant]
+    a = _enclose_mpi(abar, bits)
+    pi = mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)
+    two = _int_mpi(2, bits)
+    if mode == "integral":
+        coeff, turn = (_ZERO, mpi_div(_int_mpi(-1, bits), mpi_mul(two, pi, bits), bits)), _ZERO
+    else:
+        if cylinder == "K":
+            coeff = _ZERO, mpi_div(_int_mpi(-1, bits), pi, bits)
+        else:
+            coeff = mpi_div(_int_mpi(s1, bits), two, bits), _ZERO
+        turn = mpi_div(mpi_mul(mpi_mul(_int_mpi(s2, bits), a, bits), pi, bits), two, bits)
+    return a, _enclose_mpi(mu, bits), coeff, mpi_cos_sin(turn, bits + 20)
 
 
 def _kernel_value(point, abar, mu, r, rel_target, mode):
@@ -289,23 +335,24 @@ def _kernel_value(point, abar, mu, r, rel_target, mode):
         closed:    coeff * exp(abar*(beta + s2*i*pi/2)) * C_abar(x)
         integral:  exp(abar*beta)/(2*pi*i) * tilted-path integral
 
-    with coeff, C and the contour read off the quadrant table."""
-    s1, s2, cylinder = _QUADRANTS[point.quadrant]
+    with coeff, C and the contour read off the quadrant table.  The boxes
+    are raw libmpi interval tuples: exp of the complex exponent is exp of
+    its real part abar*beta + mu*lambda at bits + 20 times the cached
+    cos/sin of the half-turn, as iv.exp computes it."""
     x = _exact(r) * _exact(point.rho)
+    mu = _exact(mu)
+    beta = point.beta._mpf_
+    lam = point.lambda_val._mpf_
     diag = {}
 
     def boxes(bits):
         re, im, raw_diag = _raw_boxes(mode, point.quadrant, abar, x, bits, rel_target)
         diag.update(raw_diag)
-        a = _enclose(abar)
-        if mode == "integral":
-            coeff, turn = iv.mpc(0, -1 / (2 * iv.pi)), 0  # 1/(2 pi i)
-        else:
-            coeff = iv.mpc(0, -1 / iv.pi) if cylinder == "K" else iv.mpf(s1) / 2
-            turn = s2 * a * iv.pi / 2
-        out = coeff * iv.exp(iv.mpc(a * point.beta + _enclose(mu) * point.lambda_val, turn))
-        out *= iv.mpc(re, im)
-        return out.real, out.imag
+        a, m, coeff, (cos, sin) = _prefactor_parts(mode, point.quadrant, abar, mu, bits)
+        real = mpi_add(mpi_mul(a, (beta, beta), bits), mpi_mul(m, (lam, lam), bits), bits)
+        scale = mpi_exp(real, bits + 20)
+        turned = mpi_mul(scale, cos, bits), mpi_mul(scale, sin, bits)
+        return mpci_mul(mpci_mul(coeff, turned, bits), (re._mpi_, im._mpi_), bits)
 
     def value_at(bits):
         return _box_value(lambda: boxes(bits), bits)

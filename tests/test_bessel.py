@@ -724,3 +724,78 @@ def test_series_boxes_enclose_the_referee(monkeypatch):
         with mp.workprec(450):
             assert abs(value - REFEREE["H1"](mp.mpmathify(order), mp.mpmathify(arg))) <= err
             assert bits + mp.log(err / abs(value), 2) <= 75, bits
+
+
+@pytest.mark.parametrize("kind", ["K", "H1"])
+@pytest.mark.parametrize("order", [2 - Fraction(1, 10**20), Fraction(1, 10**20) - 2])
+def test_near_two_orders_lose_no_more_than_near_one(kind, order):
+    # near nu = +-2 the series at -+nu seeds from Gamma of the exact
+    # nu' + 2 = 1e-20, and the ratio c_2/c_1 = (x/2)^2/(2(2 + nu')) is an
+    # exact rational, so the box loses about -log2|sin(nu pi)| = 66 bits
+    # (the reflection's own cancellation), the bound nu ~ 1 meets above
+    arg, bits = Fraction(13, 10), 256
+    value, err = bessel._series_value(kind, order, arg, bits)
+    with mp.workprec(450):
+        assert abs(value - REFEREE[kind](mp.mpmathify(order), mp.mpmathify(arg))) <= err
+        assert bits + mp.log(err / abs(value), 2) <= 75
+
+
+# -- the fixed-point ratio sums against exact rationals --
+#
+# At 30 bits each fixed-point term must lie within its error of the exact
+# Fraction term, the partial sum to the last term taken within the
+# rounding term of the exact partial sum, and the whole series within
+# rounding plus tail.  The exact series is summed far past the last term
+# and closed by its own geometric bound.
+
+
+def _exact_ratio_terms(nu, half, sign, count):
+    """c_0..c_count as Fractions, and h_0..h_count = H_k + H_(k+nu) at
+    integer nu (else None)."""
+    terms, weights = [nu + 1], None
+    for k in range(1, count + 1):
+        terms.append(sign * half**2 if k == 1 else terms[-1] * sign * half**2 / (k * (k + nu)))
+    if nu.denominator == 1:
+        h = sum(Fraction(1, j) for j in range(1, nu.numerator + 1))
+        weights = [h]
+        for k in range(1, count + 1):
+            h += Fraction(1, k) + Fraction(1, k + nu)
+            weights.append(h)
+    return terms, weights
+
+
+def _ratio_sum_cases(seed=34):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 40:
+        nu = Fraction(rng.randint(-199, 199), 100)
+        if nu.denominator > 1:
+            cases.append((nu, Fraction(rng.randint(1, 90), 20), rng.choice((1, -1)), False))
+    for n in (0, 1):
+        for arg in (Fraction(1, 10), Fraction(13, 10), Fraction(7, 2), Fraction(9)):
+            cases += [(Fraction(n), arg / 2, sign, True) for sign in (1, -1)]
+    return cases
+
+
+@pytest.mark.parametrize("nu, half, sign, digamma", _ratio_sum_cases())
+def test_fixed_point_ratio_sums_enclose_the_exact_sums(nu, half, sign, digamma):
+    prec = 30
+    w, k, sums = bessel._ratio_sums(nu, half, sign, prec, digamma)
+    far = k + 80
+    terms, weights = _exact_ratio_terms(nu, half, sign, far)
+    for j, c, e in bessel._ratio_terms(nu, half, sign, w):
+        if j > k:
+            break
+        assert abs(terms[j] * 2**w - c) <= e, (nu, half, sign, j)
+    rho = half**2 / ((far + 1) * (far + 1 + nu))
+    assert rho <= Fraction(1, 2)
+    rest = 2 * rho * abs(terms[-1])
+    exact = [(sum(terms[: k + 1]), sum(terms), rest)]
+    if digamma:
+        products = [c * h for c, h in zip(terms, weights)]
+        exact.append((sum(products[: k + 1]), sum(products), rest * (weights[-1] + 4)))
+    assert len(sums) == len(exact)
+    for (centre, rounding, tail), (partial, whole, rest) in zip(sums, exact):
+        case = (nu, half, sign, digamma, k)
+        assert abs(partial * 2**w - centre) <= rounding, case
+        assert abs(whole * 2**w - centre) + rest * 2**w <= rounding + tail, case

@@ -471,7 +471,7 @@ def test_kernel_verify_csv_digest(capsys):
     assert len(kept.splitlines()) == 328
     assert (
         hashlib.sha256(kept.encode()).hexdigest()
-        == "8f01d8e81ae2bc717c4921ff620365a33f65093dea3657016204dc60f81f99b1"
+        == "dbec0613da4b0d200c2450c21c92ea7b7757006cb9975f71cf214039a636894d"
     )
 
 

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from fsusy import bessel, kernels
 from fsusy.bessel import PrecisionError
@@ -445,6 +445,73 @@ def test_determinism():
     again = [kernel_eval(params, pt, mode) for mode in ("closed", "integral")]
     for a, b in zip(runs, again):
         assert (a.re, a.im, a.err_estimate) == (b.re, b.im, b.err_estimate)
+
+
+# -- the warm path against the ctx_iv expression it replaced --
+
+
+def _ctx_iv_kernel_value(point, abar, mu, r, rel_target, mode):
+    """The kernel value with the prefactor and the midpoint and radius
+    written as mp.iv expressions, kept here as the reference the raw
+    interval tuples of `kernels._kernel_value` and `bessel._box_value`
+    must reproduce bit for bit."""
+    s1, s2, cylinder = kernels._QUADRANTS[point.quadrant]
+    x = bessel._exact(r) * bessel._exact(point.rho)
+
+    def enclose(value):
+        value = bessel._exact(value)
+        return iv.mpf(value.numerator) / value.denominator
+
+    def boxes(bits):
+        re, im, _ = kernels._raw_boxes(mode, point.quadrant, abar, x, bits, rel_target)
+        a = enclose(abar)
+        if mode == "integral":
+            coeff, turn = iv.mpc(0, -1 / (2 * iv.pi)), 0
+        else:
+            coeff = iv.mpc(0, -1 / iv.pi) if cylinder == "K" else iv.mpf(s1) / 2
+            turn = s2 * a * iv.pi / 2
+        out = coeff * iv.exp(iv.mpc(a * point.beta + enclose(mu) * point.lambda_val, turn))
+        out *= iv.mpc(re, im)
+        return out.real, out.imag
+
+    def value_at(bits):
+        saved = iv.prec
+        iv.prec = bits
+        try:
+            with mp.workprec(bits):
+                parts = [(part, part.mid) for part in boxes(bits)]
+                centre = mp.mpc(*(mp.make_mpf(mid._mpi_[0]) for _, mid in parts))
+            halves = [abs(part - mid) for part, mid in parts]
+            iv.prec = 53
+            radius = iv.sqrt(sum(half * half for half in halves))
+        finally:
+            iv.prec = saved
+        return centre, mp.make_mpf(radius._mpi_[1])
+
+    return bessel._certified(value_at, rel_target, float(x), abar, "reference")
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+def test_raw_interval_path_matches_the_ctx_iv_expression(mode):
+    # the 324 points of the kernel_verify grid (mu = 0), then every label
+    # nonzero: a mu-weight that sees lambda, and far boosts
+    target = bessel._target("1e-16")
+    cases = [
+        (QuadrantPoint.from_polar(quadrant, rho, beta), -Fraction(a), 0, r)
+        for quadrant, r, rho, beta, a in itertools.product(
+            (1, 2, 3, 4), ("1/2", "1", "2"), ("1/2", "1", "2"), ("-1", "0", "1"), ("-0.3", "0", "0.3")
+        )
+    ]
+    assert len(cases) == 324
+    for quadrant, beta in itertools.product((1, 2, 3, 4), ("-0.2", "100000.3", "-1000000.3")):
+        point = QuadrantPoint.from_polar(quadrant, "1.3", beta, lambda_val="0.4")
+        cases.append((point, Fraction(-19, 30), Fraction(-1, 5), "3/2"))
+    for point, abar, mu, r in cases:
+        got, _ = kernels._kernel_value(point, abar, mu, r, target, mode)
+        value, err = _ctx_iv_kernel_value(point, abar, mu, r, target, mode)
+        case = (str(point), abar, mu, r)
+        assert (got.re._mpf_, got.im._mpf_) == (value.real._mpf_, value.imag._mpf_), case
+        assert got.err_estimate._mpf_ == err._mpf_, case
 
 
 # -- conjugate pairs share one evaluation --
