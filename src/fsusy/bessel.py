@@ -9,8 +9,10 @@ I_nu and J_nu is one seed (x/2)^nu/Gamma(nu+2) times a coefficient c_k
 whose ratios are ratios of integers at exact order and argument, so the
 sums of the c_k run in fixed point on Python integers, one truncation
 and one counted unit of error a step, each closed by a geometric bound
-on its tail, and become intervals of mpmath's interval context `mp.iv`
-once, multiplied by the enclosed seed.  K and Y follow by the reflection
+on its tail, and become intervals once, multiplied by the enclosed seed:
+raw libmpi tuples (lo, hi) at the precision each call is handed, built
+by the calls mpmath's interval context makes for the same expressions,
+with no global interval state.  K and Y follow by the reflection
 formulas at non-integer order (DLMF 10.27.4, 10.4.7) and by the digamma
 series at integer order, with psi(k+1) = H_k - euler.  Every rounding
 and every input is enclosed, so the box around the result is a
@@ -65,17 +67,25 @@ import mpmath as mp
 from mpmath.libmp import (
     from_int,
     from_man_exp,
+    fzero,
+    mpf_euler,
+    mpf_le,
     mpi_abs,
     mpi_add,
+    mpi_cos_sin,
     mpi_div,
+    mpi_gamma,
+    mpi_log,
     mpi_mid,
     mpi_mul,
+    mpi_pow,
     mpi_sqrt,
     mpi_sub,
     round_ceiling,
     round_floor,
 )
 from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, pi_fixed
+from mpmath.libmp.libmpi import mpi_pi
 
 __all__ = [
     "ComplexValue",
@@ -589,12 +599,12 @@ def _contour_sinh_integral(arg, drift, eps_abs):
 # -- the series: fixed-point sums times an interval seed --
 
 _TAIL_BITS = 16
-# guard bits of the fixed-point ascending sums above iv.prec
+# guard bits of the fixed-point ascending sums above their interval precision
 _SUM_GUARD = 24
 
 
 # the raw interval [0, 0]
-_ZERO = (from_int(0), from_int(0))
+_ZERO = (fzero, fzero)
 
 
 def _int_mpi(n, prec):
@@ -610,20 +620,12 @@ def _enclose_mpi(value, prec):
     return mpi_div(_int_mpi(value.numerator, prec), _int_mpi(value.denominator, prec), prec)
 
 
-def _enclose(value):
-    """`_enclose_mpi` at iv.prec, as an mp.iv interval."""
-    return mp.iv.make_mpf(_enclose_mpi(value, mp.iv.prec))
-
-
-def _fixed_interval(centre, radius, w):
-    """The interval (centre -+ radius) * 2^-w of integers at iv.prec,
+def _fixed_interval(centre, radius, w, prec):
+    """The raw interval (centre -+ radius) * 2^-w of integers at prec,
     rounded outward."""
-    prec = mp.iv.prec
-    return mp.iv.make_mpf(
-        (
-            from_man_exp(centre - radius, -w, prec, round_floor),
-            from_man_exp(centre + radius, -w, prec, round_ceiling),
-        )
+    return (
+        from_man_exp(centre - radius, -w, prec, round_floor),
+        from_man_exp(centre + radius, -w, prec, round_ceiling),
     )
 
 
@@ -689,8 +691,8 @@ def _ratio_sums(nu, half, sign, prec, digamma=False):
     return w, k, sums
 
 
-def _ascending_sums(nu, half, sign, digamma=False):
-    """Enclosures at iv.prec of sum_k u_k and, with digamma=True, of
+def _ascending_sums(nu, half, sign, prec, digamma=False):
+    """Raw interval enclosures at prec of sum_k u_k and, with digamma=True, of
     sum_k u_k w_k, for exact Fractions nu and half = x/2, where
 
         u_k = sign^k (x/2)^(2k+nu) / (k! Gamma(k+nu+1)),
@@ -702,7 +704,7 @@ def _ascending_sums(nu, half, sign, digamma=False):
     sign (x/2)^2/(k(k+nu)): u_0 and u_1 both come from Gamma(nu+2), away
     from the pole of Gamma(nu+1) at nu = -1.  The c_k are rational, so
     each ratio is N/D for integers N and D, and `_ratio_sums` runs the
-    sums in fixed point at w = iv.prec + _SUM_GUARD bits: C_k =
+    sums in fixed point at w = prec + _SUM_GUARD bits: C_k =
     floor(C_(k-1) N/D), one truncation a step, lies within e_k =
     ceil(e_(k-1) |N|/D) + 1 units of 2^w c_k.  With psi(k+1) = H_k -
     euler, w_k = h_k - 2 euler for h_k = H_k + H_(k+nu), so the weighted
@@ -719,20 +721,24 @@ def _ascending_sums(nu, half, sign, digamma=False):
     `_working_bits` carries above the target instead of summing on into
     the rounding noise.  Each sum becomes an interval once and is
     multiplied once by the enclosed seed: (x/2)^n/(n+1)! exactly at
-    integer order, else iv.power(x/2, nu) over Gamma of the exact nu+2."""
-    iv = mp.iv
-    w, _, sums = _ratio_sums(nu, half, sign, iv.prec, digamma)
-    boxes = [_fixed_interval(centre, rounding + tail, w) for centre, rounding, tail in sums]
+    integer order, else (x/2)^nu over Gamma of the exact nu+2, with the
+    libmpi calls mpmath's interval context makes for power and gamma."""
+    w, _, sums = _ratio_sums(nu, half, sign, prec, digamma)
+    boxes = [_fixed_interval(centre, rounding + tail, w, prec) for centre, rounding, tail in sums]
     if digamma:
-        seed = _enclose(half**nu.numerator / factorial(nu.numerator + 1))
+        seed = _enclose_mpi(half**nu.numerator / factorial(nu.numerator + 1), prec)
         plain, weighted = boxes
-        return [seed * plain, seed * (weighted - 2 * iv.euler * plain)]
-    seed = iv.power(_enclose(half), _enclose(nu)) / iv.gamma(_enclose(nu + 2))
-    return [seed * boxes[0]]
+        euler = mpf_euler(prec, round_floor), mpf_euler(prec, round_ceiling)
+        twice = mpi_mul(mpi_mul(_int_mpi(2, prec), euler, prec), plain, prec)
+        return [mpi_mul(seed, plain, prec), mpi_mul(seed, mpi_sub(weighted, twice, prec), prec)]
+    power = mpi_pow(_enclose_mpi(half, prec), _enclose_mpi(nu, prec), prec)
+    seed = mpi_div(power, mpi_gamma(_enclose_mpi(nu + 2, prec), prec), prec)
+    return [mpi_mul(seed, boxes[0], prec)]
 
 
-def _series_boxes(kind, order, arg):
-    """Enclosures (real part, imaginary part) of K or H1 at iv.prec.
+def _series_boxes(kind, order, arg, prec):
+    """Raw interval enclosures (real part, imaginary part) of K or H1 at
+    prec, each step the libmpi call ctx_iv makes for the same expression.
 
     Non-integer orders use the reflection formulas
     Y = (J_nu cos(nu pi) - J_-nu)/sin(nu pi) and
@@ -740,51 +746,48 @@ def _series_boxes(kind, order, arg):
     cancellation near an integer order widens the box by itself.
     Exactly integer orders take the digamma series (DLMF 10.8.1, 10.31.1)
     with Y_-n = (-1)^n Y_n, J_-n = (-1)^n J_n and K_-n = K_n."""
-    iv = mp.iv
     nu = _exact(order)
     half = _exact(arg) / 2
     sign = 1 if kind == "K" else -1
+    pi, two = mpi_pi(prec), _int_mpi(2, prec)
     if nu.denominator == 1:
-        turn = (-1) ** nu.numerator if nu < 0 else 1
+        turn = _int_mpi((-1) ** nu.numerator if nu < 0 else 1, prec)
         n = abs(nu.numerator)
-        plain, weighted = _ascending_sums(Fraction(n), half, sign, digamma=True)
+        plain, weighted = _ascending_sums(Fraction(n), half, sign, prec, digamma=True)
         # the finite part is an exact rational
         step = -sign * half**2
-        finite = _enclose(
-            sum(Fraction(factorial(n - k - 1), factorial(k)) * step**k for k in range(n)) / half**n
-        )
-        log_half = iv.log(_enclose(half))
+        finite = sum(Fraction(factorial(n - k - 1), factorial(k)) * step**k for k in range(n))
+        finite = _enclose_mpi(finite / half**n, prec)
+        log_half = mpi_log(_enclose_mpi(half, prec), prec)
         if kind == "K":
-            log_part = (-1) ** (n + 1) * log_half * plain
-            return finite / 2 + log_part + (-1) ** n * weighted / 2, iv.mpf(0)
-        y = (2 * log_half * plain - finite - weighted) / iv.pi
-        return turn * plain, turn * y
-    turn = iv.pi * _enclose(nu)
-    s = iv.sin(turn)
-    if 0 in s:
+            # finite/2 + (-1)^(n+1) log(x/2) I_n + (-1)^n weighted/2
+            log_part = mpi_mul(_int_mpi((-1) ** (n + 1), prec), log_half, prec)
+            log_part = mpi_mul(log_part, plain, prec)
+            rest = mpi_div(mpi_mul(_int_mpi((-1) ** n, prec), weighted, prec), two, prec)
+            return mpi_add(mpi_add(mpi_div(finite, two, prec), log_part, prec), rest, prec), _ZERO
+        y = mpi_mul(mpi_mul(two, log_half, prec), plain, prec)
+        y = mpi_div(mpi_sub(mpi_sub(y, finite, prec), weighted, prec), pi, prec)
+        return mpi_mul(turn, plain, prec), mpi_mul(turn, y, prec)
+    cos, sin = mpi_cos_sin(mpi_mul(pi, _enclose_mpi(nu, prec), prec), prec)
+    if mpf_le(sin[0], fzero) and mpf_le(fzero, sin[1]):
         # an order the working precision cannot tell from an integer has
         # no reflection value there
-        return iv.mpf([-mp.inf, mp.inf]), iv.mpf([-mp.inf, mp.inf])
-    (plus,) = _ascending_sums(nu, half, sign)
-    (minus,) = _ascending_sums(-nu, half, sign)
+        whole = mp.ninf._mpf_, mp.inf._mpf_
+        return whole, whole
+    (plus,) = _ascending_sums(nu, half, sign, prec)
+    (minus,) = _ascending_sums(-nu, half, sign, prec)
     if kind == "K":
-        return iv.pi / 2 * (minus - plus) / s, iv.mpf(0)
-    return plus, (plus * iv.cos(turn) - minus) / s
+        diff = mpi_mul(mpi_div(pi, two, prec), mpi_sub(minus, plus, prec), prec)
+        return mpi_div(diff, sin, prec), _ZERO
+    return plus, mpi_div(mpi_sub(mpi_mul(plus, cos, prec), minus, prec), sin, prec)
 
 
-def _box_value(boxes, bits):
-    """The midpoint of the raw interval boxes (real part, imaginary part)
-    that `boxes()` returns at iv.prec = bits (restored even if it raises),
-    and a bound on its distance to all of them: the two half-widths'
-    hypotenuse, rounded up at 53 bits.  The libmpi calls are those ctx_iv
-    makes for `part.mid`, `abs(part - mid)` and `iv.sqrt(sum(h * h))`."""
-    iv = mp.iv
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        parts = boxes()
-    finally:
-        iv.prec = saved
+def _box_value(parts, bits):
+    """The midpoint of the raw interval boxes `parts` (real part, imaginary
+    part) at bits, and a bound on its distance to all of them: the two
+    half-widths' hypotenuse, rounded up at 53 bits.  The libmpi calls are
+    those mpmath's interval context makes for the midpoint, the
+    half-widths and the square root of their sum of squares."""
     mids = [mpi_mid(part, bits) for part in parts]
     total = _ZERO
     for part, mid in zip(parts, mids):
@@ -796,7 +799,7 @@ def _box_value(boxes, bits):
 def _series_value(kind, order, arg, bits):
     """K or H1 from the series on intervals at `bits`: the midpoint, and a
     certified bound on its distance to the true value."""
-    return _box_value(lambda: [box._mpi_ for box in _series_boxes(kind, order, arg)], bits)
+    return _box_value(_series_boxes(kind, order, arg, bits), bits)
 
 
 # -- the precision policy --

@@ -41,17 +41,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, mp
-from mpmath.libmp import (
+from mpmath import mp
+from mpmath.libmp.libmpi import (
     mpci_mul,
-    mpf_pi,
     mpi_add,
     mpi_cos_sin,
     mpi_div,
     mpi_exp,
     mpi_mul,
-    round_ceiling,
-    round_floor,
+    mpi_neg,
+    mpi_pi,
 )
 
 from .afalg import AAlgebra, AElement
@@ -206,22 +205,26 @@ class KernelParams:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not isinstance(self.s, int):
             raise ValueError("shift index s must be an integer")
-        with mp.extraprec(80):
-            for label, v in (("nu", self.nu), ("mu", self.mu)):
-                _exact(v, label)
-            if _finite_real("r", self.r) <= 0:
-                raise ValueError("r must be positive")
-            _target(self.precision)
-            a = self.strip_exponent()
-            if not -1 < a < 1:
-                raise ValueError(
-                    f"nu - mu + s/p = {mp.nstr(a, 6)} is outside the open "
-                    "strip (-1, 1) where the integral converges"
-                )
+        for label, v in (("nu", self.nu), ("mu", self.mu)):
+            _exact(v, label)
+        if _exact(self.r, "r") <= 0:
+            raise ValueError("r must be positive")
+        _target(self.precision)
+        if not -1 < self._exponent() < 1:
+            a = mp.nstr(self.strip_exponent(), 6)
+            raise ValueError(
+                f"nu - mu + s/p = {a} is outside the open "
+                "strip (-1, 1) where the integral converges"
+            )
+
+    def _exponent(self):
+        """nu - mu + s/p, exactly: minus the order abar of the kernel values."""
+        return _exact(self.nu) - _exact(self.mu) + Fraction(self.s, self.p)
 
     def strip_exponent(self):
         """nu - mu + s/p as an mpf at the ambient precision."""
-        return mp.mpmathify(self.nu) - mp.mpmathify(self.mu) + mp.mpf(self.s) / self.p
+        a = self._exponent()
+        return mp.mpf(a.numerator) / a.denominator
 
 
 # -- evaluation --
@@ -246,8 +249,8 @@ def _target_scale(family, abar, x):
 
 
 def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
-    """Either route's raw value as boxes (real part, imaginary part) at
-    iv.prec = bits, and its diagnostics: the cylinder function's series
+    """Either route's raw value as raw interval boxes (real part, imaginary
+    part) at bits, and its diagnostics: the cylinder function's series
     boxes, or the tilted-path integral plus or minus its certified
     quadrature bound, the sum of the discretisation, tail and rounding
     terms, at absolute tolerance rel_target/16 * _target_scale, the integral
@@ -269,7 +272,7 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
         family = "K" if cylinder == "K" else "H1"
         key = (family, abar, x, bits)
         if key not in _BESSEL_CACHE:
-            _BESSEL_CACHE[key] = _series_boxes(family, abar, x)
+            _BESSEL_CACHE[key] = _series_boxes(family, abar, x, bits)
         re, im = _BESSEL_CACHE[key]
         diag = {"route": "closed", "cylinder": cylinder}
     else:
@@ -283,13 +286,14 @@ def _raw_boxes(mode, quadrant, abar, x, bits, rel_target):
                 raw, jerr, terms = fn(arg, mp.mpmathify(abar), eps_abs)
             if not mp.isfinite(jerr):
                 raise PrecisionError("tilted contour: no finite quadrature bound", achieved=mp.inf)
-            disc = iv.mpf([mp.fneg(jerr, exact=True), jerr])
+            disc = mp.fneg(jerr, exact=True)._mpf_, jerr._mpf_
+            re, im = (mpi_add(disc, (v._mpf_, v._mpf_), bits) for v in (raw.real, raw.imag))
             terms = {name: v if isinstance(v, int) else float(v) for name, v in terms.items()}
-            _J_CACHE[key] = (disc + raw.real, disc + raw.imag, terms)
+            _J_CACHE[key] = (re, im, terms)
         re, im, terms = _J_CACHE[key]
         diag = {"route": "integral", "family": family, "phase_sign": s2, **terms}
     _READ_KEYS[mode].add(key)
-    return re, (-im if s2 < 0 else im), diag
+    return re, (mpi_neg(im) if s2 < 0 else im), diag
 
 
 @functools.lru_cache(maxsize=16)
@@ -297,17 +301,13 @@ def _prefactor_parts(mode, quadrant, abar, mu, bits):
     """The parts of a value's prefactor that depend on neither the point
     nor the raw value, as raw interval tuples at `bits`: the enclosures of
     abar and mu, the coefficient (real part, imaginary part), and cos/sin
-    of the half-turn at bits + 20, the precision iv.exp takes them at.
-    Each comes from the libmpi calls ctx_iv makes for the expressions
-
-        integral:  coeff = iv.mpc(0, -1/(2*iv.pi)),  turn = 0
-        closed:    coeff = iv.mpc(0, -1/iv.pi) (K) or iv.mpf(s1)/2 (Hankel),
-                   turn = s2*abar*iv.pi/2
-
-    so the product built from them is bit for bit the ctx_iv one."""
+    of the half-turn at bits + 20, the precision the interval exp takes
+    them at.  Each comes from the libmpi calls mpmath's interval context
+    makes for the coefficient and half-turn of `_kernel_value`'s two
+    forms, so the product built from them is bit for bit its own."""
     s1, s2, cylinder = _QUADRANTS[quadrant]
     a = _enclose_mpi(abar, bits)
-    pi = mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)
+    pi = mpi_pi(bits)
     two = _int_mpi(2, bits)
     if mode == "integral":
         coeff, turn = (_ZERO, mpi_div(_int_mpi(-1, bits), mpi_mul(two, pi, bits), bits)), _ZERO
@@ -338,24 +338,21 @@ def _kernel_value(point, abar, mu, r, rel_target, mode):
     with coeff, C and the contour read off the quadrant table.  The boxes
     are raw libmpi interval tuples: exp of the complex exponent is exp of
     its real part abar*beta + mu*lambda at bits + 20 times the cached
-    cos/sin of the half-turn, as iv.exp computes it."""
+    cos/sin of the half-turn, as the interval exp computes it."""
     x = _exact(r) * _exact(point.rho)
     mu = _exact(mu)
     beta = point.beta._mpf_
     lam = point.lambda_val._mpf_
     diag = {}
 
-    def boxes(bits):
+    def value_at(bits):
         re, im, raw_diag = _raw_boxes(mode, point.quadrant, abar, x, bits, rel_target)
         diag.update(raw_diag)
         a, m, coeff, (cos, sin) = _prefactor_parts(mode, point.quadrant, abar, mu, bits)
         real = mpi_add(mpi_mul(a, (beta, beta), bits), mpi_mul(m, (lam, lam), bits), bits)
         scale = mpi_exp(real, bits + 20)
         turned = mpi_mul(scale, cos, bits), mpi_mul(scale, sin, bits)
-        return mpci_mul(mpci_mul(coeff, turned, bits), (re._mpi_, im._mpi_), bits)
-
-    def value_at(bits):
-        return _box_value(lambda: boxes(bits), bits)
+        return _box_value(mpci_mul(mpci_mul(coeff, turned, bits), (re, im), bits), bits)
 
     value, err = _certified(value_at, rel_target, float(x), abar, "kernel evaluation")
     return ComplexValue(value.real, value.imag, err), diag
@@ -371,7 +368,7 @@ def kernel_eval_detailed(params: KernelParams, point: QuadrantPoint, mode="close
         raise ValueError(f"mode must be 'closed' or 'integral', got {mode!r}")
     if not isinstance(point, QuadrantPoint):
         raise TypeError("point must be a QuadrantPoint")
-    abar = _exact(params.mu) - _exact(params.nu) - Fraction(params.s, params.p)
+    abar = -params._exponent()
     return _kernel_value(point, abar, params.mu, params.r, _target(params.precision), mode)
 
 

@@ -630,9 +630,9 @@ def test_argument_must_be_finite_positive_real(kind, arg):
     "order", [Fraction(10**20 + 1, 10**20), "1e-20", 1, "-0.3"], ids=["1+1e-20", "1e-20", "1", "-0.3"]
 )
 def test_series_value_ignores_the_ambient_precisions(order):
-    # mp.iv has no workprec: the series sets iv.prec itself and restores
-    # it, so a value depends on neither the caller's mp.prec or iv.prec
-    # nor on an earlier call
+    # the series runs on raw intervals at the bits it is handed and reads
+    # no global interval state, so a value depends on neither the
+    # caller's mp.prec or iv.prec nor on an earlier call
     got = set()
     saved = mp.iv.prec
     for ambient in (53, 400):
@@ -738,6 +738,95 @@ def test_near_two_orders_lose_no_more_than_near_one(kind, order):
     with mp.workprec(450):
         assert abs(value - REFEREE[kind](mp.mpmathify(order), mp.mpmathify(arg))) <= err
         assert bits + mp.log(err / abs(value), 2) <= 75
+
+
+# -- the raw interval series against the ctx_iv expressions it replaced --
+
+
+def _ctx_iv_series_boxes(kind, order, arg, prec):
+    """The series boxes written as mp.iv expressions at iv.prec = prec,
+    kept here as the reference the raw interval tuples of
+    `bessel._series_boxes` must reproduce bit for bit.  The fixed-point
+    sums and their conversion to intervals are shared."""
+    iv = mp.iv
+
+    def enclose(value):
+        value = bessel._exact(value)
+        return iv.mpf(value.numerator) / value.denominator
+
+    def ascending_sums(nu, half, sign, digamma=False):
+        w, _, sums = bessel._ratio_sums(nu, half, sign, iv.prec, digamma)
+        boxes = [iv.make_mpf(bessel._fixed_interval(c, r + t, w, iv.prec)) for c, r, t in sums]
+        if digamma:
+            seed = enclose(half**nu.numerator / math.factorial(nu.numerator + 1))
+            plain, weighted = boxes
+            return [seed * plain, seed * (weighted - 2 * iv.euler * plain)]
+        seed = iv.power(enclose(half), enclose(nu)) / iv.gamma(enclose(nu + 2))
+        return [seed * boxes[0]]
+
+    def series_boxes():
+        nu = bessel._exact(order)
+        half = bessel._exact(arg) / 2
+        sign = 1 if kind == "K" else -1
+        if nu.denominator == 1:
+            turn = (-1) ** nu.numerator if nu < 0 else 1
+            n = abs(nu.numerator)
+            plain, weighted = ascending_sums(Fraction(n), half, sign, digamma=True)
+            step = -sign * half**2
+            finite = enclose(
+                sum(
+                    Fraction(math.factorial(n - k - 1), math.factorial(k)) * step**k
+                    for k in range(n)
+                )
+                / half**n
+            )
+            log_half = iv.log(enclose(half))
+            if kind == "K":
+                log_part = (-1) ** (n + 1) * log_half * plain
+                return finite / 2 + log_part + (-1) ** n * weighted / 2, iv.mpf(0)
+            y = (2 * log_half * plain - finite - weighted) / iv.pi
+            return turn * plain, turn * y
+        turn = iv.pi * enclose(nu)
+        s = iv.sin(turn)
+        if 0 in s:
+            return iv.mpf([-mp.inf, mp.inf]), iv.mpf([-mp.inf, mp.inf])
+        (plus,) = ascending_sums(nu, half, sign)
+        (minus,) = ascending_sums(-nu, half, sign)
+        if kind == "K":
+            return iv.pi / 2 * (minus - plus) / s, iv.mpf(0)
+        return plus, (plus * iv.cos(turn) - minus) / s
+
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        return tuple(box._mpi_ for box in series_boxes())
+    finally:
+        iv.prec = saved
+
+
+def _series_reference_cases(seed=35):
+    rng = random.Random(seed)
+    near = Fraction(1, 10**20)
+    orders = [0, 1, -1, Fraction(1, 3), Fraction(-3, 10), 1 + near, 2 - near, near - 2, near]
+    # an order no working precision here tells from 1: unbounded boxes
+    orders.append(1 + Fraction(1, 2**200))
+    orders += [Fraction(rng.randint(-199, 199), 100) for _ in range(4)]
+    args = (Fraction(1, 4), Fraction(13, 10), 4, 12)
+    return [
+        (kind, order, arg, prec)
+        for kind in ("K", "H1")
+        for order in orders
+        for arg in args
+        for prec in (96, 256)
+    ]
+
+
+def test_series_boxes_match_the_ctx_iv_expression():
+    cases = _series_reference_cases()
+    assert len(cases) >= 200
+    for kind, order, arg, prec in cases:
+        got = bessel._series_boxes(kind, order, arg, prec)
+        assert tuple(got) == _ctx_iv_series_boxes(kind, order, arg, prec), (kind, order, arg, prec)
 
 
 # -- the fixed-point ratio sums against exact rationals --

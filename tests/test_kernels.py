@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import mpi_neg
 
 from fsusy import bessel, kernels
 from fsusy.bessel import PrecisionError
@@ -183,6 +184,21 @@ def test_params_validation():
         KernelParams(p=3, s=-3, nu=0, mu=0, r=1)
     with pytest.raises(ValueError, match="real"):
         KernelParams(p=3, s=0, nu=mp.mpc(0, 1), mu=0, r=1)
+
+
+def test_strip_gate_reads_the_exact_exponent():
+    # 1 - 1e-50 rounds to 1 at the ambient precision plus 80 bits, yet lies
+    # inside the strip, and both routes evaluate it and agree within their
+    # bounds; 1 + 1e-50 stays outside
+    for nu in ("0." + "9" * 50, "-0." + "9" * 50):
+        params = KernelParams(p=3, s=0, nu=nu, mu=0, r=1, precision="1e-12")
+        for quadrant in (1, 2):
+            point = QuadrantPoint.from_polar(quadrant, "1.3", "0.2")
+            closed, integral = (kernel_eval(params, point, mode) for mode in ("closed", "integral"))
+            gap = abs(closed.to_mpc() - integral.to_mpc())
+            assert gap <= closed.err_estimate + integral.err_estimate, (nu, quadrant)
+    with pytest.raises(ValueError, match="strip"):
+        KernelParams(p=3, s=0, nu="1." + "0" * 49 + "1", mu=0, r=1)
 
 
 def test_strip_exponent():
@@ -471,7 +487,7 @@ def _ctx_iv_kernel_value(point, abar, mu, r, rel_target, mode):
             coeff = iv.mpc(0, -1 / iv.pi) if cylinder == "K" else iv.mpf(s1) / 2
             turn = s2 * a * iv.pi / 2
         out = coeff * iv.exp(iv.mpc(a * point.beta + enclose(mu) * point.lambda_val, turn))
-        out *= iv.mpc(re, im)
+        out *= iv.mpc(iv.make_mpf(re), iv.make_mpf(im))
         return out.real, out.imag
 
     def value_at(bits):
@@ -569,9 +585,52 @@ def test_phase_minus_contour_is_the_exact_conjugate(monkeypatch, family, bits):
         (plus_re, plus_im, plus_diag), (minus_re, minus_im, minus_diag) = got[plus_q], got[minus_q]
         case = (drift, arg)
         assert (plus_diag["phase_sign"], minus_diag["phase_sign"]) == (1, -1), case
-        assert minus_re._mpi_ == plus_re._mpi_, case
-        assert minus_im._mpi_ == (-plus_im)._mpi_, case
+        assert minus_re == plus_re, case
+        assert minus_im == mpi_neg(plus_im), case
         assert minus_diag["cutoff"] == plus_diag["cutoff"], case
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+def test_raw_boxes_ignore_the_ambient_interval_precision(monkeypatch, mode):
+    # with the caches empty, the raw boxes asked for at `bits` are the
+    # same tuples whatever the caller's iv.prec
+    bits, target = 110, bessel._target("1e-16")
+    saved = iv.prec
+    for quadrant, abar in itertools.product((1, 2, 3, 4), (Fraction(-3, 10), Fraction(1, 3))):
+        got = []
+        for ambient in (53, bits):
+            monkeypatch.setattr(kernels, "_BESSEL_CACHE", {})
+            monkeypatch.setattr(kernels, "_J_CACHE", {})
+            iv.prec = ambient
+            try:
+                re, im, _ = kernels._raw_boxes(mode, quadrant, abar, Fraction(3, 10), bits, target)
+            finally:
+                iv.prec = saved
+            got.append((re, im))
+        assert got[0] == got[1], (quadrant, abar)
+        assert all(isinstance(end, tuple) for box in got[0] for end in box), (quadrant, abar)
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+def test_kernel_eval_ignores_the_ambient_precisions(monkeypatch, mode):
+    # (mp.prec, iv.prec) = (53, 53) and (400, 400) give bit-identical
+    # values and bounds; the points are built once, as a non-dyadic beta
+    # read at two precisions is two different inputs
+    params = KernelParams(p=3, s=1, nu="0.2", mu="0.1", r="5/4", precision="1e-20")
+    points = [QuadrantPoint.from_polar(q, "1.5", "-0.3", lambda_val="0.6") for q in (2, 3)]
+    saved = iv.prec
+    for point in points:
+        got = []
+        for ambient in (53, 400):
+            monkeypatch.setattr(kernels, "_BESSEL_CACHE", {})
+            monkeypatch.setattr(kernels, "_J_CACHE", {})
+            with mp.workprec(ambient):
+                iv.prec = ambient
+                try:
+                    got.append(_parts(kernel_eval(params, point, mode)))
+                finally:
+                    iv.prec = saved
+        assert got[0] == got[1], str(point)
 
 
 @pytest.mark.parametrize("mode", ["closed", "integral"])
