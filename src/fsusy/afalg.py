@@ -31,6 +31,15 @@ the twisted generators:
 (both are forced by the antipode axiom m(S (x) id)Delta = eps 1; the suite
 re-derives this instead of trusting the transcription).  The star fixes all
 generators, conjugates coefficients and reverses products.
+
+The Hopf maps of a monomial multiply generator powers in closed form.  The
+two terms of Delta(e+-) q-commute, YX = q^(-+2) XY, which gives the
+q-binomial theorem; A = z+- (x) 1 and B = exp(+-L) (x) z+- are central, and
+any product of two terms of the tail T of Delta(z+-) vanishes:
+
+    Delta(e+-^n) = sum_j q^(-+j(n-j)) [n]!/([j]![n-j]!) e+-^(n-j) g+-^j (x) e+-^j
+    Delta(z+-^n) = (A + B)^n + n (A + B)^(n-1) T
+    S(e+-)^n = (-1)^n q^(+-n(n+1)) e+-^n g+-^-n      S(z+-)^n = (-1)^n z+-^n exp(-+nL)
 """
 
 from __future__ import annotations
@@ -65,8 +74,8 @@ def _check_mu(mu, p: int) -> int:
 class AAlgebra(SparseAlgebra):
     """Factory and rewrite engine for the function algebra at one (p, r).
 
-    _cop_cache holds Delta of each monomial with k = u = 0, the translation
-    factor Delta(z+^t z-^s) among them; sparse lists the other caches."""
+    _cop_cache holds Delta of each monomial with k = u = 0; sparse lists the
+    other caches."""
 
     UNIT = A_UNIT
     SHORT_MINUS = False
@@ -82,7 +91,6 @@ class AAlgebra(SparseAlgebra):
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
-        self._gen_anti_pows = {}
 
     # -- factories --
 
@@ -183,46 +191,46 @@ class AAlgebra(SparseAlgebra):
 
     # -- Hopf structure --
 
-    def _g_plus(self):
-        return (0, 0, 1, 0, 0, 0, 1)
+    def _eg(self, slot: int, a: int, j: int):
+        """The key of e+^a g+^j for slot 0, of e-^a g-^j for slot 1."""
+        sign = 1 - 2 * slot
+        return self._slot_mono(slot, a)[:2] + (sign * j % self.ctx.p, 0, 0, 0, sign * j)
 
-    def _g_minus(self):
-        return (0, 0, self.ctx.p - 1, 0, 0, 0, -1)
+    def _cop_power_terms(self, slot: int, n: int):
+        ctx, p = self.ctx, self.ctx.p
+        if slot in (0, 1):
+            sign = 1 - 2 * slot
+            return [
+                ((self._eg(slot, n - j, j), self._slot_mono(slot, j)),
+                 ctx.q(-sign * j * (n - j)) * ctx.qbinom(n, j))
+                for j in range(n + 1)
+            ]
+        if slot not in (3, 4):
+            return super()._cop_power_terms(slot, n)
+        sign = 7 - 2 * slot
 
-    def _gen_coproduct(self, slot: int) -> ATensor:
-        one = self.ctx.one()
-        p = self.ctx.p
-        if slot == 0:
-            mon = (1, 0, 0, 0, 0, 0, 0)
-            return ATensor(self, 2, {(mon, A_UNIT): one, (self._g_plus(), mon): one})
-        if slot == 1:
-            mon = (0, 1, 0, 0, 0, 0, 0)
-            return ATensor(self, 2, {(mon, A_UNIT): one, (self._g_minus(), mon): one})
-        if slot == 2:
-            mon = (0, 0, 1, 0, 0, 0, 0)
-            return ATensor(self, 2, {(mon, mon): one})
-        if slot in (3, 4):
-            sign = 1 if slot == 3 else -1
-            zmon = (0, 0, 0, 1, 0, 0, 0) if slot == 3 else (0, 0, 0, 0, 1, 0, 0)
-            emon = (0, 0, 0, 0, 0, 0, sign * p)
-            terms = {(zmon, A_UNIT): one, (emon, zmon): one}
-            for nn in range(1, p):
-                coeff = (
-                    self.kappa0
-                    * self.ctx.q(sign * nn * nn)
-                    / (self.ctx.qfact(p - nn) * self.ctx.qfact(nn))
-                )
-                if slot == 3:
-                    left = (p - nn, 0, nn % p, 0, 0, 0, nn)
-                    right = (nn, 0, 0, 0, 0, 0, 0)
-                else:
-                    left = (0, p - nn, (-nn) % p, 0, 0, 0, -nn)
-                    right = (0, nn, 0, 0, 0, 0, 0)
-                terms[(left, right)] = coeff
-            return ATensor(self, 2, terms)
-        # slot 5: the central coordinate is primitive
-        mon = (0, 0, 0, 0, 0, 1, 0)
-        return ATensor(self, 2, {(mon, A_UNIT): one, (A_UNIT, mon): one})
+        def z(a, i, j):  # a times z+-^i exp(+-jL)
+            return a[:slot] + (i,) + a[slot + 1 : 6] + (a[6] + sign * j * p,)
+
+        # (A + B)^n, then n (A + B)^(n-1) times each tail term
+        binom = [ctx.from_fraction(math.comb(n, i)) for i in range(n + 1)]
+        out = [((z(A_UNIT, n - i, i), z(A_UNIT, i, 0)), binom[i]) for i in range(n + 1)]
+        for j in range(1, p):
+            c = self.kappa0 * ctx.q(sign * j * j) / (ctx.qfact(p - j) * ctx.qfact(j))
+            left, right = self._eg(slot - 3, p - j, j), self._slot_mono(slot - 3, j)
+            out += [
+                ((z(left, n - 1 - i, i), z(right, i, 0)), c * (n * math.comb(n - 1, i)))
+                for i in range(n)
+            ]
+        return out
+
+    def _anti_power(self, slot: int, n: int):
+        ctx = self.ctx
+        if slot in (0, 1):  # -1 = zeta^(2p)
+            phase = 2 * ctx.p * n + 4 * (1 - 2 * slot) * n * (n + 1)
+            return AElement(self, {self._eg(slot, n, -n): ctx.zeta(phase)})
+        out = super()._anti_power(slot, n)
+        return out * self.exp_lambda((2 * slot - 7) * n) if slot in (3, 4) else out
 
     def _relabelled(self, terms, k: int, pmu: int) -> list:
         """Coproduct terms ((a, b), c) times g (x) g, g = d^k exp(u L) with
@@ -244,57 +252,11 @@ class AAlgebra(SparseAlgebra):
 
     def _coproduct_mono(self, mon) -> ATensor:
         n, m, k, t, s, l, pmu = mon
-        if k or pmu:
-            # Delta(x g) = Delta(x) (g (x) g) for the group-like part g
-            base = self._coproduct_mono((n, m, 0, t, s, l, 0))
-            return ATensor(self, 2, dict(self._relabelled(base.terms.items(), k, pmu)))
-        got = self._cop_cache.get(mon)
-        if got is not None:
-            return got
-        if l:
-            # L is central and primitive, and slot 5 is 0 on both legs for l = 0:
-            # Delta(x L^l) = sum_j C(l, j) Delta(x) (L^j (x) L^(l-j)) writes it
-            binom = [math.comb(l, j) for j in range(l + 1)]
-            out = {}
-            for (a, b), c in self._coproduct_mono((n, m, 0, t, s, 0, 0)).terms.items():
-                for j, f in enumerate(binom):
-                    out[(a[:5] + (j,) + a[6:], b[:5] + (l - j,) + b[6:])] = c if f == 1 else c * f
-            out = ATensor(self, 2, out)
-        else:
-            out = None
-            for slot, e in ((0, n), (1, m)):
-                if e:
-                    f = self._gen_cop_power(slot, e)
-                    out = f if out is None else out * f
-            if t or s:
-                # the translation legs are the wide factor: Delta(z+^t z-^s)
-                # is cached under its own key and shared by every (n, m)
-                if out is None:
-                    out = self._gen_cop_power(3, t) * self._gen_cop_power(4, s)
-                else:
-                    out = out * self._coproduct_mono((0, 0, 0, t, s, 0, 0))
-            if out is None:
-                out = self.tensor_one(2)
-        self._cop_cache[mon] = out
-        return out
-
-    def _gen_antipode(self, slot: int) -> AElement:
-        p = self.ctx.p
-        if slot == 0:
-            return (
-                self.delta(-1) * self.exp_lambda(Fraction(-1, p)) * self.eta_plus()
-            ) * Fraction(-1)
-        if slot == 1:
-            return (
-                self.delta(1) * self.exp_lambda(Fraction(1, p)) * self.eta_minus()
-            ) * Fraction(-1)
-        if slot == 2:
-            return self.delta(-1)
-        if slot == 3:
-            return self.exp_lambda(-1) * self.z_plus() * Fraction(-1)
-        if slot == 4:
-            return self.exp_lambda(1) * self.z_minus() * Fraction(-1)
-        return -self.lam()
+        base = super()._coproduct_mono((n, m, 0, t, s, l, 0))
+        if not (k or pmu):
+            return base
+        # Delta(x g) = Delta(x) (g (x) g) for the group-like part g
+        return ATensor(self, 2, dict(self._relabelled(base.terms.items(), k, pmu)))
 
 
 def random_a_element(alg: AAlgebra, rng, degree: int = 2, nterms: int = 3) -> AElement:

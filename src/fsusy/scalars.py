@@ -475,6 +475,8 @@ class FieldContext:
         a = Fraction(a)
         if a == 0:
             return self._zero
+        if a == 1:  # the unit object, which the products pass through
+            return self._one
         return FieldScalar(self, {(0, 0): self._rational_vec(a)})
 
     def zeta(self, j: int = 1):
@@ -519,3 +521,9 @@ class FieldContext:
             got = self.qfact(n - 1) * self.qint(n)
             self._qfact_cache[n] = got
         return got
+
+    def qbinom(self, n: int, j: int):
+        """[n]!/([j]! [n-j]!) for 0 <= j <= n < p, the unit object at j = 0, n."""
+        if j in (0, n):
+            return self._one
+        return self.qfact(n) / (self.qfact(j) * self.qfact(n - j))

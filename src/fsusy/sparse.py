@@ -11,19 +11,20 @@ such fact comes from the algebra object an element carries:
     UNIT                           the unit monomial
     _mono_mul(a, b)                {monomial: factor}, product of two monomials
     _legs_mul(ka, kb)              [(key, factor)], product of two tensor keys
-    _coproduct_mono(mon)           Delta of one monomial
-    _gen_coproduct(slot)           Delta of one generator, cached in powers
+    _cop_power_terms(slot, n)      [((a, b), c)]: Delta(x)^n of a twisted
+    _anti_power(slot, n)           generator x, and S(x)^n, in closed form
     GEN_NAMES, GEN_SLOTS           generator tokens of slots 0..5 and back
-    _gen_antipode(slot)            S of one generator, cached in powers
     _parse_weight(name)            optional: claims a group-like weight token
     SHORT_MINUS                    a leading -1 prints as "- word" when true
 
-From these SparseAlgebra derives the antipode and star of a monomial (one
-word reversal that puts the group-like part g in front, as g^-1 or g, of
-the image of the g-free part), its printed word and the grammar of parse,
-and the index of a coproduct by the multidegrees of its legs, filling the
-caches _gen_cop_pows, _gen_anti_pows, _anti_cache, _star_cache (g-free
-parts included) and _cop_indexes each algebra creates.  Only the
+SparseAlgebra states Delta(x)^n and S(x)^n for a primitive x and Delta(x)^n
+for the group-like x of slot 2, and derives the coproduct of a monomial
+(the slot powers multiplied in slot order), its antipode and star (one word
+reversal that puts the group-like part g in front, as g^-1 or g, of the
+image of the g-free part), its printed word and the grammar of parse, and
+the index of a coproduct by the multidegrees of its legs, filling the caches
+_gen_cop_pows, _cop_cache, _anti_cache, _star_cache (g-free parts included)
+and _cop_indexes each algebra creates.  Only the
 operations an element actually uses need to exist: the operator calculus
 has no coproduct and brings its own star and printing.  Sums, negation
 and products keep the class of their left operand, so an Element
@@ -34,6 +35,7 @@ see; slot 2 and any slot past 5 are group-like.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -104,12 +106,40 @@ class SparseAlgebra:
             terms = nxt
         return Tensor(self, len(elements), terms)
 
+    def _slot_mono(self, slot: int, e: int):
+        """The monomial x^e of the generator x of one slot."""
+        return self.UNIT[:slot] + (e,) + self.UNIT[slot + 1 :]
+
+    def _cop_power_terms(self, slot: int, n: int):
+        """Delta(x)^n for the group-like x of slot 2 or a primitive x."""
+        mono = self._slot_mono
+        if slot == 2:
+            return [((mono(2, n % self.ctx.p),) * 2, self.ctx._one)]
+        c = self.ctx.from_fraction
+        return [((mono(slot, n - j), mono(slot, j)), c(math.comb(n, j))) for j in range(n + 1)]
+
+    def _anti_power(self, slot: int, n: int):
+        """S(x)^n = (-1)^n x^n for a primitive x."""
+        return Element(self, {self._slot_mono(slot, n): self.ctx.from_fraction((-1) ** n)})
+
     def _gen_cop_power(self, slot: int, n: int):
-        """Delta(generator)^n, cached per slot in self._gen_cop_pows."""
-        pows = self._gen_cop_pows.setdefault(slot, [self.tensor_one(2)])
-        while len(pows) <= n:
-            pows.append(pows[-1] * self._gen_coproduct(slot))
-        return pows[n]
+        """Delta(generator)^n, cached per (slot, n)."""
+        got = self._gen_cop_pows.get((slot, n))
+        if got is None:
+            got = Tensor(self, 2, dict(self._cop_power_terms(slot, n)))
+            self._gen_cop_pows[slot, n] = got
+        return got
+
+    def _coproduct_mono(self, mon):
+        """Delta of one monomial: the slot powers multiplied in slot order."""
+        got = self._cop_cache.get(mon)
+        if got is None:
+            got = self.tensor_one(2)
+            for slot, e in enumerate(mon):
+                if e:
+                    got = got * self._gen_cop_power(slot, e)
+            self._cop_cache[mon] = got
+        return got
 
     def _cop_index(self, mon, legs: tuple) -> dict:
         """{degrees of the legs numbered in legs: [(key, coefficient)]} over
@@ -121,13 +151,6 @@ class SparseAlgebra:
                 got.setdefault(tuple(_degree(key[i]) for i in legs), []).append((key, c))
             self._cop_indexes[(mon, legs)] = got
         return got
-
-    def _gen_anti_power(self, slot: int, n: int):
-        """S(generator)^n, cached per slot in self._gen_anti_pows."""
-        pows = self._gen_anti_pows.setdefault(slot, [self.one()])
-        while len(pows) <= n:
-            pows.append(pows[-1] * self._gen_antipode(slot))
-        return pows[n]
 
     def _reversed(self, mon, cache, image, sign: int):
         """mon under the word reversal sending a power e of slot 0, 1, 3-5 to
@@ -147,14 +170,14 @@ class SparseAlgebra:
         return got
 
     def _antipode_mono(self, mon):
-        return self._reversed(mon, self._anti_cache, self._gen_anti_power, -1)
+        return self._reversed(mon, self._anti_cache, self._anti_power, -1)
 
     def _star_mono(self, mon):
         got = self._star_cache.get(mon)
         return got if got is not None else self._reversed(mon, self._star_cache, self._star_power, 1)
 
     def _star_power(self, slot, e):  # every generator and weight is *-fixed
-        return Element(self, {self.UNIT[:slot] + (e,) + self.UNIT[slot + 1 :]: self.ctx._one})
+        return Element(self, {self._slot_mono(slot, e): self.ctx._one})
 
     def _format_mono(self, mon) -> str:
         parts = []

@@ -19,7 +19,12 @@ h = -1 is kept selectable so the choice stays an observable fact rather
 than a buried constant.
 
 The Hopf structure: Delta(p_pm) = p_pm (x) k + k^{-1} (x) p_pm, k group-like,
-P_pm and H primitive, S(p_pm) = -q^{pm 1} p_pm, all generators *-fixed.
+P_pm and H primitive, S(p_pm) = -q^{pm 1} p_pm, all generators *-fixed.  The
+Hopf maps of a monomial multiply generator powers in closed form.  The two
+terms of Delta(p_pm) q-commute, and reordering the right leg cancels the
+phase of the q-binomial theorem:
+
+    Delta(p_pm^n) = sum_j [n]!/([j]![n-j]!) p_pm^(n-j) k^-j (x) p_pm^j k^(n-j)
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class UAlgebra(SparseAlgebra):
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
-        self._gen_anti_pows = {}
 
     # -- element factories --
 
@@ -150,51 +154,23 @@ class UAlgebra(SparseAlgebra):
 
     # -- Hopf structure --
 
-    def _gen_coproduct(self, slot: int) -> UTensor:
-        one = self.ctx.one()
+    def _cop_power_terms(self, slot: int, n: int):
+        if slot not in (0, 1):
+            return super()._cop_power_terms(slot, n)
         p = self.ctx.p
-        if slot == 0:  # p+ (x) k + k^{-1} (x) p+
-            return UTensor(
-                self,
-                2,
-                {
-                    ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)): one,
-                    ((0, 0, p - 1, 0, 0, 0), (1, 0, 0, 0, 0, 0)): one,
-                },
-            )
-        if slot == 1:
-            return UTensor(
-                self,
-                2,
-                {
-                    ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)): one,
-                    ((0, 0, p - 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)): one,
-                },
-            )
-        if slot == 2:
-            return UTensor(self, 2, {((0, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0)): one})
-        args = [0] * 6
-        args[slot] = 1
-        mon = tuple(args)
-        return UTensor(self, 2, {(mon, UNIT_MONO): one, (UNIT_MONO, mon): one})
+        return [
+            ((self._slot_mono(slot, n - j)[:2] + (-j % p, 0, 0, 0),
+              self._slot_mono(slot, j)[:2] + ((n - j) % p, 0, 0, 0)),
+             self.ctx.qbinom(n, j))
+            for j in range(n + 1)
+        ]
 
-    def _coproduct_mono(self, mon) -> UTensor:
-        got = self._cop_cache.get(mon)
-        if got is not None:
-            return got
-        out = self.tensor_one(2)
-        for slot, e in enumerate(mon):
-            if e:
-                out = out * self._gen_cop_power(slot, e)
-        self._cop_cache[mon] = out
-        return out
-
-    def _gen_antipode(self, slot: int) -> UElement:
-        # S(p_pm) = -q^{pm 1} p_pm, S(k) = k^{-1}; P_pm and H are primitive
-        if slot == 2:
-            return self.kappa(-1)
-        phase = self.ctx.q((1, -1, 0, 0, 0, 0)[slot])
-        return self.generator(self.GEN_NAMES[slot]) * -phase
+    def _anti_power(self, slot: int, n: int):
+        if slot not in (0, 1):
+            return super()._anti_power(slot, n)
+        # -1 = zeta^(2p)
+        phase = 2 * self.ctx.p * n + 4 * (1 - 2 * slot) * n
+        return UElement(self, {self._slot_mono(slot, n): self.ctx.zeta(phase)})
 
 
 # the generator tokens in slot order

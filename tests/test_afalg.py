@@ -7,6 +7,7 @@ import pytest
 from fsusy.afalg import AAlgebra, AElement, a_axiom_suite, parse_a, random_a_element
 from fsusy.scalars import FieldContext
 from fsusy.ufalg import UAlgebra
+from generator_tables import gen_coproduct
 
 
 @pytest.fixture(scope="session", params=(3, 5, 7))
@@ -182,7 +183,7 @@ def test_relabelled_coproduct_matches_generator_products(p):
     # Delta(L)^l Delta(exp(u L)) out with Tensor.__mul__
     aal = AAlgebra(FieldContext(p))
     d = aal.delta()
-    gen = {slot: aal._gen_coproduct(slot) for slot in (0, 1, 3, 4, 5)}
+    gen = {slot: gen_coproduct(aal, slot) for slot in (0, 1, 3, 4, 5)}
     gen[2] = aal.tensor(d, d)
     weights = [Fraction(w, p) for w in (0, 1, -1, 2, p)]
     grouplike = {}
@@ -206,10 +207,10 @@ def test_relabelled_coproduct_matches_generator_products(p):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_central_power_coproduct_matches_generator_products(p):
-    # for l > 0, _coproduct_mono writes Delta(L)^l into slot 5 of the l = 0
-    # coproduct; the reference multiplies Delta(L) in l times
+    # for l > 0, _coproduct_mono multiplies the binomial Delta(L)^l onto the
+    # l = 0 coproduct; the reference multiplies Delta(L) in l times
     aal = AAlgebra(FieldContext(p))
-    lam = aal._gen_coproduct(5)
+    lam = gen_coproduct(aal, 5)
     for n, m, t, s in ((0, 0, 0, 0), (1, 2, 1, 0), (2, 1, 2, 2), (p - 1, 0, 0, 1)):
         ref = aal._coproduct_mono((n, m, 0, t, s, 0, 0))
         for l in range(1, 5):

@@ -629,10 +629,11 @@ def test_argument_must_be_finite_positive_real(kind, arg):
 @pytest.mark.parametrize(
     "order", [Fraction(10**20 + 1, 10**20), "1e-20", 1, "-0.3"], ids=["1+1e-20", "1e-20", "1", "-0.3"]
 )
-def test_series_value_ignores_the_ambient_precisions(order):
+def test_series_value_ignores_the_ambient_precisions(order, monkeypatch):
     # the series runs on raw intervals at the bits it is handed and reads
     # no global interval state, so a value depends on neither the
-    # caller's mp.prec or iv.prec nor on an earlier call
+    # caller's mp.prec or iv.prec nor on an earlier call, and an error
+    # inside the series leaves both precisions as it found them
     got = set()
     saved = mp.iv.prec
     for ambient in (53, 400):
@@ -646,16 +647,14 @@ def test_series_value_ignores_the_ambient_precisions(order):
         got.add((value.real._mpf_, value.imag._mpf_, err._mpf_))
     assert len(got) == 1
 
-
-def test_interval_precision_is_restored_after_an_error(monkeypatch):
-    def fail(nu, half, sign, digamma=False):
+    def fail(*args, **kwargs):
         raise ZeroDivisionError
 
     monkeypatch.setattr(bessel, "_ascending_sums", fail)
-    saved = mp.iv.prec
+    prec, iv_prec = mp.mp.prec, mp.iv.prec
     with pytest.raises(ZeroDivisionError):
-        bessel_eval("K", "0.3", "1.5")
-    assert mp.iv.prec == saved
+        bessel._series_value("H1", order, Fraction(13, 10), 114)
+    assert (mp.mp.prec, mp.iv.prec) == (prec, iv_prec)
 
 
 # -- the certified series against the referee --

@@ -87,6 +87,24 @@ def test_qfact_nonzero_below_p(ctx):
         assert (f / f) == ctx.one()
 
 
+def test_unit_coefficients_are_the_unit_object(ctx):
+    # the products pass a factor that is the unit object through untouched,
+    # so every factory must hand out that object for 1
+    assert ctx.from_fraction(1) is ctx.one()
+    assert ctx.from_fraction(Fraction(3, 3)) is ctx.one()
+    assert ctx.q(0) is ctx.one()
+    for n in range(ctx.p):
+        assert ctx.qbinom(n, 0) is ctx.qbinom(n, n) is ctx.one()
+
+
+def test_qbinom_pascal_rule(ctx):
+    # [n, j] = q^j [n-1, j] + q^(j-n) [n-1, j-1] for the symmetric q-binomial
+    for n in range(2, ctx.p):
+        for j in range(1, n):
+            rhs = ctx.q(j) * ctx.qbinom(n - 1, j) + ctx.q(j - n) * ctx.qbinom(n - 1, j - 1)
+            assert ctx.qbinom(n, j) == rhs
+
+
 # -- ring axioms on random elements --
 
 def test_ring_axioms_random(ctx):

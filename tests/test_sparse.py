@@ -11,6 +11,7 @@ from fsusy.afalg import AAlgebra, AElement, parse_a
 from fsusy.scalars import FieldContext
 from fsusy.sparse import parse
 from fsusy.ufalg import UAlgebra, UElement, parse_u
+from generator_tables import gen_anti_power, gen_antipode, gen_cop_power
 
 # -- reference maps: the word-based per-algebra versions, kept verbatim in
 # substance so the derived ones answer to an independent transcription --
@@ -60,7 +61,7 @@ def ref_a_antipode(alg, mon):
     for slot in range(5, -1, -1):
         e = mon[slot]
         if e:
-            out = out * alg._gen_antipode(slot) ** e
+            out = out * gen_antipode(alg, slot) ** e
     return out
 
 
@@ -91,6 +92,32 @@ def test_derived_a_maps_match_reference(p):
             mon = base + (pmu,)
             assert alg._antipode_mono(mon) == ref_a_antipode(alg, mon), mon
             assert alg._star_mono(mon) == ref_a_star(alg, mon), mon
+
+
+def _power_range(alg, slot):
+    """The exponents each closed-form generator power is checked at."""
+    p = alg.ctx.p
+    if slot in (0, 1):
+        return range(p)
+    if slot == 2:
+        return range(p + 3)
+    return range(4 if slot in (3, 4) and isinstance(alg, AAlgebra) and p >= 11 else 6)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("make", (UAlgebra, AAlgebra))
+def test_closed_form_generator_powers_match_products(make, p):
+    # Delta(x)^n and S(x)^n of every generator, stated in closed form by
+    # each algebra, against the generator tables multiplied out; S of the
+    # group-like slot 2 is the word reversal's g^-1
+    alg = make(FieldContext(p))
+    for slot in range(6):
+        for n in _power_range(alg, slot):
+            assert alg._gen_cop_power(slot, n) == gen_cop_power(alg, slot, n), (slot, n)
+            anti = alg._anti_power(slot, n) if slot != 2 else alg._antipode_mono(
+                alg._slot_mono(2, n % p)
+            )
+            assert anti == gen_anti_power(alg, slot, n), (slot, n)
 
 
 # -- one grammar, one set of messages --
