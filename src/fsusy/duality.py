@@ -602,11 +602,13 @@ def reo_conformance(ctx: FieldContext) -> NumericReport:
             if truth.is_zero() != closed.is_zero() or set(truth.terms) != set(closed.terms):
                 bad += 1
                 continue
-            mons = sorted(truth.terms)
-            first = closed.terms[mons[0]] / truth.terms[mons[0]]
-            if any(closed.terms[mm] / truth.terms[mm] != first for mm in mons[1:]):
+            m0, *rest = sorted(truth.terms)
+            c0, t0 = closed.terms[m0], truth.terms[m0]
+            # one ratio across the monomials, tested without dividing
+            if any(closed.terms[mm] * t0 != c0 * truth.terms[mm] for mm in rest):
                 bad += 1
                 continue
+            first = c0 / t0
             if not any(first == r for r in ratios):
                 ratios.append(first)
         rep.check(f"support_match[{gen}]", bad == 0, f"{bad} mismatches")

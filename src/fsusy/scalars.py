@@ -23,6 +23,13 @@ rational, as_fraction, evaluate, and the canonical and pretty forms,
 which format each coefficient as Fraction(numerator, denominator).
 Nothing in this module ever rounds.
 
+A scalar that is zeta^j * n/d carries the tag root = (j, n, d), n, d > 0
+coprime, j mod 4p (zeta^(2p) = -1 absorbs the sign), and FieldContext._root
+hands out one shared object per tag.  Products, negatives, inverses and
+conjugates of tagged scalars come back tagged without a vector product.
+The tag caches a fact about the terms; equality and every printed form read
+the terms alone.  Other scalars are checked lazily, once (_find_root).
+
 Inversion is supported for any element that is a single power of sqrt(pi)
 times a unit of Q(zeta)[c]/(c^p - r).  Both steps are norm tricks: the
 c-automorphisms c -> q^k c carry the element down to Q(zeta), and the
@@ -104,16 +111,44 @@ def _vsum(u, du, v, dv):
 
 
 class FieldScalar:
-    """One element of the scalar ring.  Immutable; arithmetic returns new
-    objects.  Do not construct directly, use the FieldContext factories."""
+    """One element of the scalar ring.  Immutable, and roots are shared, so
+    arithmetic never changes an operand.  Do not construct directly, use
+    the FieldContext factories."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "root")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         # {(c_pow, sqrtpi_pow): (int numerator tuple, int denominator)},
         # each pair in lowest terms with a positive denominator; no zero vectors
         self.terms = terms
+        # (j, n, d) once known to be zeta^j * n/d, False once known not to be
+        # one, None while unchecked; a cached fact about terms, see _find_root
+        self.root = None
+
+    def _find_root(self):
+        """The root tag, or False, found once.  Every zeta^j has 1 or p - 1
+        nonzero power-basis coordinates, all +-1, so any other pattern is
+        rejected at once; otherwise the vector divides exactly by its
+        leading coordinate and the quotient is looked up."""
+        if self.root is not None:
+            return self.root
+        root = False
+        terms = self.terms
+        if len(terms) == 1 and (0, 0) in terms:
+            vec, den = terms[(0, 0)]
+            ctx = self.ctx
+            nnz = ctx.deg - vec.count(0)
+            if nnz == 1 or nnz == ctx.p - 1:
+                lead = next(filter(None, vec))
+                if vec.count(lead) + vec.count(-lead) == nnz:
+                    j = ctx._root_index.get(tuple(x // lead for x in vec))
+                    if j is not None:
+                        if lead < 0:
+                            lead, j = -lead, (j + 2 * ctx.p) % (4 * ctx.p)
+                        root = (j, lead, den)
+        self.root = root
+        return root
 
     # -- ring structure --
 
@@ -135,6 +170,9 @@ class FieldScalar:
         return FieldScalar(ctx, out)
 
     def __neg__(self):
+        root = self.root
+        if root:
+            return self.ctx._root(root[0] + 2 * self.ctx.p, root[1], root[2])
         return FieldScalar(
             self.ctx, {k: (tuple(-x for x in v), d) for k, (v, d) in self.terms.items()}
         )
@@ -151,6 +189,9 @@ class FieldScalar:
             fn, fd = other.numerator, other.denominator
             if not fn:
                 return ctx._zero
+            root = self.root
+            if root:
+                return ctx._root(root[0], root[1] * fn, root[2] * fd)
             return FieldScalar(
                 ctx,
                 {k: _normal([x * fn for x in v], d * fd) for k, (v, d) in self.terms.items()},
@@ -161,6 +202,15 @@ class FieldScalar:
             return self
         if self is ctx._one:
             return other
+        # an operand is checked for a root only when the other one is a root,
+        # so a product of two fresh dense scalars pays no detection
+        a, b = self.root, other.root
+        if a is None and b:
+            a = self._find_root()
+        elif b is None and a:
+            b = other._find_root()
+        if a and b:
+            return ctx._root(a[0] + b[0], a[1] * b[1], a[2] * b[2])
         p = ctx.p
         rn, rd = ctx._r_num, ctx._r_den
         vmul = ctx._vmul
@@ -225,6 +275,9 @@ class FieldScalar:
         """The * involution: zeta -> zeta^(-1) (so q -> 1/q, i -> -i),
         while c and sqrt(pi) are fixed."""
         ctx = self.ctx
+        root = self._find_root()
+        if root:
+            return ctx._root(-root[0], root[1], root[2])
         return FieldScalar(
             ctx, {k: _normal(ctx._vauto(v, -1), d) for k, (v, d) in self.terms.items()}
         )
@@ -233,6 +286,9 @@ class FieldScalar:
         ctx = self.ctx
         if not self.terms:
             raise ZeroDivisionError("inverting zero")
+        root = self._find_root()
+        if root:
+            return ctx._root(-root[0], root[2], root[1])
         spows = {k[1] for k in self.terms}
         if len(spows) != 1:
             raise ZeroDivisionError("mixed sqrt(pi) powers are not invertible")
@@ -400,12 +456,30 @@ class FieldContext:
         # down, and row k*t mod 4p is the image of x^t under zeta -> zeta^k
         self._zeta_sparse = [tuple((t, c) for t, c in enumerate(v) if c) for v in zp]
         self._zero = FieldScalar(self, {})
-        self._zeta_scalar = tuple(
-            FieldScalar(self, {(0, 0): (self._zeta_pow[j], 1)}) for j in range(4 * p)
-        )
+        # the positive-leading zeta^j vectors, one of each pair +-zeta^j
+        self._root_index = {v: j for j, v in enumerate(zp) if next(filter(None, v)) > 0}
+        self._roots = {}  # (j, n, d) -> the one scalar zeta^j * n/d
+        self._zeta_scalar = tuple(self._root(j, 1, 1) for j in range(4 * p))
         self._one = self.zeta(0)
         self._qint_cache = {}
         self._qfact_cache = {0: self._one}
+
+    def _root(self, j, n, d):
+        """The interned scalar zeta^j * n/d for nonzero ints n, d.  A negative
+        n folds into j + 2p (zeta^(2p) = -1), so every root has one key; each
+        zeta^j vector has content 1, so n*zeta^j over d is in lowest terms."""
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        n, d = n // g, d // g
+        if n < 0:
+            n, j = -n, j + 2 * self.p
+        key = (j % (4 * self.p), n, d)
+        got = self._roots.get(key)
+        if got is None:
+            vec = self._zeta_pow[key[0]]
+            got = FieldScalar(self, {(0, 0): (vec if n == 1 else tuple(n * x for x in vec), d)})
+            got.root = key
+            self._roots[key] = got
+        return got
 
     def _check(self, other):
         if not isinstance(other, FieldScalar) or other.ctx.key != self.key:
@@ -459,10 +533,6 @@ class FieldContext:
             n, du = -n, -du
         return _normal([x * du for x in cof], n)
 
-    def _rational_vec(self, a):
-        """The nonzero Fraction a as a stored coefficient vector."""
-        return (a.numerator,) + (0,) * (self.deg - 1), a.denominator
-
     # -- scalar factories --
 
     def zero(self):
@@ -475,9 +545,8 @@ class FieldContext:
         a = Fraction(a)
         if a == 0:
             return self._zero
-        if a == 1:  # the unit object, which the products pass through
-            return self._one
-        return FieldScalar(self, {(0, 0): self._rational_vec(a)})
+        # interned, so 1 is the unit object, which the products pass through
+        return self._root(0, a.numerator, a.denominator)
 
     def zeta(self, j: int = 1):
         return self._zeta_scalar[j % (4 * self.p)]
@@ -496,7 +565,7 @@ class FieldContext:
     def c_hat(self, n: int = 1):
         """c^n, with c^p = r folded down so the stored power sits in [0, p)."""
         fold, rem = divmod(n, self.p)
-        return FieldScalar(self, {(rem, 0): self._rational_vec(self.r ** fold)})
+        return FieldScalar(self, {(rem, 0): self.from_fraction(self.r ** fold).terms[(0, 0)]})
 
     def sqrt_pi(self, n: int = 1):
         return FieldScalar(self, {(0, n): (self._zeta_pow[0], 1)})

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from fsusy.scalars import FieldContext, cyclotomic
+from fsusy.scalars import FieldContext, FieldScalar, cyclotomic
 
 PRIMES = (3, 5, 7)
 
@@ -529,3 +530,132 @@ def test_differential_invert(p, r, ta):
             a.invert()
         return
     assert _to_ref(a.invert()) == want
+
+
+# -- roots of unity as tagged, interned scalars --
+#
+# A scalar that is exactly zeta^j * n/d carries the tag (j, n, d) and is
+# shared through FieldContext._root.  Tagged operands take the fast paths;
+# a copy of the same terms with root = False is known not to be a root and
+# so runs the general product, inverse and conjugate.
+
+_ROOT_PRIMES = (3, 5, 7, 11)
+
+
+def _general(x):
+    """The same value with the fast paths switched off."""
+    g = FieldScalar(x.ctx, x.terms)
+    g.root = False
+    return g
+
+
+def _signed_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+
+
+def _rebuilt(ctx, tag):
+    """zeta^j * n/d from its tag, through the general product."""
+    j, n, d = tag
+    return _general(ctx.zeta(j)) * _general(ctx.from_fraction(Fraction(n, d)))
+
+
+@pytest.mark.parametrize("p", _ROOT_PRIMES)
+def test_root_fast_paths_equal_the_general_path(p):
+    ctx = FieldContext(p)
+    rng = random.Random(f"roots:{p}")
+    roots = [ctx.from_fraction(_signed_rational(rng)) * ctx.zeta(j) for j in range(4 * p)]
+    for x in roots:
+        assert x.root and _rebuilt(ctx, x.root) == x
+        gx = _general(x)
+        assert -x == -gx and (-x).root
+        assert x.conjugate() == gx.conjugate() and x.conjugate().root
+        assert x.invert() == gx.invert() and x.invert().root
+        f = _signed_rational(rng)
+        assert x * f == gx * f and f * x == gx * f and (x * f).root
+        assert x * -3 == gx * -3
+        for y in roots:
+            xy = x * y
+            assert xy == gx * _general(y)
+            assert xy.root and _rebuilt(ctx, xy.root) == xy
+
+
+@pytest.mark.parametrize("p", _ROOT_PRIMES)
+def test_find_root_tags_every_root(p):
+    ctx = FieldContext(p)
+    rng = random.Random(f"find:{p}")
+    for j in range(4 * p):
+        # every zeta^j has 1 or p - 1 nonzero power-basis coordinates
+        assert ctx.deg - ctx._zeta_pow[j].count(0) in (1, p - 1)
+        for _ in range(3):
+            f = _signed_rational(rng)
+            vec = [f.numerator * x for x in ctx._zeta_pow[j]]
+            x = FieldScalar(ctx, {(0, 0): (tuple(vec), f.denominator)})
+            tag = x._find_root()
+            jj, n, d = tag
+            assert 0 <= jj < 4 * p and n > 0 and d > 0 and gcd(n, d) == 1
+            assert x.root == tag and _rebuilt(ctx, tag) == x
+            assert ctx._root(*tag) == x
+
+
+@pytest.mark.parametrize("p", _ROOT_PRIMES)
+def test_find_root_rejects_what_is_not_a_root(p):
+    ctx = FieldContext(p)
+    rng = random.Random(f"reject:{p}")
+    shifts = [_general(ctx.zeta(-j)) for j in range(4 * p)]
+    found = 0
+    for _ in range(150):
+        x = ctx.zero()
+        for _ in range(rng.randint(2, 4)):
+            x = x + ctx.from_fraction(_signed_rational(rng)) * ctx.zeta(rng.randrange(4 * p))
+        # a root is exactly a scalar that some zeta^-j carries into Q
+        is_root = any((_general(x) * s).is_rational() for s in shifts) and not x.is_zero()
+        tag = FieldScalar(ctx, x.terms)._find_root()
+        assert bool(tag) == is_root
+        found += is_root
+    assert 0 < found < 150
+    for x in (ctx.c_hat(1), ctx.sqrt_pi(1), ctx.zero(), ctx.zeta(1) + ctx.c_hat(1)):
+        assert FieldScalar(ctx, x.terms)._find_root() is False
+
+
+@pytest.mark.parametrize("p", _ROOT_PRIMES)
+def test_roots_are_interned(p):
+    ctx = FieldContext(p)
+    for j in range(4 * p):
+        assert ctx.zeta(j) * ctx.zeta(-j) is ctx.one()
+        assert ctx.zeta(j).invert() is ctx.zeta(-j) is ctx.zeta(j).conjugate()
+        assert ctx.zeta(j) * Fraction(-2, 3) is ctx.from_fraction(Fraction(2, -3)) * ctx.zeta(j)
+    assert ctx.from_fraction(-1) is ctx.zeta(2 * p) is -ctx.one()
+    assert ctx.from_fraction(Fraction(6, 6)) is ctx.one()
+
+
+def test_interned_roots_are_never_changed_by_arithmetic():
+    ctx = FieldContext(5)
+    r = ctx.zeta(7) * Fraction(-2, 3)
+    dense = ctx.qint(3) + ctx.zeta(1)
+    saved = {k: (tuple(v), d) for k, (v, d) in r.terms.items()}, r.root
+    for other in (r, ctx.zeta(11), dense, ctx.c_hat(2), ctx.sqrt_pi(1)):
+        for got in (r + other, r - other, other - r, r * other, other * r):
+            assert got is r or got.terms is not r.terms
+    for got in (-r, r.invert(), r.conjugate(), r * 3, r / Fraction(5, 7), r ** 3, r ** -2):
+        assert got.terms is not r.terms
+    assert (r.terms, r.root) == saved
+    for key, x in list(ctx._roots.items()):
+        assert x.root == key and _rebuilt(ctx, key) == x
+
+
+def test_roots_stay_in_their_own_context():
+    c3, c3b, c5 = FieldContext(3), FieldContext(3), FieldContext(5)
+    c3r = FieldContext(3, Fraction(2, 3))
+    for a, b in ((c3, c5), (c5, c3), (c3, c3r)):
+        for x, y in ((a.zeta(1), b.zeta(2)), (a.zeta(1), b.one()), (a.one(), b.zeta(2))):
+            with pytest.raises(TypeError):
+                x * y
+            with pytest.raises(TypeError):
+                x + y
+    c5_objects = {id(x) for x in c5._roots.values()}
+    for j in range(1, 12):  # the unit object passes the other operand through
+        for k in range(1, 12):
+            got = c3.zeta(j) * c3b.zeta(k)
+            assert got is c3.zeta(j + k) and got.ctx is c3
+            assert id(got) not in c5_objects
+            assert (c3.zeta(j) * 5).ctx is c3 and (-c3.zeta(j)).ctx is c3
