@@ -74,8 +74,8 @@ def _check_mu(mu, p: int) -> int:
 class AAlgebra(SparseAlgebra):
     """Factory and rewrite engine for the function algebra at one (p, r).
 
-    _cop_cache holds Delta of each monomial with k = u = 0; sparse lists the
-    other caches."""
+    _cop_cache and _cop_groups hold Delta, and its groups, of monomials
+    with k = u = 0 only; sparse lists the other caches."""
 
     UNIT = A_UNIT
     SHORT_MINUS = False
@@ -87,7 +87,7 @@ class AAlgebra(SparseAlgebra):
         self.key = ctx.key
         self.kappa0 = self.ctx.from_fraction((-1) ** ((ctx.p + 1) // 2))
         self._cop_cache = {}
-        self._cop_indexes = {}
+        self._cop_groups = {}
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}
@@ -242,12 +242,10 @@ class AAlgebra(SparseAlgebra):
 
         return [((move(a), move(b)), c) for (a, b), c in terms]
 
-    def _cop_group(self, mon, leg: int, deg) -> list:
-        """The terms ((a, b), c) of Delta(mon) whose leg `leg` has the
-        multidegree deg: one lookup in the leg index of the cached (k, u)-free
-        coproduct, relabelling only the matched terms."""
+    def _cop_group(self, mon, legs: tuple, degs: tuple) -> list:
+        """The group of the (k, u)-free monomial, relabelled on read."""
         n, m, k, t, s, l, pmu = mon
-        group = self._cop_index((n, m, 0, t, s, l, 0), (leg,)).get((deg,), ())
+        group = super()._cop_group((n, m, 0, t, s, l, 0), legs, degs)
         return self._relabelled(group, k, pmu) if k or pmu else group
 
     def _coproduct_mono(self, mon) -> ATensor:

@@ -28,10 +28,11 @@ own monomial rules.
 
 A basis pairing value is cached under the inputs it depends on (see
 _pair_mono).  The actions and the contraction of Delta x against a and b
-read a leg index of each cached coproduct (SparseAlgebra._cop_index) only
-at the multidegrees the other side offers: on the function side by the
-contracted leg, once per (k, mu)-free monomial, relabelled on read; on the
-enveloping side by both legs.
+read Delta(mon) one group at a time (SparseAlgebra._cop_group), built and
+cached only at the multidegrees the other side offers: on the function side
+by the contracted leg, once per (k, mu)-free monomial, relabelled on read;
+on the enveloping side by both legs, skipping at once the pairs whose W
+(see sparse._weight) does not add up to that of the monomial.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from .afalg import AAlgebra, AElement, random_a_element
 from .report import NumericReport, require_non_negative
 from .scalars import FieldContext, FieldScalar
-from .sparse import _accumulate, _degree
+from .sparse import _accumulate, _degree, _weight
 from .ufalg import GEN_NAMES, UAlgebra, UElement, random_u_element
 
 
@@ -201,7 +202,7 @@ class DualityContext:
         groups = _by_degree(phi).items()
         for mon, c in x.terms.items():
             for deg, uterms in groups:
-                for key, f in cop_group(mon, leg, deg):
+                for key, f in cop_group(mon, (leg,), (deg,)):
                     v = self._pair_terms(uterms, key[leg])
                     if v:
                         _accumulate(out, key[keep], c * f * v)
@@ -543,11 +544,17 @@ def _pair_cop_x(dual: DualityContext, x: UElement, a: AElement, b: AElement) -> 
     """sum <x_(1), a> <x_(2), b>, with the leg order of the convention."""
     first, second = (a, b) if dual.convention.left_first else (b, a)
     first, second = _by_degree(first), _by_degree(second)
+    # the leg-degree pairs by the W they add up to: only those at W(mon)
+    # can hold a term of Delta(mon)
+    p = dual.ctx.p
+    by_weight = {}
+    for d1, d2 in itertools.product(first, second):
+        (a0, a1), (b0, b1) = _weight(d1, p), _weight(d2, p)
+        by_weight.setdefault((a0 + b0, a1 + b1), []).append((d1, d2))
     acc = dual.ctx.zero()
     for mon, c in x.terms.items():
-        index = dual.ualg._cop_index(mon, (0, 1))
-        for d1, d2 in itertools.product(first, second):
-            for (m1, m2), f in index.get((d1, d2), ()):
+        for d1, d2 in by_weight.get(_weight(_degree(mon), p), ()):
+            for (m1, m2), f in dual.ualg._cop_group(mon, (0, 1), (d1, d2)):
                 v1 = dual._pair_terms(first[d1], m1, True)
                 v2 = v1 and dual._pair_terms(second[d2], m2, True)
                 if v2:

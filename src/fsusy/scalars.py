@@ -200,7 +200,7 @@ class FieldScalar:
             ctx._check(other)
         if other is ctx._one:
             return self
-        if self is ctx._one:
+        if self is ctx._one and other.ctx is ctx:
             return other
         # an operand is checked for a root only when the other one is a root,
         # so a product of two fresh dense scalars pays no detection

@@ -19,12 +19,15 @@ such fact comes from the algebra object an element carries:
 
 SparseAlgebra states Delta(x)^n and S(x)^n for a primitive x and Delta(x)^n
 for the group-like x of slot 2, and derives the coproduct of a monomial
-(the slot powers multiplied in slot order), its antipode and star (one word
-reversal that puts the group-like part g in front, as g^-1 or g, of the
-image of the g-free part), its printed word and the grammar of parse, and
-the index of a coproduct by the multidegrees of its legs, filling the caches
-_gen_cop_pows, _cop_cache, _anti_cache, _star_cache (g-free parts included)
-and _cop_indexes each algebra creates.  Only the
+(the slot powers multiplied in slot order by one loop, _cop_terms, which
+builds either the whole of it or one group: the terms whose legs have
+given multidegrees), its antipode and star (one word reversal that puts
+the group-like part g in front, as g^-1 or g, of the image of the g-free
+part), its printed word and the grammar of parse.  It fills the caches each
+algebra creates: _gen_cop_pows per (slot, n), _cop_cache per monomial with
+the whole coproduct, _cop_groups per (monomial, legs, multidegrees) with
+one group, and _anti_cache and _star_cache (g-free parts included).  The
+pairing reads groups only, so it never builds a whole coproduct.  Only the
 operations an element actually uses need to exist: the operator calculus
 has no coproduct and brings its own star and printing.  Sums, negation
 and products keep the class of their left operand, so an Element
@@ -44,6 +47,14 @@ from .scalars import FieldScalar
 # the multidegree (n, m, t, s) of a monomial of either side, in slots 0, 1,
 # 3 and 4: the dual pairing of two monomials vanishes unless they agree there
 _degree = operator.itemgetter(0, 1, 3, 4)
+
+
+def _weight(deg, p: int) -> tuple:
+    """W = (n + p t, m + p s) of a multidegree (n, m, t, s).  It tells the
+    multidegrees apart (n, m < p), adds up under products on both sides
+    (p+-^p wraps into P+-, an e+- overflow is zero), and each term of a
+    coproduct splits the W of its monomial between the legs."""
+    return deg[0] + p * deg[2], deg[1] + p * deg[3]
 
 
 def check_operand(alg, other):
@@ -130,26 +141,53 @@ class SparseAlgebra:
             self._gen_cop_pows[slot, n] = got
         return got
 
+    def _cop_terms(self, mon, legs: tuple = (), degs: tuple = ()) -> dict:
+        """Delta(mon) as {(a, b): coefficient}, the slot powers multiplied in
+        slot order; with legs, only the terms whose leg legs[i] has the
+        multidegree degs[i].  Every term of Delta(mon) splits the W of mon
+        (see _weight) between its legs, so the share of legs[0] fixes the
+        other leg's, and each slot power and each partial product is cut to
+        the terms whose legs stay within their shares: what is left after
+        the last slot meets both exactly."""
+        within = None
+        if legs:
+            p = self.ctx.p
+            total = _weight(_degree(mon), p)
+            share = _weight(degs[0], p)
+            rest = (total[0] - share[0], total[1] - share[1])
+            if min(rest) < 0 or (len(legs) == 2 and _weight(degs[1], p) != rest):
+                return {}
+            (a0, a1), (b0, b1) = (rest, share) if legs[0] else (share, rest)
+
+            def within(tensor):  # both legs' W, inlined, against their shares
+                return Tensor(self, 2, {
+                    (a, b): c
+                    for (a, b), c in tensor.terms.items()
+                    if a[0] + p * a[3] <= a0 and a[1] + p * a[4] <= a1
+                    and b[0] + p * b[3] <= b0 and b[1] + p * b[4] <= b1
+                })
+
+        got = self.tensor_one(2)
+        for slot, e in enumerate(mon):
+            if e:
+                power = self._gen_cop_power(slot, e)
+                got = got * power if within is None else within(got * within(power))
+        return got.terms
+
     def _coproduct_mono(self, mon):
-        """Delta of one monomial: the slot powers multiplied in slot order."""
+        """Delta of one monomial, whole, cached per monomial."""
         got = self._cop_cache.get(mon)
         if got is None:
-            got = self.tensor_one(2)
-            for slot, e in enumerate(mon):
-                if e:
-                    got = got * self._gen_cop_power(slot, e)
-            self._cop_cache[mon] = got
+            got = self._cop_cache[mon] = Tensor(self, 2, self._cop_terms(mon))
         return got
 
-    def _cop_index(self, mon, legs: tuple) -> dict:
-        """{degrees of the legs numbered in legs: [(key, coefficient)]} over
-        the terms of Delta(mon), built once per (mon, legs)."""
-        got = self._cop_indexes.get((mon, legs))
+    def _cop_group(self, mon, legs: tuple, degs: tuple) -> list:
+        """The terms ((a, b), c) of Delta(mon) whose leg legs[i] has the
+        multidegree degs[i], cached per (mon, legs, degs)."""
+        got = self._cop_groups.get((mon, legs, degs))
         if got is None:
-            got = {}
-            for key, c in self._coproduct_mono(mon).terms.items():
-                got.setdefault(tuple(_degree(key[i]) for i in legs), []).append((key, c))
-            self._cop_indexes[(mon, legs)] = got
+            got = list(self._cop_terms(mon, legs, degs).items())
+            self._cop_groups[mon, legs, degs] = got
         return got
 
     def _reversed(self, mon, cache, image, sign: int):

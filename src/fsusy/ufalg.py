@@ -62,7 +62,7 @@ class UAlgebra(SparseAlgebra):
         self.key = (ctx.key, h)
         self._mono_cache = {}
         self._cop_cache = {}
-        self._cop_indexes = {}
+        self._cop_groups = {}
         self._anti_cache = {}
         self._star_cache = {}
         self._gen_cop_pows = {}

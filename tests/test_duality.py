@@ -236,6 +236,30 @@ def test_indexed_pairing_matches_brute_force(p, left_first):
     assert nonzero_cop >= 10
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_group_reads_build_no_whole_coproduct(p):
+    # the actions and the contraction of Delta x read Delta(mon) one
+    # leg-degree group at a time, so no whole coproduct is built or kept
+    dual = DualityContext(FieldContext(p))
+    ual, aal = dual.ualg, dual.aalg
+    rng = random.Random(17 + p)
+    cases = []
+    for _ in range(8):
+        x = random_u_element(ual, rng, degree=3, nterms=4)
+        a = _near_pair(dual, rng, x)
+        b = _near_pair(dual, rng, x)
+        cases.append((x, a, b, dual.right_act(x, a), dual.left_act(x, a), _pair_cop_x(dual, x, a, b)))
+    assert aal._cop_groups and ual._cop_groups
+    assert not aal._cop_cache and not ual._cop_cache
+    # the same answers as the whole coproducts give
+    left, right = (0, 1) if dual.convention.left_first else (1, 0)
+    for x, a, b, racted, lacted, cop in cases:
+        assert racted == _brute_act(dual, x, a, left)
+        assert lacted == _brute_act(dual, x, a, right)
+        assert cop == dual.pair(x, a * b)
+    assert sum(not racted.is_zero() for _, _, _, racted, _, _ in cases) >= 4
+
+
 @pytest.mark.parametrize("left_first", (True, False))
 def test_product_rule_left_action_matches_pair_tensor(ctx3, left_first):
     # the suite checks <x (x) y, Delta a> as <x, L(y) a>, read from the group

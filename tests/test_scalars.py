@@ -659,3 +659,12 @@ def test_roots_stay_in_their_own_context():
             assert got is c3.zeta(j + k) and got.ctx is c3
             assert id(got) not in c5_objects
             assert (c3.zeta(j) * 5).ctx is c3 and (-c3.zeta(j)).ctx is c3
+    # a unit operand: the product still lands in the left operand's context
+    def some(c):
+        return (c.zeta(5), c.from_fraction(Fraction(-2, 3)), c.one(), c.zeta(1) + c.one())
+
+    for y, y3 in zip(some(c3b), some(c3)):
+        for x in (c3.one(), c3.zeta(7), c3.zeta(1) + c3.zeta(2)):
+            got = x * y
+            assert got.ctx is c3 and got == x * y3, (x, y)
+            assert (y * x).ctx is c3b and y * x == y3 * x, (x, y)

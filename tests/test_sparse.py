@@ -9,7 +9,7 @@ import pytest
 
 from fsusy.afalg import AAlgebra, AElement, parse_a
 from fsusy.scalars import FieldContext
-from fsusy.sparse import parse
+from fsusy.sparse import _degree, parse
 from fsusy.ufalg import UAlgebra, UElement, parse_u
 from generator_tables import gen_anti_power, gen_antipode, gen_cop_power
 
@@ -118,6 +118,70 @@ def test_closed_form_generator_powers_match_products(make, p):
                 alg._slot_mono(2, n % p)
             )
             assert anti == gen_anti_power(alg, slot, n), (slot, n)
+
+
+# -- coproducts one leg-degree group at a time --
+
+
+def _w(deg, p):
+    """W = (n + p t, m + p s) of a multidegree (n, m, t, s), stated again so
+    the test does not read it from the code under test."""
+    return deg[0] + p * deg[2], deg[1] + p * deg[3]
+
+
+def _group_window(alg):
+    p = alg.ctx.p
+    nil = range(min(p, 3))
+    for n, m, t, s in itertools.product(nil, nil, range(3), range(3)):
+        # the group-like part (and the weight on the function side) and the
+        # primitive slot 5 each take both of 0 and 1 across the window
+        k, l = (n + m + t) % 2, (m + s) % 2
+        mon = (n, m, k, t, s, l)
+        yield mon + (-k,) if isinstance(alg, AAlgebra) else mon
+
+
+def _degrees(p, w):
+    """The multidegrees whose W is at most w in both places."""
+    for n, m in itertools.product(range(min(p, w[0] + 1)), range(min(p, w[1] + 1))):
+        for t, s in itertools.product(range((w[0] - n) // p + 1), range((w[1] - m) // p + 1)):
+            yield n, m, t, s
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("make", (UAlgebra, AAlgebra))
+def test_cop_groups_match_the_whole_coproduct(make, p):
+    # each group the filtered slot product builds equals the matching group
+    # of the whole Delta(mon); a degree without a group gives nothing; and
+    # every term of Delta(mon) splits W(mon) between its legs
+    alg = make(FieldContext(p))
+    checked = 0
+    for mon in _group_window(alg):
+        whole = alg._coproduct_mono(mon).terms
+        w, groups = _w(_degree(mon), p), {}
+        for (a, b), c in whole.items():
+            wa, wb = _w(_degree(a), p), _w(_degree(b), p)
+            assert (wa[0] + wb[0], wa[1] + wb[1]) == w, (mon, a, b)
+            for legs in ((0,), (1,), (0, 1)):
+                degs = tuple(_degree((a, b)[i]) for i in legs)
+                groups.setdefault((legs, degs), {})[a, b] = c
+        for (legs, degs), group in groups.items():
+            assert dict(alg._cop_group(mon, legs, degs)) == group, (mon, legs, degs)
+            checked += 1
+        # no group: each leg degree W leaves room for, each pair that
+        # splits W, and a degree past W
+        fits = list(_degrees(p, w))
+        for leg, deg in itertools.product((0, 1), fits):
+            if ((leg,), (deg,)) not in groups:
+                assert alg._cop_group(mon, (leg,), (deg,)) == [], (mon, leg, deg)
+        for d1 in fits:
+            rest = w[0] - _w(d1, p)[0], w[1] - _w(d1, p)[1]
+            d2 = (rest[0] % p, rest[1] % p, rest[0] // p, rest[1] // p)
+            if ((0, 1), (d1, d2)) not in groups:
+                assert alg._cop_group(mon, (0, 1), (d1, d2)) == [], (mon, d1, d2)
+        n, m, t, s = _degree(mon)
+        for leg in (0, 1):
+            assert alg._cop_group(mon, (leg,), ((n, m, t + 1, s),)) == [], mon
+    assert checked > 1000
 
 
 # -- one grammar, one set of messages --
